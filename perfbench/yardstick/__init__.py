@@ -1,0 +1,33 @@
+"""stabctx: exact strong-contextuality certificates for multi-qudit magic
+states under stabilizer measurements, plus a contextual-fraction LP."""
+
+__version__ = "0.1.0"
+
+from .zmod import Modulus, ZdPoly, parse_poly
+from .phase_space import Context, PhasePoint, WeylOperator
+from .states import PhaseFunctionState
+from .born import EmpiricalModel, JointOutcome, RootMultiset
+from .hidden_vars import (
+    HiddenVariable,
+    StrongContextualityCertificate,
+    contextual_fraction,
+    decide_strong_contextuality,
+)
+
+__all__ = [
+    "Modulus",
+    "ZdPoly",
+    "parse_poly",
+    "Context",
+    "PhasePoint",
+    "WeylOperator",
+    "PhaseFunctionState",
+    "EmpiricalModel",
+    "JointOutcome",
+    "RootMultiset",
+    "HiddenVariable",
+    "StrongContextualityCertificate",
+    "contextual_fraction",
+    "decide_strong_contextuality",
+    "__version__",
+]

@@ -1,0 +1,428 @@
+"""Exact possibility and probability engine.
+
+Whether a joint outcome of commuting Weyl measurements can occur on a
+phase-function state is a zero-vs-nonzero question about a sum of d-th roots
+of unity.  Expanding the joint eigenspace projector against the state gives,
+for every output basis ket, one root of unity per subspace element; since d
+is prime such a sum vanishes iff every root appears equally often.  All
+(im)possibility verdicts here are therefore decided by integer counting.
+Float probabilities come from a separate dense state-vector path and are
+advisory only.
+
+The same expansion read as a polynomial in the subspace coordinates (x, y)
+yields the master polynomial: an outcome is impossible iff that polynomial
+permutes Z_d equally for every ket, i.e. is a permutation polynomial for
+all (j, k).  The two routes are implemented independently and cross-checked
+in the test suite.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import itertools
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from . import dense
+from .phase_space import Context, PhasePoint, symplectic_product
+from .states import PhaseFunctionState
+from .zmod import Modulus, StabctxError, ZdPoly, is_permutation_polynomial
+
+PROB_ATOL = 1e-9  # advisory float tolerance; never decides possibility
+
+
+class IncompatibleContext(StabctxError):
+    """State and context disagree on modulus or qudit count."""
+
+
+class NonCommuting(StabctxError):
+    """Generator pair is not symplectically orthogonal."""
+
+
+class ScaleError(StabctxError):
+    """Tabulation requested beyond n = 2."""
+
+
+@dataclass(frozen=True, slots=True)
+class RootMultiset:
+    """Multiset of d-th roots of unity as a length-d count vector.
+
+    counts[t] is the multiplicity of omega^t.  Because d is prime, the
+    represented sum vanishes exactly when all counts are equal.
+    """
+
+    modulus: Modulus
+    counts: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.counts) != self.modulus.d:
+            raise ValueError("need one count per d-th root")
+        if any(c < 0 for c in self.counts):
+            raise ValueError("counts must be nonnegative")
+        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def is_zero_sum(self) -> bool:
+        return len(set(self.counts)) == 1
+
+    def numeric_sum(self) -> complex:
+        w = dense.omega(self.modulus.d)
+        return sum(c * w ** t for t, c in enumerate(self.counts))
+
+    def merge(self, other: "RootMultiset") -> "RootMultiset":
+        return RootMultiset(self.modulus,
+                            tuple(a + b for a, b in zip(self.counts, other.counts)))
+
+
+@dataclass(frozen=True, slots=True)
+class JointOutcome:
+    """A joint outcome on a context: the linear functional taking values[i]
+    on canonical basis vector i.  Any subspace element sum(c_i b_i) is
+    assigned sum(c_i values[i]); additivity is forced by the composition law,
+    so these d^n functionals are the only joint outcomes with eigenspaces."""
+
+    context: Context
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.values) != self.context.n:
+            raise ValueError("one outcome value per basis vector")
+        object.__setattr__(
+            self, "values", tuple(v % self.context.modulus.d for v in self.values))
+
+    def of_element(self, coeffs: Sequence[int]) -> int:
+        d = self.context.modulus.d
+        return sum(c * o for c, o in zip(coeffs, self.values)) % d
+
+
+@dataclass(frozen=True, slots=True)
+class PossibilityResult:
+    possible: bool
+    per_ket: tuple[RootMultiset, ...]
+
+
+def _check_compatible(state: PhaseFunctionState, context: Context):
+    if state.modulus != context.modulus or state.n != context.n:
+        raise IncompatibleContext("state and context live on different systems")
+    if state.n > 2:
+        raise ScaleError("possibility engine supports n <= 2")
+
+
+def _exponent_grids(state: PhaseFunctionState, context: Context) -> np.ndarray:
+    """Outcome-independent exponent part, shape (d,)*n + (d^n elements,).
+
+    Entry [ket..., w] is -inv2*sum(P_i Q_i) + sum(ket_i * P_i)
+    + Phi(ket - Q), for subspace element w with coordinates (P, Q).
+    """
+    m = state.modulus
+    d = m.d
+    elements = np.array(context.elements, dtype=np.int64)
+    phi_tab = state.phi_table().astype(np.int64)
+    if state.n == 1:
+        P, Q = elements[:, 0], elements[:, 1]
+        J = np.arange(d)[:, None]
+        return (-m.inv2 * P * Q + J * P + phi_tab[(J - Q) % d]) % d
+    P1, Q1 = elements[:, 0], elements[:, 1]
+    P2, Q2 = elements[:, 2], elements[:, 3]
+    J = np.arange(d)[:, None, None]
+    K = np.arange(d)[None, :, None]
+    return (-m.inv2 * (P1 * Q1 + P2 * Q2) + J * P1 + K * P2
+            + phi_tab[(J - Q1) % d, (K - Q2) % d]) % d
+
+
+def _counts_for_outcome(grid: np.ndarray, svals: np.ndarray, d: int) -> np.ndarray:
+    vals = (grid - svals) % d
+    return (vals[..., None] == np.arange(d)).sum(axis=-2)
+
+
+def outcome_possibility(state: PhaseFunctionState,
+                        outcome: JointOutcome) -> PossibilityResult:
+    """Expand the outcome projector against the state, exactly.
+
+    Returns the per-ket root multisets (kets in row-major order) and whether
+    any of them fails to vanish.  The outcome is impossible iff every ket's
+    multiset is a uniform orbit.
+    """
+    context = outcome.context
+    _check_compatible(state, context)
+    m = state.modulus
+    d = m.d
+    grid = _exponent_grids(state, context)
+    svals = np.array([outcome.of_element(c) for c in context.element_coeffs],
+                     dtype=np.int64)
+    counts = _counts_for_outcome(grid, svals, d)
+    flat = counts.reshape(-1, d)
+    multis = tuple(RootMultiset(m, tuple(row)) for row in flat)
+    possible = any(not rm.is_zero_sum() for rm in multis)
+    return PossibilityResult(possible, multis)
+
+
+def master_polynomial(state: PhaseFunctionState, u: PhasePoint, v: PhasePoint,
+                      A: int, B: int, j: int, k: int) -> ZdPoly:
+    """The exponent of the projector expansion as a polynomial in (x, y).
+
+    For the commuting pair W(u), W(v) with prescribed outcomes (A, B) and
+    output ket (j, k), with (P, Q) = x*u + y*v:
+
+        -x*A - y*B - inv2*(P1*Q1 + P2*Q2) + j*P1 + k*P2 + Phi(j-Q1, k-Q2)
+
+    The outcome (A, B) is impossible on the state iff this is a permutation
+    polynomial in (x, y) for every choice of (j, k).
+    """
+    if state.n != 2:
+        raise ScaleError("master polynomial is two-qudit machinery")
+    if u.modulus != state.modulus or v.modulus != state.modulus:
+        raise IncompatibleContext("generator moduli differ from the state")
+    if symplectic_product(u, v) != 0:
+        raise NonCommuting("generators do not commute")
+    m = state.modulus
+    x = ZdPoly.variable(m, 0, 2)
+    y = ZdPoly.variable(m, 1, 2)
+    P1 = x * u.coords[0] + y * v.coords[0]
+    Q1 = x * u.coords[1] + y * v.coords[1]
+    P2 = x * u.coords[2] + y * v.coords[2]
+    Q2 = x * u.coords[3] + y * v.coords[3]
+    shifted = state.phi.substitute([ZdPoly.constant(m, j, 2) - Q1,
+                                    ZdPoly.constant(m, k, 2) - Q2])
+    return (x * (-A) + y * (-B) - (P1 * Q1 + P2 * Q2) * m.inv2
+            + P1 * j + P2 * k + shifted)
+
+
+def impossibility_by_psi(state: PhaseFunctionState, outcome: JointOutcome) -> bool:
+    """Decide impossibility through the master polynomial alone.
+
+    True iff the master polynomial is a permutation polynomial for every
+    (j, k).  Independent of `outcome_possibility`; the two must agree.
+    """
+    context = outcome.context
+    _check_compatible(state, context)
+    if state.n != 2:
+        raise ScaleError("psi route is two-qudit machinery")
+    b1, b2 = context.canonical_basis
+    A, B = outcome.values
+    d = state.modulus.d
+    for j in range(d):
+        for k in range(d):
+            psi = master_polynomial(state, b1, b2, A, B, j, k)
+            if not is_permutation_polynomial(psi):
+                return False
+    return True
+
+
+# -- reference family polynomials -------------------------------------------
+
+def _lam4(lam: Sequence[int]) -> tuple[int, int, int, int]:
+    if len(lam) != 4:
+        raise ValueError("two-qudit hidden variables have four components")
+    return tuple(lam)  # type: ignore[return-value]
+
+
+def psi_type_I(m: Modulus, phi1: int, phi2: int, lam: Sequence[int],
+               alpha: int, j: int, k: int) -> ZdPoly:
+    """Family-I reference polynomial for generators (1,0,0,0), (0,0,alpha,1).
+
+    Hidden variables pair componentwise with coordinates (p1,q1,p2,q2).
+    Constant terms are dropped, as translation preserves permutation
+    polynomials.
+    """
+    l1, l2, l3, l4 = _lam4(lam)
+    x = ZdPoly.variable(m, 0, 2)
+    y = ZdPoly.variable(m, 1, 2)
+    i2 = m.inv2
+    return (x * (j - l1)
+            + (y ** 2) * (j * phi2 - i2 * alpha)
+            + y * (alpha * (k - l3) - l4 - j * j * phi1 - 2 * j * k * phi2))
+
+
+def psi_type_II(m: Modulus, phi1: int, phi2: int, lam: Sequence[int],
+                alpha: int, j: int, k: int) -> ZdPoly:
+    """Family-II reference polynomial for generators (0,0,1,0), (alpha,1,0,0)."""
+    l1, l2, l3, l4 = _lam4(lam)
+    x = ZdPoly.variable(m, 0, 2)
+    y = ZdPoly.variable(m, 1, 2)
+    i2 = m.inv2
+    return (x * (k - l3)
+            + (y ** 2) * (k * phi1 - i2 * alpha)
+            + y * (alpha * (j - l1) - l2 - k * k * phi2 - 2 * j * k * phi1))
+
+
+def psi_type_III(m: Modulus, phi1: int, phi2: int, lam: Sequence[int],
+                 alpha: int, beta: int, j: int, k: int) -> ZdPoly:
+    """Family-III reference polynomial for generators (1,0,beta,0),
+    (0,1,alpha,-beta^{-1}), beta != 0."""
+    l1, l2, l3, l4 = _lam4(lam)
+    d = m.d
+    x = ZdPoly.variable(m, 0, 2)
+    y = ZdPoly.variable(m, 1, 2)
+    i2 = m.inv2
+    bi = m.inv(beta)
+    return (x * (j - l1 + beta * (k - l3))
+            + (y ** 3) * (bi * (phi1 - bi * phi2) % d)
+            + (y ** 2) * ((bi * (i2 * alpha - 2 * j * phi1 - 2 * k * phi2
+                                 + bi * j * phi2) + k * phi1) % d)
+            + y * ((alpha * (k - l3) + bi * (l4 + j * j * phi1 + 2 * j * k * phi2)
+                    - l2 - 2 * j * k * phi1 - k * k * phi2) % d))
+
+
+# -- empirical models --------------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class EmpiricalRow:
+    """One (context, joint outcome) cell of an empirical model."""
+
+    possible: bool
+    probability: float
+    exact_witness: Optional[tuple[tuple[int, ...], ...]]  # per-ket counts when impossible
+
+
+@dataclass(frozen=True)
+class EmpiricalModel:
+    """Conditional outcome data for a state over a list of contexts.
+
+    Possibility flags are exact (integer counting); probabilities come from
+    the dense state-vector path and are advisory.  Rows are keyed by
+    (context index, outcome values).
+    """
+
+    state: PhaseFunctionState
+    contexts: tuple[Context, ...]
+    rows: dict[tuple[int, tuple[int, ...]], EmpiricalRow]
+
+    def row(self, ctx_index: int, values: tuple[int, ...]) -> EmpiricalRow:
+        return self.rows[(ctx_index, tuple(v % self.state.modulus.d
+                                           for v in values))]
+
+    def outcomes(self) -> list[tuple[int, ...]]:
+        d = self.state.modulus.d
+        return list(itertools.product(range(d), repeat=self.state.n))
+
+    def context_probabilities(self, ctx_index: int) -> np.ndarray:
+        return np.array([self.rows[(ctx_index, o)].probability
+                         for o in self.outcomes()])
+
+    def marginal(self, ctx_index: int, point: PhasePoint, value: int) -> float:
+        """Probability that the measurement at `point` yields `value`, from
+        this context's joint distribution."""
+        ctx = self.contexts[ctx_index]
+        d = self.state.modulus.d
+        try:
+            widx = ctx.elements.index(point.coords)
+        except ValueError:
+            raise IncompatibleContext(f"{point.coords} not in context") from None
+        coeffs = ctx.element_coeffs[widx]
+        total = 0.0
+        for o in self.outcomes():
+            if sum(c * v for c, v in zip(coeffs, o)) % d == value % d:
+                total += self.rows[(ctx_index, o)].probability
+        return total
+
+    def nonsignalling_defect(self) -> float:
+        """Largest marginal disagreement across context overlaps."""
+        m = self.state.modulus
+        worst = 0.0
+        sets = [set(ctx.elements) for ctx in self.contexts]
+        for i, j in itertools.combinations(range(len(self.contexts)), 2):
+            shared = sets[i] & sets[j]
+            for coords in shared:
+                if all(c == 0 for c in coords):
+                    continue
+                pt = PhasePoint(m, self.state.n, coords)
+                for val in range(m.d):
+                    worst = max(worst, abs(self.marginal(i, pt, val)
+                                           - self.marginal(j, pt, val)))
+        return worst
+
+    # -- exports ----------------------------------------------------------
+
+    def to_csv(self) -> str:
+        """CSV with columns: context, outcome, possible, probability.
+        Outcome values are ';'-joined; probabilities use 12 digits."""
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["context", "outcome", "possible", "probability"])
+        for ci, ctx in enumerate(self.contexts):
+            for o in self.outcomes():
+                row = self.rows[(ci, o)]
+                writer.writerow([ctx.display_label,
+                                 ";".join(str(v) for v in o),
+                                 "true" if row.possible else "false",
+                                 f"{row.probability:.12f}"])
+        return buf.getvalue()
+
+    def to_json_obj(self) -> dict:
+        """JSON document carrying the per-ket zero-sum witnesses for
+        impossible outcomes."""
+        rows = []
+        for ci, ctx in enumerate(self.contexts):
+            for o in self.outcomes():
+                row = self.rows[(ci, o)]
+                entry = {
+                    "context": ctx.display_label,
+                    "outcome": list(o),
+                    "possible": row.possible,
+                    "probability": round(row.probability, 12),
+                }
+                if not row.possible and row.exact_witness is not None:
+                    entry["zero_sum_witness"] = [list(c) for c in row.exact_witness]
+                rows.append(entry)
+        return {
+            "schema": "1",
+            "modulus": self.state.modulus.d,
+            "n": self.state.n,
+            "phi": str(self.state.phi),
+            "contexts": [ctx.record() for ctx in self.contexts],
+            "rows": rows,
+        }
+
+
+def _tabulate_context(state: PhaseFunctionState, ctx: Context,
+                      psi_vec: np.ndarray) -> list[tuple[tuple[int, ...], EmpiricalRow]]:
+    d = state.modulus.d
+    grid = _exponent_grids(state, ctx)
+    coeff_mat = np.array(ctx.element_coeffs, dtype=np.int64)
+    out = []
+    for o in itertools.product(range(d), repeat=state.n):
+        svals = coeff_mat @ np.array(o, dtype=np.int64) % d
+        counts = _counts_for_outcome(grid, svals, d).reshape(-1, d)
+        possible = bool((counts != counts[:, :1]).any())
+        proj = dense.outcome_projector(ctx, o)
+        prob = float(np.linalg.norm(proj @ psi_vec) ** 2)
+        witness = tuple(tuple(int(c) for c in rowc) for rowc in counts) \
+            if not possible else None
+        out.append((o, EmpiricalRow(possible, prob, witness)))
+    return out
+
+
+def _tabulate_worker(args):
+    state, ctx = args
+    psi_vec = dense.phase_state_vector(state.modulus, state.phi)
+    return _tabulate_context(state, ctx, psi_vec)
+
+
+def build_empirical_model(state: PhaseFunctionState, contexts: Sequence[Context],
+                          jobs: int = 1) -> EmpiricalModel:
+    """Tabulate possibility and probability for every (context, outcome).
+
+    Contexts are independent, so tabulation is parallel over them when
+    jobs > 1; the merged row order is deterministic either way.
+    """
+    for ctx in contexts:
+        _check_compatible(state, ctx)
+    rows: dict[tuple[int, tuple[int, ...]], EmpiricalRow] = {}
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_tabulate_worker,
+                                    [(state, ctx) for ctx in contexts]))
+    else:
+        psi_vec = dense.phase_state_vector(state.modulus, state.phi)
+        results = [_tabulate_context(state, ctx, psi_vec) for ctx in contexts]
+    for ci, ctx_rows in enumerate(results):
+        for o, row in ctx_rows:
+            rows[(ci, o)] = row
+    return EmpiricalModel(state, tuple(contexts), rows)
