@@ -1,13 +1,15 @@
-"""Exact possibility and probability engine.
+"""Outcome possibility, root-of-unity multisets and empirical models.
 
 Whether a joint outcome of commuting Weyl measurements can occur on a
 phase-function state is a zero-vs-nonzero question about a sum of d-th roots
 of unity.  Expanding the joint eigenspace projector against the state gives,
 for every output basis ket, one root of unity per subspace element; since d
 is prime such a sum vanishes iff every root appears equally often.  All
-(im)possibility verdicts here are therefore decided by integer counting.
-Float probabilities come from a separate dense state-vector path and are
-advisory only.
+(im)possibility verdicts here are therefore decided by integer counting,
+done by the engine in `stabctx.kernel`, which also serves the decision
+procedure; this module wraps its counts as per-ket `RootMultiset`s and
+zero-sum witnesses.  Float probabilities come from a separate dense
+state-vector path and are advisory only.
 
 The same expansion read as a polynomial in the subspace coordinates (x, y)
 yields the master polynomial: an outcome is impossible iff that polynomial
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dense
+from . import dense, kernel
 from .phase_space import Context, PhasePoint, symplectic_product
 from .states import PhaseFunctionState
 from .zmod import Modulus, StabctxError, ZdPoly, is_permutation_polynomial
@@ -114,33 +116,6 @@ def _check_compatible(state: PhaseFunctionState, context: Context):
         raise ScaleError("possibility engine supports n <= 2")
 
 
-def _exponent_grids(state: PhaseFunctionState, context: Context) -> np.ndarray:
-    """Outcome-independent exponent part, shape (d,)*n + (d^n elements,).
-
-    Entry [ket..., w] is -inv2*sum(P_i Q_i) + sum(ket_i * P_i)
-    + Phi(ket - Q), for subspace element w with coordinates (P, Q).
-    """
-    m = state.modulus
-    d = m.d
-    elements = np.array(context.elements, dtype=np.int64)
-    phi_tab = state.phi_table().astype(np.int64)
-    if state.n == 1:
-        P, Q = elements[:, 0], elements[:, 1]
-        J = np.arange(d)[:, None]
-        return (-m.inv2 * P * Q + J * P + phi_tab[(J - Q) % d]) % d
-    P1, Q1 = elements[:, 0], elements[:, 1]
-    P2, Q2 = elements[:, 2], elements[:, 3]
-    J = np.arange(d)[:, None, None]
-    K = np.arange(d)[None, :, None]
-    return (-m.inv2 * (P1 * Q1 + P2 * Q2) + J * P1 + K * P2
-            + phi_tab[(J - Q1) % d, (K - Q2) % d]) % d
-
-
-def _counts_for_outcome(grid: np.ndarray, svals: np.ndarray, d: int) -> np.ndarray:
-    vals = (grid - svals) % d
-    return (vals[..., None] == np.arange(d)).sum(axis=-2)
-
-
 def outcome_possibility(state: PhaseFunctionState,
                         outcome: JointOutcome) -> PossibilityResult:
     """Expand the outcome projector against the state, exactly.
@@ -151,14 +126,10 @@ def outcome_possibility(state: PhaseFunctionState,
     """
     context = outcome.context
     _check_compatible(state, context)
-    m = state.modulus
-    d = m.d
-    grid = _exponent_grids(state, context)
-    svals = np.array([outcome.of_element(c) for c in context.element_coeffs],
-                     dtype=np.int64)
-    counts = _counts_for_outcome(grid, svals, d)
-    flat = counts.reshape(-1, d)
-    multis = tuple(RootMultiset(m, tuple(row)) for row in flat)
+    counts = kernel.residue_counts(state.modulus.d, state.phi_table(),
+                                   [context.canonical_key], [outcome.values])
+    multis = tuple(RootMultiset(state.modulus, tuple(row))
+                   for row in counts[0].tolist())
     possible = any(not rm.is_zero_sum() for rm in multis)
     return PossibilityResult(possible, multis)
 
@@ -384,12 +355,12 @@ class EmpiricalModel:
 def _tabulate_context(state: PhaseFunctionState, ctx: Context,
                       psi_vec: np.ndarray) -> list[tuple[tuple[int, ...], EmpiricalRow]]:
     d = state.modulus.d
-    grid = _exponent_grids(state, ctx)
-    coeff_mat = np.array(ctx.element_coeffs, dtype=np.int64)
+    outcomes = list(itertools.product(range(d), repeat=state.n))
+    all_counts = kernel.residue_counts(d, state.phi_table(),
+                                       [ctx.canonical_key] * len(outcomes),
+                                       outcomes)
     out = []
-    for o in itertools.product(range(d), repeat=state.n):
-        svals = coeff_mat @ np.array(o, dtype=np.int64) % d
-        counts = _counts_for_outcome(grid, svals, d).reshape(-1, d)
+    for o, counts in zip(outcomes, all_counts):
         possible = bool((counts != counts[:, :1]).any())
         proj = dense.outcome_projector(ctx, o)
         prob = float(np.linalg.norm(proj @ psi_vec) ** 2)

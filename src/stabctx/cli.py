@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import random
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 from . import kernel
 from .born import build_empirical_model
@@ -37,11 +39,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("STABCTX_JOBS")
-    return int(env) if env else 1
 
 
 def _modulus(args) -> Modulus:
@@ -81,10 +78,14 @@ def _contexts_for(args, m: Modulus):
 def cmd_analyze(args) -> int:
     m = _modulus(args)
     state = _state(args, m)
-    cert = decide_strong_contextuality(state, strategy=args.strategy,
-                                       jobs=args.jobs)
+    cert = decide_strong_contextuality(state, strategy=args.strategy)
     _emit(_json_text(cert.to_json_obj()), args.output)
     return 0 if cert.strongly_contextual else 2
+
+
+def _certify(state: PhaseFunctionState) -> tuple[bool, list[str]]:
+    cert = decide_strong_contextuality(state)
+    return cert.strongly_contextual, sorted(cert.stages_used)
 
 
 def cmd_verify_theorem1(args) -> int:
@@ -95,7 +96,7 @@ def cmd_verify_theorem1(args) -> int:
                            "requires d != 1 mod 3")
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    runs = []
+    cases = []
     for phi1 in range(d):
         for phi2 in range(d):
             if phi1 == 0 and phi2 == 0:
@@ -110,16 +111,24 @@ def cmd_verify_theorem1(args) -> int:
             for q in quadratics:
                 phi = ZdPoly.monomial(m, phi1, (2, 1)) \
                     + ZdPoly.monomial(m, phi2, (1, 2)) + q
-                state = PhaseFunctionState(m, 2, phi)
-                cert = decide_strong_contextuality(state, jobs=args.jobs)
-                runs.append({
-                    "phi": str(phi),
-                    "phi1": phi1,
-                    "phi2": phi2,
-                    "quadratic": not q.is_zero(),
-                    "strongly_contextual": cert.strongly_contextual,
-                    "stages": sorted(cert.stages_used),
-                })
+                cases.append((phi1, phi2, q, PhaseFunctionState(m, 2, phi)))
+    states = [state for *_, state in cases]
+    if args.jobs > 1:  # whole states are independent
+        with ProcessPoolExecutor(
+                max_workers=args.jobs,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            verdicts = list(pool.map(_certify, states))
+    else:
+        verdicts = [_certify(state) for state in states]
+    runs = [{
+        "phi": str(state.phi),
+        "phi1": phi1,
+        "phi2": phi2,
+        "quadratic": not q.is_zero(),
+        "strongly_contextual": strongly_contextual,
+        "stages": stages,
+    } for (phi1, phi2, q, state), (strongly_contextual, stages)
+        in zip(cases, verdicts)]
     passed = sum(1 for r in runs if r["strongly_contextual"])
     summary = {
         "schema": "1",
@@ -235,11 +244,13 @@ def cmd_selftest(args) -> int:
         ctx = contexts[rng.randrange(len(contexts))]
         outcome = JointOutcome(ctx, (rng.randrange(3), rng.randrange(3)))
         exact = outcome_possibility(st, outcome).possible
+        engine = not kernel.impossible(3, st.phi_table(), [ctx.canonical_key],
+                                       [outcome.values])[0]
         psi = not impossibility_by_psi(st, outcome)
         proj = dense.outcome_projector(ctx, outcome.values)
         vec = dense.phase_state_vector(m, st.phi)
         numeric = bool(np.linalg.norm(proj @ vec) > 1e-9)
-        if not exact == psi == numeric:
+        if not exact == engine == psi == numeric:
             agree = False
             break
     check("possibility routes agree (40 random cases)", agree)
@@ -247,8 +258,6 @@ def cmd_selftest(args) -> int:
     st5 = PhaseFunctionState(m5, 2, parse_poly("j^2*k", m5))
     cert5 = decide_strong_contextuality(st5)
     check("j^2*k at d=5 strongly contextual", cert5.strongly_contextual)
-    check("kernel backend loaded", kernel.BACKEND in ("compiled", "python"))
-    print(f"kernel backend: {kernel.BACKEND}")
     return 3 if failures else 0
 
 
@@ -264,8 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
         if phi:
             p.add_argument("--phi", required=True,
                            help="phase polynomial in j,k, e.g. 'j^2*k + 2*j*k^2'")
-        p.add_argument("--jobs", type=_positive_int, default=_default_jobs(),
-                       help="worker processes (default: STABCTX_JOBS or 1)")
+        p.add_argument("--jobs", type=_positive_int,
+                       default=os.environ.get("STABCTX_JOBS") or "1",
+                       help="worker processes for verify-theorem1, model and "
+                            "cf (default: STABCTX_JOBS or 1)")
         p.add_argument("--output", help="write the artifact to this path")
         p.add_argument("--unsafe-scale", action="store_true",
                        help=f"allow d beyond the desk guard ({MAX_DESK_D})")

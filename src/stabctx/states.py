@@ -45,7 +45,7 @@ class PhaseFunctionState:
                 f"phi has {self.phi.num_vars} variables for n={self.n}")
 
     def phi_table(self) -> np.ndarray:
-        """Value table of Phi on Z_d^n (n <= 2), used by the fast kernels."""
+        """Value table of Phi on Z_d^n (n <= 2), used by `stabctx.kernel`."""
         d = self.modulus.d
         if self.n == 1:
             return np.array([self.phi.evaluate((j,)) for j in range(d)],

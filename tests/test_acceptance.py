@@ -84,7 +84,7 @@ def test_criterion_02_theorem1_d11():
     ok = len(states) == 120
     certified = 0
     for st in states:
-        cert = decide_strong_contextuality(st, strategy="table1_first", jobs=1)
+        cert = decide_strong_contextuality(st, strategy="table1_first")
         if cert.strongly_contextual and cert.stages_used <= {"proof", "table1"}:
             certified += 1
     elapsed = time.perf_counter() - start

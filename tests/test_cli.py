@@ -151,6 +151,23 @@ class TestVerifyTheorem1:
         assert code == 1
         assert "1 mod 3" in err
 
+    def test_jobs_do_not_change_artifact(self, capsys, tmp_path):
+        paths = [tmp_path / f"jobs{jobs}.json" for jobs in (1, 2)]
+        for jobs, path in zip((1, 2), paths):
+            code, _, _ = run(capsys, "verify-theorem1", "--d", "5",
+                             "--jobs", str(jobs), "--output", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestJobsEnvironment:
+    def test_malformed_stabctx_jobs_is_usage_error(self, capsys, monkeypatch):
+        for value in ("abc", "0"):
+            monkeypatch.setenv("STABCTX_JOBS", value)
+            code, out, err = run(capsys, "contexts", "--d", "3", "--count")
+            assert code == 1
+            assert "--jobs" in err and out == ""
+
 
 def test_selftest(capsys):
     assert main(["selftest"]) == 0

@@ -172,13 +172,6 @@ class TestDecide:
             if want:
                 assert cert.stages_used == {"full"}
 
-    def test_parallel_matches_serial(self):
-        st = state(3, "j^2*k + 2*j*k^2")
-        a = decide_strong_contextuality(st, jobs=1)
-        b = decide_strong_contextuality(st, jobs=2)
-        assert a.verdict == b.verdict
-        assert a.refutations == b.refutations
-
     def test_verdict_invariant_under_reductions(self):
         rng = random.Random(1)
         m = Modulus(3)

@@ -1,75 +1,122 @@
+"""The possibility engine against oracles that share no code with it: the
+master-polynomial route, the dense projector norm, and the per-candidate
+proof-stage parameters."""
+
 import random
+import tracemalloc
 
 import numpy as np
-import pytest
 
-from stabctx import _kernel_py, kernel
-from stabctx.born import JointOutcome, outcome_possibility
+from stabctx import dense, kernel
+from stabctx.born import JointOutcome, impossibility_by_psi
+from stabctx.hidden_vars import proof_context_parameters, \
+    proof_stage_parameters
 from stabctx.phase_space import enumerate_contexts
 from stabctx.states import PhaseFunctionState
 from stabctx.zmod import Modulus, ZdPoly
 
-try:
-    from stabctx import _kernel
-except ImportError:
-    _kernel = None
 
-
-def random_instance(rng, d):
+def random_state(rng, d):
     m = Modulus(d)
     coeffs = {(rng.randrange(4), rng.randrange(4)): rng.randrange(d)
               for _ in range(5)}
-    st = PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
-    contexts = enumerate_contexts(m, 2)
-    ctx = contexts[rng.randrange(len(contexts))]
-    a, b = rng.randrange(d), rng.randrange(d)
-    return st, ctx, a, b
+    if rng.random() < 0.5:  # strong normal-form states have impossible outcomes
+        coeffs = {(2, 1): rng.randrange(1, d), (1, 2): rng.randrange(d)}
+    return PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
 
 
-def test_backend_reported():
-    assert kernel.BACKEND in ("compiled", "python")
-
-
-@pytest.mark.skipif(_kernel is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = random.Random(0)
-    for d in (3, 5, 7):
-        for _ in range(30):
-            st, ctx, a, b = random_instance(rng, d)
-            tab = kernel.coerce_table(st.phi_table())
-            b1, b2 = ctx.canonical_basis
-            u = kernel.coerce_point(b1.coords)
-            v = kernel.coerce_point(b2.coords)
-            got_c = _kernel.first_possible_ket(d, tab, u, v, a, b)
-            got_py = _kernel_py.first_possible_ket(d, tab, u, v, a, b)
-            assert got_c == got_py
+def all_outcomes(d):
+    return [(a, b) for a in range(d) for b in range(d)]
 
 
 def test_kernel_matches_projector_route():
     rng = random.Random(1)
-    for d in (3, 5):
-        for _ in range(40):
-            st, ctx, a, b = random_instance(rng, d)
-            ket = kernel.first_possible_ket(
-                d, st.phi_table(),
-                ctx.canonical_basis[0].coords, ctx.canonical_basis[1].coords,
-                a, b)
-            res = outcome_possibility(st, JointOutcome(ctx, (a, b)))
-            assert (ket >= 0) == res.possible
-            if ket >= 0:
-                # the named ket is indeed the first non-vanishing one
-                for idx, rm in enumerate(res.per_ket):
-                    if idx < ket:
-                        assert rm.is_zero_sum()
-                    elif idx == ket:
-                        assert not rm.is_zero_sum()
-                        break
+    verdicts = set()
+    for d, count in ((3, 12), (5, 8), (7, 4)):
+        contexts = enumerate_contexts(Modulus(d), 2)
+        for _ in range(count):
+            st = random_state(rng, d)
+            ctx = contexts[rng.randrange(len(contexts))]
+            outcomes = all_outcomes(d)
+            got = kernel.impossible(d, st.phi_table(),
+                                    [ctx.canonical_key] * len(outcomes),
+                                    outcomes)
+            vec = dense.phase_state_vector(st.modulus, st.phi)
+            for (a, b), imp in zip(outcomes, got.tolist()):
+                outcome = JointOutcome(ctx, (a, b))
+                assert imp == impossibility_by_psi(st, outcome)
+                proj = dense.outcome_projector(ctx, (a, b))
+                assert imp == (np.linalg.norm(proj @ vec) < 1e-9)
+                verdicts.add(imp)
+    assert verdicts == {True, False}
 
 
-def test_kernel_rejects_huge_d():
-    if _kernel is None:
-        pytest.skip("compiled kernel not built")
-    with pytest.raises(ValueError):
-        _kernel.first_possible_ket(
-            67, np.zeros((67, 67), dtype=np.intc),
-            np.zeros(4, dtype=np.intc), np.zeros(4, dtype=np.intc), 0, 0)
+def test_inputs_reduced_mod_d():
+    rng = random.Random(2)
+    shifts = np.random.default_rng(2)
+    for d in (3, 5, 7):
+        contexts = enumerate_contexts(Modulus(d), 2)
+        for _ in range(10):
+            st = random_state(rng, d)
+            tab = st.phi_table().astype(np.int64)
+            gens = np.array([contexts[rng.randrange(len(contexts))].canonical_key
+                             for _ in range(d * d)])
+            outcomes = np.array(all_outcomes(d))
+            want = kernel.residue_counts(d, tab, gens, outcomes)
+            moved = (tab + d * shifts.integers(-3, 4, tab.shape),
+                     gens + d * shifts.integers(-3, 4, gens.shape),
+                     outcomes + d * shifts.integers(-3, 4, outcomes.shape))
+            assert np.array_equal(kernel.residue_counts(d, *moved), want)
+            assert np.array_equal(
+                kernel.impossible(d, *moved),
+                (want == d).all(axis=(1, 2)))
+
+
+def test_proof_stage_parameters_match_reference():
+    for d, pairs in ((5, [(p1, p2) for p1 in range(1, 5) for p2 in range(5)]),
+                     (11, [(1, 10), (3, 5), (7, 0), (10, 10)])):
+        m = Modulus(d)
+        lams = np.indices((d,) * 4).reshape(4, -1).T
+        for phi1, phi2 in pairs:
+            alpha_i, alpha_ii, alpha_iii, beta = proof_stage_parameters(
+                m, phi1, phi2, lams)
+            for i, lam in enumerate(lams.tolist()):
+                assert list(proof_context_parameters(m, phi1, phi2, lam)) == [
+                    ("I", alpha_i[i], None), ("II", alpha_ii[i], None),
+                    ("III", alpha_iii[i], beta)]
+
+
+def test_multi_chunk_batch_equals_single_queries(monkeypatch):
+    rng = random.Random(3)
+    d = 5
+    st = random_state(rng, d)
+    contexts = enumerate_contexts(Modulus(d), 2)
+    queries = [(contexts[rng.randrange(len(contexts))].canonical_key,
+                (rng.randrange(d), rng.randrange(d))) for _ in range(1000)]
+    gens = [g for g, _ in queries]
+    outcomes = [o for _, o in queries]
+    assert len(queries) * d ** 4 > 2 * kernel.CHUNK
+    batch = kernel.residue_counts(d, st.phi_table(), gens, outcomes)
+    flags = kernel.impossible(d, st.phi_table(), gens, outcomes)
+    for i, (g, o) in enumerate(queries):
+        one = kernel.residue_counts(d, st.phi_table(), [g], [o])
+        assert np.array_equal(batch[i], one[0])
+        assert flags[i] == (one == d).all()
+    monkeypatch.setattr(kernel, "CHUNK", 100)  # split each query over kets
+    assert np.array_equal(
+        kernel.residue_counts(d, st.phi_table(), gens[:50], outcomes[:50]),
+        batch[:50])
+
+
+def test_one_query_memory_bounded_at_d31():
+    d = 31
+    tab = np.arange(d * d).reshape(d, d) ** 3 % d
+    tracemalloc.start()
+    try:
+        kernel.impossible(d, tab, [((1, 0, 0, 0), (0, 0, 0, 1))], [(0, 0)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 24 bytes per CHUNK entry; one unchunked query at d = 31
+    # (d^4 = 923,521 exponents) takes about 22 MiB
+    assert peak < 48 * kernel.CHUNK
