@@ -8,8 +8,9 @@ is prime such a sum vanishes iff every root appears equally often.  All
 (im)possibility verdicts here are therefore decided by integer counting,
 done by the engine in `stabctx.kernel`, which also serves the decision
 procedure; this module wraps its counts as per-ket `RootMultiset`s and
-zero-sum witnesses.  Float probabilities come from a separate dense
-state-vector path and are advisory only.
+zero-sum witnesses.  Born probabilities are read off the same counts c_t:
+the projected amplitude at ket J is d^(-3n/2) * sum_t c_t omega^t.  They
+are floats and advisory only, cross-checked against `stabctx.dense`.
 
 The same expansion read as a polynomial in the subspace coordinates (x, y)
 yields the master polynomial: an outcome is impossible iff that polynomial
@@ -23,13 +24,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import dense, kernel
+from . import kernel
 from .phase_space import Context, PhasePoint, symplectic_product
 from .states import PhaseFunctionState
 from .zmod import Modulus, StabctxError, ZdPoly, is_permutation_polynomial
@@ -74,7 +74,7 @@ class RootMultiset:
         return len(set(self.counts)) == 1
 
     def numeric_sum(self) -> complex:
-        w = dense.omega(self.modulus.d)
+        w = np.exp(2j * np.pi / self.modulus.d)
         return sum(c * w ** t for t, c in enumerate(self.counts))
 
     def merge(self, other: "RootMultiset") -> "RootMultiset":
@@ -256,8 +256,8 @@ class EmpiricalRow:
 class EmpiricalModel:
     """Conditional outcome data for a state over a list of contexts.
 
-    Possibility flags are exact (integer counting); probabilities come from
-    the dense state-vector path and are advisory.  Rows are keyed by
+    Possibility flags are exact (integer counting); probabilities are floats
+    computed from the same residue counts, and advisory.  Rows are keyed by
     (context index, outcome values).
     """
 
@@ -352,48 +352,36 @@ class EmpiricalModel:
         }
 
 
-def _tabulate_context(state: PhaseFunctionState, ctx: Context,
-                      psi_vec: np.ndarray) -> list[tuple[tuple[int, ...], EmpiricalRow]]:
-    d = state.modulus.d
-    outcomes = list(itertools.product(range(d), repeat=state.n))
-    all_counts = kernel.residue_counts(d, state.phi_table(),
-                                       [ctx.canonical_key] * len(outcomes),
-                                       outcomes)
-    out = []
-    for o, counts in zip(outcomes, all_counts):
-        possible = bool((counts != counts[:, :1]).any())
-        proj = dense.outcome_projector(ctx, o)
-        prob = float(np.linalg.norm(proj @ psi_vec) ** 2)
-        witness = tuple(tuple(int(c) for c in rowc) for rowc in counts) \
-            if not possible else None
-        out.append((o, EmpiricalRow(possible, prob, witness)))
-    return out
-
-
-def _tabulate_worker(args):
-    state, ctx = args
-    psi_vec = dense.phase_state_vector(state.modulus, state.phi)
-    return _tabulate_context(state, ctx, psi_vec)
-
-
-def build_empirical_model(state: PhaseFunctionState, contexts: Sequence[Context],
-                          jobs: int = 1) -> EmpiricalModel:
+def build_empirical_model(state: PhaseFunctionState,
+                          contexts: Sequence[Context]) -> EmpiricalModel:
     """Tabulate possibility and probability for every (context, outcome).
 
-    Contexts are independent, so tabulation is parallel over them when
-    jobs > 1; the merged row order is deterministic either way.
+    One engine call per block of contexts gives, for each outcome and output
+    ket J, the residue counts c_t of its roots.  The outcome is possible iff
+    some ket's counts are not uniform, and the projected amplitude at J is
+    d^(-3n/2) * sum_t c_t omega^t, so its Born probability is
+    d^(-3n) * sum_J |sum_t c_t omega^t|^2.  Blocks hold
+    max(1, kernel.CHUNK // d^(2n)) contexts, which keeps the counts of one
+    block to a few MiB at any d; each block is reduced before the next.
     """
     for ctx in contexts:
         _check_compatible(state, ctx)
+    d, n = state.modulus.d, state.n
+    outcomes = list(itertools.product(range(d), repeat=n))
+    roots = np.exp(2j * np.pi * np.arange(d) / d)
+    step = max(1, kernel.CHUNK // d ** (2 * n))
     rows: dict[tuple[int, tuple[int, ...]], EmpiricalRow] = {}
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_tabulate_worker,
-                                    [(state, ctx) for ctx in contexts]))
-    else:
-        psi_vec = dense.phase_state_vector(state.modulus, state.phi)
-        results = [_tabulate_context(state, ctx, psi_vec) for ctx in contexts]
-    for ci, ctx_rows in enumerate(results):
-        for o, row in ctx_rows:
-            rows[(ci, o)] = row
+    for c0 in range(0, len(contexts), step):
+        block = contexts[c0:c0 + step]
+        counts = kernel.residue_counts(
+            d, state.phi_table(),
+            [ctx.canonical_key for ctx in block for _ in outcomes],
+            outcomes * len(block))
+        possible = (counts != counts[..., :1]).any(axis=(1, 2)).tolist()
+        amps = sum(counts[..., t] * roots[t] for t in range(d))
+        probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1) / d ** (3 * n)
+        cells = itertools.product(range(c0, c0 + len(block)), outcomes)
+        for q, (key, p) in enumerate(zip(cells, probs.tolist())):
+            rows[key] = EmpiricalRow(possible[q], p, None if possible[q] else
+                                     tuple(map(tuple, counts[q].tolist())))
     return EmpiricalModel(state, tuple(contexts), rows)

@@ -151,7 +151,7 @@ def cmd_model(args) -> int:
     m = _modulus(args)
     state = _state(args, m)
     contexts = _contexts_for(args, m)
-    model = build_empirical_model(state, contexts, jobs=args.jobs)
+    model = build_empirical_model(state, contexts)
     if args.format == "csv":
         _emit(model.to_csv(), args.output)
     else:
@@ -178,7 +178,7 @@ def cmd_cf(args) -> int:
     m = _modulus(args)
     state = _state(args, m)
     contexts = _contexts_for(args, m)
-    model = build_empirical_model(state, contexts, jobs=args.jobs)
+    model = build_empirical_model(state, contexts)
     result = contextual_fraction(model)
     if args.format == "json":
         weights = {",".join(map(str, hv.lam)): round(w, 9)
@@ -235,7 +235,7 @@ def cmd_selftest(args) -> int:
     check("flat state not strongly contextual", not cert0.strongly_contextual)
 
     rng = random.Random(args.seed)
-    agree = True
+    agree = probs_agree = True
     contexts = enumerate_contexts(m, 2)
     for _ in range(40):
         coeffs = {(e1, e2): rng.randrange(3)
@@ -249,11 +249,13 @@ def cmd_selftest(args) -> int:
         psi = not impossibility_by_psi(st, outcome)
         proj = dense.outcome_projector(ctx, outcome.values)
         vec = dense.phase_state_vector(m, st.phi)
-        numeric = bool(np.linalg.norm(proj @ vec) > 1e-9)
-        if not exact == engine == psi == numeric:
-            agree = False
-            break
+        dense_prob = float(np.linalg.norm(proj @ vec) ** 2)
+        counted = build_empirical_model(st, [ctx]).row(0, outcome.values)
+        agree &= exact == engine == psi == (dense_prob > 1e-18)
+        probs_agree &= abs(counted.probability - dense_prob) <= 1e-12
     check("possibility routes agree (40 random cases)", agree)
+    check("counted and dense probabilities agree (40 random cases)",
+          probs_agree)
     m5 = Modulus(5)
     st5 = PhaseFunctionState(m5, 2, parse_poly("j^2*k", m5))
     cert5 = decide_strong_contextuality(st5)
@@ -275,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="phase polynomial in j,k, e.g. 'j^2*k + 2*j*k^2'")
         p.add_argument("--jobs", type=_positive_int,
                        default=os.environ.get("STABCTX_JOBS") or "1",
-                       help="worker processes for verify-theorem1, model and "
-                            "cf (default: STABCTX_JOBS or 1)")
+                       help="worker processes for verify-theorem1; the other "
+                            "subcommands run in one process "
+                            "(default: STABCTX_JOBS or 1)")
         p.add_argument("--output", help="write the artifact to this path")
         p.add_argument("--unsafe-scale", action="store_true",
                        help=f"allow d beyond the desk guard ({MAX_DESK_D})")

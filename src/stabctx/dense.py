@@ -1,8 +1,9 @@
 """Dense complex-matrix oracle.
 
 Everything here is floating point and advisory: it exists to cross-check the
-exact integer engines, never to decide them.  Matrices are tiny at desk scale
-(d <= 5, n <= 2 for the hierarchy oracle), so plain numpy is plenty.
+exact integer engines and the Born probabilities `stabctx.born` computes from
+their counts, never to decide or produce them.  Matrices are tiny at desk
+scale (d <= 5, n <= 2 for the hierarchy oracle), so plain numpy is plenty.
 """
 
 from __future__ import annotations

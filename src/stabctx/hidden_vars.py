@@ -27,6 +27,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_matrix
 
 from . import kernel
 from .born import EmpiricalModel, JointOutcome
@@ -549,6 +550,22 @@ class ContextualFraction:
     weights: dict[HiddenVariable, float] = field(default_factory=dict)
 
 
+def consistency_matrix(m: Modulus, n: int,
+                       contexts: Sequence[Context]) -> csr_matrix:
+    """The LP's 0/1 matrix: entry (c * d^n + o, l) is 1 iff the l-th linear
+    hidden variable (as `enumerate_linear_hv`) prescribes outcome o
+    (row-major over Z_d^n) on the canonical basis of contexts[c]."""
+    d = m.d
+    lams = np.array(list(itertools.product(range(d), repeat=2 * n)))
+    keys = np.array([c.canonical_key for c in contexts]).reshape(-1, n, 2 * n)
+    values = np.einsum("lk,cik->cli", lams, keys) % d
+    rows = values @ d ** np.arange(n - 1, -1, -1) \
+        + d ** n * np.arange(len(contexts))[:, None]
+    cols = np.broadcast_to(np.arange(len(lams)), rows.shape)
+    return csr_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())),
+                      shape=(len(contexts) * d ** n, len(lams)))
+
+
 def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     """Contextual fraction of an empirical model, by linear programming.
 
@@ -563,27 +580,17 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     exact decision procedure.
     """
     state = model.state
-    m = state.modulus
-    d = m.d
-    n = state.n
-    lams = enumerate_linear_hv(m, n)
-    outcomes = model.outcomes()
-    oindex = {o: i for i, o in enumerate(outcomes)}
-    ncons = len(model.contexts) * len(outcomes)
-    A = np.zeros((ncons, len(lams)))
-    b = np.zeros(ncons)
-    for ci, ctx in enumerate(model.contexts):
-        probs = model.context_probabilities(ci)
-        if abs(float(probs.sum()) - 1.0) > 1e-6:
-            raise InfeasibleModel(
-                f"context {ci} probabilities sum to {probs.sum():.8f}")
-        rows = [b.coords for b in ctx.canonical_basis]
-        for li, hv in enumerate(lams):
-            values = tuple(hv.outcome(r) for r in rows)
-            A[ci * len(outcomes) + oindex[values], li] = 1.0
-        for oi, o in enumerate(outcomes):
-            b[ci * len(outcomes) + oi] = max(float(probs[oi]), 0.0)
-    res = linprog(c=-np.ones(len(lams)), A_ub=A, b_ub=b,
+    lams = enumerate_linear_hv(state.modulus, state.n)
+    probs = np.reshape([model.context_probabilities(ci) for ci in
+                        range(len(model.contexts))],
+                       (len(model.contexts), len(model.outcomes())))
+    sums = probs.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    if bad.size:
+        raise InfeasibleModel(
+            f"context {bad[0]} probabilities sum to {sums[bad[0]]:.8f}")
+    res = linprog(c=-np.ones(len(lams)), b_ub=np.maximum(probs.ravel(), 0.0),
+                  A_ub=consistency_matrix(state.modulus, state.n, model.contexts),
                   bounds=(0, None), method="highs")
     if res.status != 0:
         raise InfeasibleModel(f"LP failed: {res.message}")

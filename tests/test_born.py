@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from stabctx import dense
+from stabctx import dense, kernel
 from stabctx.born import (
     IncompatibleContext,
     JointOutcome,
@@ -261,14 +261,6 @@ class TestEmpiricalModel:
         model = build_empirical_model(st, [c for _l, c in table1_contexts(m)])
         assert any(not row.possible for row in model.rows.values())
 
-    def test_parallel_matches_serial(self):
-        m = Modulus(3)
-        st = state(3, "j^2*k + j*k")
-        contexts = enumerate_contexts(m, 2)[:10]
-        serial = build_empirical_model(st, contexts, jobs=1)
-        parallel = build_empirical_model(st, contexts, jobs=2)
-        assert serial.rows == parallel.rows
-
     def test_csv_export(self):
         m = Modulus(3)
         st = state(3, "j*k^2")
@@ -309,3 +301,54 @@ class TestEmpiricalModel:
             for q in projs[i + 1:]:
                 assert np.allclose(p @ q, 0, atol=1e-9)
         assert np.allclose(sum(projs), np.eye(9), atol=1e-9)
+
+
+def dense_probability(st, ctx, values):
+    psi = dense.phase_state_vector(st.modulus, st.phi)
+    return float(np.linalg.norm(dense.outcome_projector(ctx, values) @ psi) ** 2)
+
+
+class TestBornFromCounts:
+    """Probabilities from the engine's residue counts against the dense
+    projector oracle, and the blocking of contexts into engine calls."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_matches_dense_projector_on_every_cell(self, d):
+        m = Modulus(d)
+        st = random_state(m, random.Random(d))
+        contexts = enumerate_contexts(m, 2)
+        model = build_empirical_model(st, contexts)
+        assert len(model.rows) == len(contexts) * d * d
+        for (ci, o), row in model.rows.items():
+            assert abs(row.probability
+                       - dense_probability(st, contexts[ci], o)) <= 1e-12
+
+    def test_matches_dense_projector_single_qudit(self):
+        m = Modulus(5)
+        st = PhaseFunctionState(m, 1, parse_poly("2*j^3 + j^2 + 3*j", m,
+                                                 variables=("j",)))
+        contexts = enumerate_contexts(m, 1)
+        model = build_empirical_model(st, contexts)
+        assert len(model.rows) == len(contexts) * 5
+        for (ci, o), row in model.rows.items():
+            assert abs(row.probability
+                       - dense_probability(st, contexts[ci], o)) <= 1e-12
+            assert row.possible == (row.probability > 1e-9)
+
+    def test_blocks_match_one_context_per_block(self):
+        m = Modulus(5)
+        st = state(5, "j^3 + 2*j^2*k + k^2 + j")
+        contexts = enumerate_contexts(m, 2)
+        assert len(contexts) > kernel.CHUNK // 5 ** 4  # spans two blocks
+        model = build_empirical_model(st, contexts)
+        for ci, ctx in enumerate(contexts):
+            single = build_empirical_model(st, [ctx])
+            for o in model.outcomes():
+                assert model.rows[(ci, o)] == single.rows[(0, o)]
+
+    def test_empty_context_list(self):
+        st = state(5, "j^2*k")
+        model = build_empirical_model(st, [])
+        assert model.contexts == () and model.rows == {}
+        assert model.to_csv() == "context,outcome,possible,probability\n"
+        assert model.to_json_obj()["rows"] == []

@@ -1,8 +1,15 @@
+import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from stabctx.cli import main
+
+DIGESTS = json.loads((pathlib.Path(__file__).parent / "data"
+                      / "d5_artifact_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -158,6 +165,37 @@ class TestVerifyTheorem1:
                              "--jobs", str(jobs), "--output", str(path))
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ("model", "--format", "csv"), ("cf", "--format", "json")],
+        ids=["model", "cf"])
+    def test_jobs_do_not_change_model_or_cf(self, capsys, tmp_path, argv):
+        paths = [tmp_path / f"jobs{jobs}.out" for jobs in (1, 2)]
+        for jobs, path in zip((1, 2), paths):
+            code, _, _ = run(capsys, *argv, "--d", "3", "--phi", "j^2*k + j*k",
+                             "--contexts", "full", "--jobs", str(jobs),
+                             "--output", str(path))
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+class TestArtifactDigests:
+    """Model and cf artifacts at d=5 keep the bytes recorded, as SHA-256
+    digests, before Born probabilities moved to the residue counts."""
+
+    @pytest.mark.parametrize("state_class", sorted(DIGESTS))
+    def test_d5_full_context_artifacts(self, capsys, tmp_path, state_class):
+        ref = DIGESTS[state_class]
+        for key, argv in (("model_csv", ("model", "--format", "csv")),
+                          ("model_json", ("model", "--format", "json")),
+                          ("cf_json", ("cf", "--format", "json"))):
+            path = tmp_path / key
+            code, _, _ = run(capsys, *argv, "--d", "5", "--phi", ref["phi"],
+                             "--contexts", "full", "--output", str(path))
+            assert code == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == ref[key], key
 
 
 class TestJobsEnvironment:

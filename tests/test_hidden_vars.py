@@ -1,13 +1,17 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
-from stabctx.born import JointOutcome, build_empirical_model, outcome_possibility
+from stabctx.born import EmpiricalModel, EmpiricalRow, JointOutcome, \
+    build_empirical_model, outcome_possibility
 from stabctx.hidden_vars import (
     HiddenVariable,
     IncompleteProbe,
+    InfeasibleModel,
     check_linearity_forcing,
+    consistency_matrix,
     contextual_fraction,
     decide_strong_contextuality,
     enumerate_linear_hv,
@@ -243,6 +247,36 @@ class TestContextualFraction:
             full = contextual_fraction(build_empirical_model(
                 st, enumerate_contexts(m, 2))).cf
             assert full >= t1 - 1e-7
+
+    @pytest.mark.parametrize("family", ["table1", "full"])
+    def test_consistency_matrix_matches_loop(self, family):
+        m = Modulus(3)
+        contexts = [c for _l, c in table1_contexts(m)] if family == "table1" \
+            else enumerate_contexts(m, 2)
+        outcomes = list(itertools.product(range(3), repeat=2))
+        lams = enumerate_linear_hv(m, 2)
+        expected = np.zeros((len(contexts) * 9, len(lams)))
+        for ci, ctx in enumerate(contexts):
+            rows = [b.coords for b in ctx.canonical_basis]
+            for li, hv in enumerate(lams):
+                values = tuple(hv.outcome(r) for r in rows)
+                expected[ci * 9 + outcomes.index(values), li] = 1.0
+        A = consistency_matrix(m, 2, contexts)
+        assert A.shape == expected.shape
+        assert np.array_equal(A.toarray(), expected)
+
+    def test_infeasible_model_names_first_bad_context(self):
+        m = Modulus(3)
+        st = state(3, "j^2*k")
+        model = build_empirical_model(st, enumerate_contexts(m, 2))
+        rows = dict(model.rows)
+        for ci in (4, 7):
+            row = rows[(ci, (0, 0))]
+            rows[(ci, (0, 0))] = EmpiricalRow(row.possible,
+                                              row.probability + 0.5, None)
+        with pytest.raises(InfeasibleModel, match=r"context 4 probabilities "
+                                                  r"sum to 1\.5"):
+            contextual_fraction(EmpiricalModel(st, model.contexts, rows))
 
     def test_nonlinear_assignments_never_everywhere_possible(self):
         # sampled non-linear global assignments restrict non-additively to
