@@ -34,8 +34,6 @@ from .phase_space import Context, PhasePoint, symplectic_product
 from .states import PhaseFunctionState
 from .zmod import Modulus, StabctxError, ZdPoly, is_permutation_polynomial
 
-PROB_ATOL = 1e-9  # advisory float tolerance; never decides possibility
-
 
 class IncompatibleContext(StabctxError):
     """State and context disagree on modulus or qudit count."""
@@ -318,9 +316,10 @@ class EmpiricalModel:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["context", "outcome", "possible", "probability"])
         for ci, ctx in enumerate(self.contexts):
+            label = ctx.display_label
             for o in self.outcomes():
                 row = self.rows[(ci, o)]
-                writer.writerow([ctx.display_label,
+                writer.writerow([label,
                                  ";".join(str(v) for v in o),
                                  "true" if row.possible else "false",
                                  f"{row.probability:.12f}"])
@@ -331,10 +330,11 @@ class EmpiricalModel:
         impossible outcomes."""
         rows = []
         for ci, ctx in enumerate(self.contexts):
+            label = ctx.display_label
             for o in self.outcomes():
                 row = self.rows[(ci, o)]
                 entry = {
-                    "context": ctx.display_label,
+                    "context": label,
                     "outcome": list(o),
                     "possible": row.possible,
                     "probability": round(row.probability, 12),

@@ -161,7 +161,10 @@ def cmd_model(args) -> int:
 
 def cmd_contexts(args) -> int:
     m = _modulus(args)
-    if args.n == 2 and args.table1:
+    if args.table1 and args.n != 2:
+        raise StabctxError("--table1 lists the two-qudit families; "
+                           "it needs --n 2")
+    if args.table1:
         pairs = table1_contexts(m)
         records = [ctx.record() for _label, ctx in pairs]
     else:

@@ -91,13 +91,3 @@ def outcome_projector(context: Context, values: tuple[int, ...]) -> np.ndarray:
         proj += w ** (-s % d) * weyl_matrix(PhasePoint(m, n, coords))
     return proj / size
 
-
-def same_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
-    """Whether a = phase * b for some unit phase, entrywise within atol."""
-    ia, ib = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[ia, ib]) < atol:
-        return bool(np.allclose(a, 0, atol=atol) and np.allclose(b, 0, atol=atol))
-    phase = a[ia, ib] / b[ia, ib]
-    if abs(abs(phase) - 1.0) > 1e-6:
-        return False
-    return bool(np.allclose(a, phase * b, atol=atol))

@@ -31,8 +31,8 @@ from scipy.sparse import csr_matrix
 
 from . import kernel
 from .born import EmpiricalModel, JointOutcome
-from .phase_space import Context, UnsupportedScale, enumerate_contexts, \
-    table1_contexts
+from .phase_space import Context, UnsupportedScale, context_rows, \
+    span_label, table1_contexts
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
 from .zmod import Modulus, StabctxError, inv
@@ -142,18 +142,7 @@ def check_linearity_forcing(m: Modulus,
     """
     if n != 2:
         raise UnsupportedScale("linearity forcing is stated for n = 2")
-    d = m.d
-
-    def val(pt):
-        try:
-            return candidate[pt]
-        except KeyError:
-            raise IncompleteProbe(f"candidate not defined at {pt}") from None
-
-    for _name, parts, total in proof_chain_identities(m):
-        if sum(val(p) for p in parts) % d != val(total) % d:
-            return False
-    return True
+    return violated_identity(m, candidate) is None
 
 
 def violated_identity(m: Modulus, candidate: Mapping[tuple[int, ...], int]):
@@ -164,7 +153,8 @@ def violated_identity(m: Modulus, candidate: Mapping[tuple[int, ...], int]):
             lhs = sum(candidate[p] for p in parts) % d
             rhs = candidate[total] % d
         except KeyError as exc:
-            raise IncompleteProbe(str(exc)) from None
+            raise IncompleteProbe(
+                f"candidate not defined at {exc.args[0]}") from None
         if lhs != rhs:
             return (name, parts, total)
     return None
@@ -229,13 +219,6 @@ class StrongContextualityCertificate:
     @property
     def strongly_contextual(self) -> bool:
         return self.verdict == "strongly_contextual"
-
-    def refutation_for(self, lam: Sequence[int]) -> Refutation:
-        key = tuple(lam)
-        for r in self.refutations:
-            if r.lam == key:
-                return r
-        raise KeyError(f"no refutation recorded for {key}")
 
     def to_json_obj(self) -> dict:
         out = {
@@ -337,24 +320,16 @@ def proof_stage_parameters(m: Modulus, phi1: int, phi2: int, lams: np.ndarray):
 QUERY_BATCH = 64
 
 
-@dataclass(frozen=True)
-class _ContextList:
-    """One stage's contexts as arrays: memo subspace ids and canonical
-    generator rows, beside the labels and keys certificates print."""
-
-    labels: list[str]
-    keys: list[tuple[tuple[int, ...], ...]]
-    sid: np.ndarray  # (contexts,)
-    gens: np.ndarray  # (contexts, 2, 4)
-
-
 class _Scanner:
     """The hidden-variable scan of one state.
 
     Each lam walks its stream of contexts (proof, then table1, then full
     stage, as the strategy allows) until its prescribed outcome is
-    impossible in one.  lam are processed as arrays, and every distinct
-    (subspace, a, b) query goes to the engine at most once per state.
+    impossible in one.  A subspace is named by its row in `context_rows`:
+    the table1 stage is the rows of the Table-1 families, in catalogue
+    order, and the full stage is every row.  lam are processed as arrays,
+    and every distinct (subspace, a, b) query goes to the engine at most
+    once per state.
     """
 
     def __init__(self, work_state: PhaseFunctionState, rep: StrongnessReport,
@@ -363,33 +338,31 @@ class _Scanner:
         self.d = self.m.d
         self.phi_tab = work_state.phi_table()
         self.rep = rep
-        self._sid: dict = {}  # canonical key -> subspace id, in id order
+        self.rows = context_rows(self.m, 2)  # (subspaces, 2, 4)
         self._memo: dict[int, bool] = {}  # (sid*d + a)*d + b -> impossible
-        self._full: Optional[_ContextList] = None
-        self.table1 = self._context_list(table1_contexts(self.m))
+        labels, keys = zip(*((label, ctx.canonical_key)
+                             for label, ctx in table1_contexts(self.m)))
+        # find the families' rows by the base-d code of their 8 entries
+        # (exact while d^8 < 2^63, far past any d context_rows can hold)
+        weights = self.d ** np.arange(8)
+        codes = self.rows.reshape(-1, 8) @ weights
+        order = np.argsort(codes)
+        self.table1 = order[np.searchsorted(  # row of each family, in order
+            codes, np.reshape(keys, (-1, 8)) @ weights, sorter=order)]
+        self.family = dict(zip(self.table1.tolist(), labels))
         self.stages = (("proof",) if use_proof else ()) \
             + (("table1",) if strategy == "table1_first" else ()) + ("full",)
 
-    def _context_list(self, labelled) -> _ContextList:
-        keys = [ctx.canonical_key for _label, ctx in labelled]
-        sid = np.array([self._sid.setdefault(key, len(self._sid))
-                        for key in keys])
-        self._gens = np.array(list(self._sid), dtype=np.int64)  # by id
-        return _ContextList([label for label, _ctx in labelled], keys, sid,
-                            self._gens[sid])
+    def key(self, sid: int) -> tuple[tuple[int, ...], ...]:
+        """A subspace's canonical generator rows, as certificates print."""
+        return tuple(map(tuple, self.rows[sid].tolist()))
 
-    @property
-    def full(self) -> _ContextList:
-        """Every context, enumerated on first use only: strong normal-form
-        states never reach the full stage."""
-        if self._full is None:
-            self._full = self._context_list(
-                [(ctx.display_label, ctx)
-                 for ctx in enumerate_contexts(self.m, 2)])
-        return self._full
-
-    def contexts_of(self, stage: str) -> _ContextList:
-        return self.full if stage == "full" else self.table1
+    def label(self, stage: str, sid: int) -> str:
+        """The family label in the proof and table1 stages, else the span
+        label."""
+        if stage == "full":
+            return span_label(self.rows[sid].tolist())
+        return self.family[sid]
 
     def _impossible(self, sid: np.ndarray, ab: np.ndarray) -> np.ndarray:
         """Memoized engine answers for arrays of (subspace, (a, b)) queries;
@@ -402,7 +375,7 @@ class _Scanner:
         todo = known < 0
         if todo.any():
             s, rest = np.divmod(uniq[todo], d * d)
-            found = kernel.impossible(d, self.phi_tab, self._gens[s],
+            found = kernel.impossible(d, self.phi_tab, self.rows[s],
                                       np.stack(np.divmod(rest, d), axis=1))
             self._memo.update(zip(uniq[todo].tolist(), found.tolist()))
             known[todo] = found
@@ -411,8 +384,8 @@ class _Scanner:
     def scan(self, lams: np.ndarray):
         """Refute each row of an (N, 4) array of hidden variables.
 
-        Returns (stage, where, outcome): the index into `stages` (-1 if lam
-        survives every context), the context's index in that stage's list,
+        Returns (stage, sid, outcome): the index into `stages` (-1 if lam
+        survives every context), the refuting subspace's row in `rows`,
         and lam's prescribed outcome (a, b) there.
         """
         n, d = len(lams), self.d
@@ -421,28 +394,29 @@ class _Scanner:
         outcome = np.zeros((n, 2), dtype=np.int64)
         alive = np.arange(n)
         for s, name in enumerate(self.stages):
-            ctxs = self.contexts_of(name)
             if name == "proof":
                 alpha_i, alpha_ii, alpha_iii, beta = proof_stage_parameters(
                     self.m, self.rep.phi1, self.rep.phi2, lams)
                 # table1_contexts lists I_alpha, II_alpha, then III_alpha,beta
                 # with beta = 1..d-1 innermost
-                order = np.stack([alpha_i, d + alpha_ii,
-                                  2 * d + (d - 1) * alpha_iii + beta - 1], axis=1)
+                order = self.table1[np.stack(
+                    [alpha_i, d + alpha_ii,
+                     2 * d + (d - 1) * alpha_iii + beta - 1], axis=1)]
             else:
-                order = np.broadcast_to(np.arange(len(ctxs.sid)),
-                                        (n, len(ctxs.sid)))
+                ids = self.table1 if name == "table1" \
+                    else np.arange(len(self.rows))
+                order = np.broadcast_to(ids, (n, len(ids)))
             start = 0
             while alive.size and start < order.shape[1]:
                 stop = start + max(1, QUERY_BATCH // alive.size)
-                cidx = order[alive, start:stop]  # contexts to try, in order
-                ab = np.einsum("li,lcji->lcj", lams[alive], ctxs.gens[cidx]) % d
-                imp = self._impossible(ctxs.sid[cidx], ab)
+                sid = order[alive, start:stop]  # subspaces to try, in order
+                ab = np.einsum("li,lcji->lcj", lams[alive], self.rows[sid]) % d
+                imp = self._impossible(sid, ab)
                 first = np.where(imp.any(axis=1), imp.argmax(axis=1), -1)
                 hit = np.flatnonzero(first >= 0)
                 who = alive[hit]
                 stage[who] = s
-                where[who] = cidx[hit, first[hit]]
+                where[who] = sid[hit, first[hit]]
                 outcome[who] = ab[hit, first[hit]]
                 alive = alive[first < 0]
                 start = stop
@@ -451,13 +425,12 @@ class _Scanner:
         return stage, where, outcome
 
     def consistency_table(self, lam: np.ndarray) -> tuple[ConsistencyRow, ...]:
-        full = self.full
-        ab = np.einsum("i,cji->cj", lam, full.gens) % self.d
-        impossible = self._impossible(full.sid, ab)
-        return tuple(ConsistencyRow(label, key, tuple(o), not imp)
-                     for label, key, o, imp in zip(full.labels, full.keys,
-                                                   ab.tolist(),
-                                                   impossible.tolist()))
+        ab = np.einsum("i,cji->cj", lam, self.rows) % self.d
+        impossible = self._impossible(np.arange(len(self.rows)), ab)
+        return tuple(ConsistencyRow(span_label(rows), tuple(map(tuple, rows)),
+                                    tuple(o), not imp)
+                     for rows, o, imp in zip(self.rows.tolist(), ab.tolist(),
+                                             impossible.tolist()))
 
 
 def _normalize(state: PhaseFunctionState):
@@ -525,20 +498,19 @@ def decide_strong_contextuality(state: PhaseFunctionState,
         blocks.append((stage, where, outcome))
         start, size = start + size, 2 * size
 
-    stage, where, outcome = (np.concatenate(parts) for parts in zip(*blocks))
-    lists = {s: scanner.contexts_of(scanner.stages[s])
-             for s in set(stage.tolist())}
+    stage, sid, outcome = (np.concatenate(parts) for parts in zip(*blocks))
+    named = {(s, c): (scanner.label(scanner.stages[s], c), scanner.key(c))
+             for s, c in set(zip(stage.tolist(), sid.tolist()))}
     refutations = tuple(
-        Refutation(lam, scanner.stages[s], lists[s].labels[c],
-                   lists[s].keys[c], (a, b), d * d)
+        Refutation(lam, scanner.stages[s], *named[s, c], (a, b), d * d)
         for lam, s, c, a, b in zip(itertools.product(range(d), repeat=4),
-                                   stage.tolist(), where.tolist(),
+                                   stage.tolist(), sid.tolist(),
                                    outcome[:, 0].tolist(),
                                    outcome[:, 1].tolist()))
     return StrongContextualityCertificate(
         **base, verdict="strongly_contextual",
         refutations=refutations,
-        stages_used=frozenset(scanner.stages[s] for s in lists),
+        stages_used=frozenset(scanner.stages[s] for s, _c in named),
     )
 
 

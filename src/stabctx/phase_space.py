@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .zmod import Modulus, StabctxError, inv
 
@@ -126,10 +128,6 @@ def _rref(rows: Sequence[Sequence[int]], m: Modulus) -> tuple[tuple[int, ...], .
     return tuple(tuple(row) for row in mat[:pivot_row] if any(row))
 
 
-def _rank(rows: Sequence[Sequence[int]], m: Modulus) -> int:
-    return len(_rref(rows, m))
-
-
 class Context:
     """A maximal isotropic subspace of Z_d^(2n) with a chosen basis.
 
@@ -194,9 +192,6 @@ class Context:
     def element_coeffs(self) -> tuple[tuple[int, ...], ...]:
         return self._span()[1]
 
-    def contains(self, point: PhasePoint) -> bool:
-        return point.coords in set(self.elements)
-
     def __eq__(self, other):
         return (isinstance(other, Context)
                 and self.modulus == other.modulus
@@ -220,50 +215,51 @@ class Context:
     @property
     def display_label(self) -> str:
         """The family label when set, else the canonical basis rows."""
-        if self.label:
-            return self.label
-        return "span:" + "|".join(",".join(str(c) for c in row)
-                                  for row in self.canonical_key)
+        return self.label or span_label(self.canonical_key)
 
 
-def _rref_patterns(ncols: int, nrows: int) -> Iterator[tuple[tuple[int, ...], list[tuple[int, int]]]]:
-    """Pivot-column choices and free positions for RREF matrices."""
-    for pivots in itertools.combinations(range(ncols), nrows):
-        free = []
-        for r in range(nrows):
-            for c in range(pivots[r] + 1, ncols):
-                if c not in pivots:
-                    free.append((r, c))
-        yield pivots, free
+def span_label(rows: Sequence[Sequence[int]]) -> str:
+    """The label of a subspace without a family name: its canonical
+    generator rows, e.g. "span:1,0,0,0|0,1,0,0"."""
+    return "span:" + "|".join(",".join(str(c) for c in row) for row in rows)
 
 
-def enumerate_contexts(m: Modulus, n: int) -> list[Context]:
-    """All maximal isotropic subspaces of Z_d^(2n), each exactly once.
+def context_rows(m: Modulus, n: int) -> np.ndarray:
+    """Canonical generator rows of every maximal isotropic subspace of
+    Z_d^(2n): an int64 array of shape (count, n, 2n), one reduced-echelon
+    matrix per subspace, each subspace exactly once.
 
-    Subspaces are generated directly in reduced-echelon form (one canonical
-    matrix per subspace), then filtered for isotropy.  Deterministic order:
-    pivot pattern, then free entries lexicographically.  Supported for
-    n in {1, 2}; counts are d+1 and (d^2+1)(d+1).
+    Candidates are built per pivot-column pattern (patterns in
+    `itertools.combinations` order, the free entries of each pattern
+    lexicographically) and the non-isotropic ones dropped.  A subspace's
+    row index is a stable name for it.  Supported for n in {1, 2}; counts
+    are d+1 and (d^2+1)(d+1).
     """
     if n not in (1, 2):
         raise UnsupportedScale(f"context enumeration supports n in {{1,2}}, got {n}")
-    d = m.d
-    out = []
-    for pivots, free in _rref_patterns(2 * n, n):
-        rows_base = []
-        for r in range(n):
-            row = [0] * (2 * n)
-            row[pivots[r]] = 1
-            rows_base.append(row)
-        for values in itertools.product(range(d), repeat=len(free)):
-            rows = [list(r) for r in rows_base]
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            basis = [PhasePoint(m, n, tuple(row)) for row in rows]
-            if n == 2 and symplectic_product(basis[0], basis[1]) != 0:
-                continue
-            out.append(Context(basis))
-    return out
+    d, ncols = m.d, 2 * n
+    blocks = []
+    for pivots in itertools.combinations(range(ncols), n):
+        free = [(r, c) for r in range(n) for c in range(pivots[r] + 1, ncols)
+                if c not in pivots]
+        values = np.indices((d,) * len(free)).reshape(len(free), d ** len(free))
+        rows = np.zeros((d ** len(free), n, ncols), dtype=np.int64)
+        rows[:, range(n), pivots] = 1
+        for (r, c), v in zip(free, values):
+            rows[:, r, c] = v
+        # with n <= 2 the first and last rows are the only pair to test
+        # (for n = 1 they coincide, and [v, v] = 0)
+        u, w = rows[:, 0], rows[:, -1]
+        form = u[:, 0::2] * w[:, 1::2] - u[:, 1::2] * w[:, 0::2]
+        blocks.append(rows[form.sum(axis=1) % d == 0])
+    return np.concatenate(blocks)
+
+
+def enumerate_contexts(m: Modulus, n: int) -> list[Context]:
+    """All maximal isotropic subspaces of Z_d^(2n), each exactly once, as
+    validated `Context`s over the rows of `context_rows` (same order)."""
+    return [Context([PhasePoint(m, n, tuple(row)) for row in basis])
+            for basis in context_rows(m, n).tolist()]
 
 
 def table1_contexts(m: Modulus) -> list[tuple[str, Context]]:

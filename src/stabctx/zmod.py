@@ -198,9 +198,6 @@ class ZdPoly:
     def coeff(self, exps: Sequence[int]) -> int:
         return self.coeffs.get(tuple(exps), 0)
 
-    def constant_term(self) -> int:
-        return self.coeffs.get((0,) * self.num_vars, 0)
-
     def terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Terms in canonical order: total degree descending, then exponent
         tuple descending lexicographically."""

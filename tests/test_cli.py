@@ -8,8 +8,9 @@ import pytest
 
 from stabctx.cli import main
 
-DIGESTS = json.loads((pathlib.Path(__file__).parent / "data"
-                      / "d5_artifact_sha256.json").read_text())
+DATA = pathlib.Path(__file__).parent / "data"
+DIGESTS = json.loads((DATA / "d5_artifact_sha256.json").read_text())
+CERT_DIGESTS = json.loads((DATA / "analyze_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -69,6 +70,12 @@ class TestContexts:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["contexts"]) == 4
+
+    def test_table1_needs_two_qudits(self, capsys):
+        code, out, err = run(capsys, "contexts", "--d", "3", "--n", "1",
+                             "--table1", "--count")
+        assert code == 1
+        assert out == "" and "--n 2" in err
 
 
 class TestCf:
@@ -196,6 +203,22 @@ class TestArtifactDigests:
                              "--contexts", "full", "--output", str(path))
             assert code == 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == ref[key], key
+
+    @pytest.mark.parametrize("case", sorted(CERT_DIGESTS))
+    def test_analyze_certificates(self, capsys, tmp_path, case):
+        """Certificates keep the bytes recorded before the lambda scan named
+        subspaces by their row in `context_rows`: a witness (d=7), and
+        refutations from the table1 and full stages (d=7), the table1 stage
+        (d=5) and the proof stage (d=5); full_scan uses the full stage."""
+        ref = CERT_DIGESTS[case]
+        for strategy in ("table1_first", "full_scan"):
+            path = tmp_path / strategy
+            code, _, _ = run(capsys, "analyze", "--d", str(ref["d"]),
+                             "--phi", ref["phi"], "--strategy", strategy,
+                             "--output", str(path))
+            assert code == (2 if case == "witness" else 0)
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == ref[strategy], strategy
 
 
 class TestJobsEnvironment:

@@ -69,7 +69,7 @@ class TestLinearityForcing:
 
     def test_incomplete_probe(self):
         m = Modulus(3)
-        with pytest.raises(IncompleteProbe):
+        with pytest.raises(IncompleteProbe, match=r"at \(0, 0, 0, 1\)$"):
             check_linearity_forcing(m, {(0, 0, 0, 0): 0})
 
     def test_identities_reference_commuting_or_derived_sums(self):

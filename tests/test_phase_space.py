@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import pathlib
 import random
 
 import numpy as np
@@ -13,11 +16,15 @@ from stabctx.phase_space import (
     WeylOperator,
     commutes,
     compose,
+    context_rows,
     enumerate_contexts,
     symplectic_product,
     table1_contexts,
 )
 from stabctx.zmod import Modulus
+
+KEY_DIGESTS = json.loads((pathlib.Path(__file__).parent / "data"
+                          / "context_keys_sha256.json").read_text())
 
 
 def pt(m, *coords):
@@ -193,8 +200,22 @@ class TestEnumerateContexts:
             assert len(shared) < 9  # proper subspace of either
 
     def test_scale_guard(self):
-        with pytest.raises(UnsupportedScale):
-            enumerate_contexts(Modulus(3), 3)
+        for enumerate_ in (enumerate_contexts, context_rows):
+            for n in (0, 3):
+                with pytest.raises(UnsupportedScale):
+                    enumerate_(Modulus(3), n)
+
+    @pytest.mark.parametrize("case", sorted(KEY_DIGESTS))
+    def test_order_pinned(self, case):
+        """Canonical keys, in enumeration order, keep the SHA-256 digests
+        recorded before enumeration moved to `context_rows`; the array
+        holds the same rows in the same order."""
+        d, n = (int(part[1:]) for part in case.split("_"))
+        keys = [[list(row) for row in ctx.canonical_key]
+                for ctx in enumerate_contexts(Modulus(d), n)]
+        for rows in (keys, context_rows(Modulus(d), n).tolist()):
+            digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+            assert digest == KEY_DIGESTS[case]
 
 
 class TestTable1Contexts:
