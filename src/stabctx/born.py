@@ -32,7 +32,8 @@ import numpy as np
 from . import kernel
 from .phase_space import Context, PhasePoint, symplectic_product
 from .states import PhaseFunctionState
-from .zmod import Modulus, StabctxError, ZdPoly, is_permutation_polynomial
+from .zmod import MalformedInput, Modulus, StabctxError, ZdPoly, inv, \
+    is_permutation_polynomial
 
 
 class IncompatibleContext(StabctxError):
@@ -60,9 +61,9 @@ class RootMultiset:
 
     def __post_init__(self):
         if len(self.counts) != self.modulus.d:
-            raise ValueError("need one count per d-th root")
+            raise MalformedInput("need one count per d-th root")
         if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
+            raise MalformedInput("counts must be nonnegative")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
     def total(self) -> int:
@@ -92,7 +93,7 @@ class JointOutcome:
 
     def __post_init__(self):
         if len(self.values) != self.context.n:
-            raise ValueError("one outcome value per basis vector")
+            raise MalformedInput("one outcome value per basis vector")
         object.__setattr__(
             self, "values", tuple(v % self.context.modulus.d for v in self.values))
 
@@ -188,7 +189,7 @@ def impossibility_by_psi(state: PhaseFunctionState, outcome: JointOutcome) -> bo
 
 def _lam4(lam: Sequence[int]) -> tuple[int, int, int, int]:
     if len(lam) != 4:
-        raise ValueError("two-qudit hidden variables have four components")
+        raise MalformedInput("two-qudit hidden variables have four components")
     return tuple(lam)  # type: ignore[return-value]
 
 
@@ -230,7 +231,7 @@ def psi_type_III(m: Modulus, phi1: int, phi2: int, lam: Sequence[int],
     x = ZdPoly.variable(m, 0, 2)
     y = ZdPoly.variable(m, 1, 2)
     i2 = m.inv2
-    bi = m.inv(beta)
+    bi = inv(beta, m)
     return (x * (j - l1 + beta * (k - l3))
             + (y ** 3) * (bi * (phi1 - bi * phi2) % d)
             + (y ** 2) * ((bi * (i2 * alpha - 2 * j * phi1 - 2 * k * phi2
@@ -327,7 +328,8 @@ class EmpiricalModel:
 
     def to_json_obj(self) -> dict:
         """JSON document carrying the per-ket zero-sum witnesses for
-        impossible outcomes."""
+        impossible outcomes.  JSON-serializable; tuples are written as
+        arrays."""
         rows = []
         for ci, ctx in enumerate(self.contexts):
             label = ctx.display_label
@@ -335,12 +337,12 @@ class EmpiricalModel:
                 row = self.rows[(ci, o)]
                 entry = {
                     "context": label,
-                    "outcome": list(o),
+                    "outcome": o,
                     "possible": row.possible,
                     "probability": round(row.probability, 12),
                 }
                 if not row.possible and row.exact_witness is not None:
-                    entry["zero_sum_witness"] = [list(c) for c in row.exact_witness]
+                    entry["zero_sum_witness"] = row.exact_witness
                 rows.append(entry)
         return {
             "schema": "1",
@@ -368,15 +370,17 @@ def build_empirical_model(state: PhaseFunctionState,
         _check_compatible(state, ctx)
     d, n = state.modulus.d, state.n
     outcomes = list(itertools.product(range(d), repeat=n))
+    values = np.reshape(outcomes, (-1, n))
+    keys = np.reshape([ctx.canonical_key for ctx in contexts], (-1, n, 2 * n))
+    phi = state.phi_table()
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     step = max(1, kernel.CHUNK // d ** (2 * n))
     rows: dict[tuple[int, tuple[int, ...]], EmpiricalRow] = {}
     for c0 in range(0, len(contexts), step):
-        block = contexts[c0:c0 + step]
+        block = keys[c0:c0 + step]
         counts = kernel.residue_counts(
-            d, state.phi_table(),
-            [ctx.canonical_key for ctx in block for _ in outcomes],
-            outcomes * len(block))
+            d, phi, np.repeat(block, len(outcomes), axis=0),
+            np.tile(values, (len(block), 1)))
         possible = (counts != counts[..., :1]).any(axis=(1, 2)).tolist()
         amps = sum(counts[..., t] * roots[t] for t in range(d))
         probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1) / d ** (3 * n)

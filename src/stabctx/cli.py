@@ -71,7 +71,7 @@ def _json_text(obj) -> str:
 
 def _contexts_for(args, m: Modulus):
     if args.contexts == "table1":
-        return [ctx for _label, ctx in table1_contexts(m)]
+        return table1_contexts(m)
     return enumerate_contexts(m, 2)
 
 
@@ -164,11 +164,8 @@ def cmd_contexts(args) -> int:
     if args.table1 and args.n != 2:
         raise StabctxError("--table1 lists the two-qudit families; "
                            "it needs --n 2")
-    if args.table1:
-        pairs = table1_contexts(m)
-        records = [ctx.record() for _label, ctx in pairs]
-    else:
-        records = [ctx.record() for ctx in enumerate_contexts(m, args.n)]
+    records = [ctx.record() for ctx in (
+        table1_contexts(m) if args.table1 else enumerate_contexts(m, args.n))]
     if args.count:
         _emit(f"{len(records)}\n", args.output)
     else:

@@ -35,7 +35,7 @@ from .phase_space import Context, UnsupportedScale, context_rows, \
     span_label, table1_contexts
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
-from .zmod import Modulus, StabctxError, inv
+from .zmod import MalformedInput, Modulus, StabctxError, inv
 
 
 class IncompleteProbe(StabctxError):
@@ -165,15 +165,15 @@ def violated_identity(m: Modulus, candidate: Mapping[tuple[int, ...], int]):
 @dataclass(frozen=True, slots=True)
 class Refutation:
     """Evidence that one hidden variable is inconsistent with the state: in
-    the named context, the outcome it prescribes is impossible (confirmed by
-    the permutation-polynomial check at every one of the d^2 kets)."""
+    the named context, the outcome it prescribes is impossible (every one of
+    the d^2 kets' root multisets is uniform; the certificate writes d^2 as
+    "kets_checked")."""
 
     lam: tuple[int, ...]
     stage: str  # "proof" | "table1" | "full"
     context_label: str
     context_basis: tuple[tuple[int, ...], ...]
     outcome: tuple[int, ...]
-    kets_checked: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,6 +221,7 @@ class StrongContextualityCertificate:
         return self.verdict == "strongly_contextual"
 
     def to_json_obj(self) -> dict:
+        """JSON-serializable; tuples are written as arrays."""
         out = {
             "schema": "1",
             "modulus": self.modulus,
@@ -237,26 +238,27 @@ class StrongContextualityCertificate:
             "stages_used": sorted(self.stages_used),
         }
         if self.verdict == "strongly_contextual":
+            kets = self.modulus ** 2
             out["refutations"] = [
                 {
-                    "lambda": list(r.lam),
+                    "lambda": r.lam,
                     "stage": r.stage,
                     "context": r.context_label,
-                    "basis": [list(b) for b in r.context_basis],
-                    "outcome": list(r.outcome),
-                    "kets_checked": r.kets_checked,
+                    "basis": r.context_basis,
+                    "outcome": r.outcome,
+                    "kets_checked": kets,
                 }
                 for r in self.refutations
             ]
         else:
             assert self.witness is not None
             out["witness"] = {
-                "lambda": list(self.witness.lam),
+                "lambda": self.witness.lam,
                 "consistency": [
                     {
                         "context": row.context_label,
-                        "basis": [list(b) for b in row.context_basis],
-                        "outcome": list(row.outcome),
+                        "basis": row.context_basis,
+                        "outcome": row.outcome,
                         "possible": row.possible,
                     }
                     for row in self.witness.rows
@@ -340,8 +342,8 @@ class _Scanner:
         self.rep = rep
         self.rows = context_rows(self.m, 2)  # (subspaces, 2, 4)
         self._memo: dict[int, bool] = {}  # (sid*d + a)*d + b -> impossible
-        labels, keys = zip(*((label, ctx.canonical_key)
-                             for label, ctx in table1_contexts(self.m)))
+        families = table1_contexts(self.m)
+        keys = [ctx.canonical_key for ctx in families]
         # find the families' rows by the base-d code of their 8 entries
         # (exact while d^8 < 2^63, far past any d context_rows can hold)
         weights = self.d ** np.arange(8)
@@ -349,7 +351,8 @@ class _Scanner:
         order = np.argsort(codes)
         self.table1 = order[np.searchsorted(  # row of each family, in order
             codes, np.reshape(keys, (-1, 8)) @ weights, sorter=order)]
-        self.family = dict(zip(self.table1.tolist(), labels))
+        self.family = {sid: ctx.label for sid, ctx
+                       in zip(self.table1.tolist(), families)}
         self.stages = (("proof",) if use_proof else ()) \
             + (("table1",) if strategy == "table1_first" else ()) + ("full",)
 
@@ -465,7 +468,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     if state.n != 2:
         raise UnsupportedScale("decision procedure supports n = 2")
     if strategy not in ("table1_first", "full_scan"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+        raise MalformedInput(f"unknown strategy {strategy!r}")
     if normalize:
         work, rep, swapped = _normalize(state)
     else:
@@ -502,9 +505,8 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     named = {(s, c): (scanner.label(scanner.stages[s], c), scanner.key(c))
              for s, c in set(zip(stage.tolist(), sid.tolist()))}
     refutations = tuple(
-        Refutation(lam, scanner.stages[s], *named[s, c], (a, b), d * d)
-        for lam, s, c, a, b in zip(itertools.product(range(d), repeat=4),
-                                   stage.tolist(), sid.tolist(),
+        Refutation(tuple(lam), scanner.stages[s], *named[s, c], (a, b))
+        for lam, s, c, a, b in zip(lams.tolist(), stage.tolist(), sid.tolist(),
                                    outcome[:, 0].tolist(),
                                    outcome[:, 1].tolist()))
     return StrongContextualityCertificate(

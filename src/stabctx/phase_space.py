@@ -9,6 +9,7 @@ pairwise commuting measurements.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -158,39 +159,25 @@ class Context:
         self.basis = tuple(basis)
         self.label = label
         self.canonical_key = canonical
-        self._elements: Optional[tuple[tuple[int, ...], ...]] = None
-        self._element_coeffs: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def canonical_basis(self) -> tuple[PhasePoint, ...]:
         return tuple(PhasePoint(self.modulus, self.n, row)
                      for row in self.canonical_key)
 
-    def _span(self):
-        if self._elements is None:
-            d = self.modulus.d
-            elements = []
-            coeffs = []
-            for cs in itertools.product(range(d), repeat=self.n):
-                vec = [0] * (2 * self.n)
-                for c, row in zip(cs, self.canonical_key):
-                    for i, entry in enumerate(row):
-                        vec[i] = (vec[i] + c * entry) % d
-                elements.append(tuple(vec))
-                coeffs.append(cs)
-            self._elements = tuple(elements)
-            self._element_coeffs = tuple(coeffs)
-        return self._elements, self._element_coeffs
-
-    @property
+    @functools.cached_property
     def elements(self) -> tuple[tuple[int, ...], ...]:
         """All d^n points of the subspace, as coordinate tuples.  Element i
         is the combination element_coeffs[i] of the canonical basis."""
-        return self._span()[0]
+        d = self.modulus.d
+        return tuple(
+            tuple(sum(c * entry for c, entry in zip(cs, column)) % d
+                  for column in zip(*self.canonical_key))
+            for cs in self.element_coeffs)
 
-    @property
+    @functools.cached_property
     def element_coeffs(self) -> tuple[tuple[int, ...], ...]:
-        return self._span()[1]
+        return tuple(itertools.product(range(self.modulus.d), repeat=self.n))
 
     def __eq__(self, other):
         return (isinstance(other, Context)
@@ -262,33 +249,23 @@ def enumerate_contexts(m: Modulus, n: int) -> list[Context]:
             for basis in context_rows(m, n).tolist()]
 
 
-def table1_contexts(m: Modulus) -> list[tuple[str, Context]]:
-    """The d(d+1) two-qudit context families I, II and III.
+def table1_contexts(m: Modulus) -> list[Context]:
+    """The d(d+1) two-qudit context families I, II and III, as `Context`s
+    whose `label` names the family and parameters (e.g. "I:alpha=0") and
+    whose display basis is the defining generators.
 
     Generators (alpha in Z_d; beta in Z_d, beta != 0):
         I_alpha:        (1,0,0,0) and (0,0,alpha,1)
         II_alpha:       (0,0,1,0) and (alpha,1,0,0)
         III_alpha,beta: (1,0,beta,0) and (0,1,alpha,-beta^{-1})
+    Listed I by alpha, II by alpha, then III by alpha with beta innermost.
     Operator phases are taken to be zero throughout: relabelling outcomes by
     a phase does not change which outcomes are possible.
     """
     d = m.d
-    out = []
-    for alpha in range(d):
-        label = f"I:alpha={alpha}"
-        ctx = Context([PhasePoint(m, 2, (1, 0, 0, 0)),
-                       PhasePoint(m, 2, (0, 0, alpha, 1))], label=label)
-        out.append((label, ctx))
-    for alpha in range(d):
-        label = f"II:alpha={alpha}"
-        ctx = Context([PhasePoint(m, 2, (0, 0, 1, 0)),
-                       PhasePoint(m, 2, (alpha, 1, 0, 0))], label=label)
-        out.append((label, ctx))
-    for alpha in range(d):
-        for beta in range(1, d):
-            label = f"III:alpha={alpha},beta={beta}"
-            ctx = Context([PhasePoint(m, 2, (1, 0, beta, 0)),
-                           PhasePoint(m, 2, (0, 1, alpha, -inv(beta, m)))],
-                          label=label)
-            out.append((label, ctx))
-    return out
+    rows = ([(f"I:alpha={a}", (1, 0, 0, 0), (0, 0, a, 1)) for a in range(d)]
+            + [(f"II:alpha={a}", (0, 0, 1, 0), (a, 1, 0, 0)) for a in range(d)]
+            + [(f"III:alpha={a},beta={b}", (1, 0, b, 0), (0, 1, a, -inv(b, m)))
+               for a in range(d) for b in range(1, d)])
+    return [Context([PhasePoint(m, 2, u), PhasePoint(m, 2, v)], label=label)
+            for label, u, v in rows]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dense
 from .phase_space import PhasePoint
-from .zmod import ArityMismatch, Modulus, StabctxError, ZdPoly
+from .zmod import ArityMismatch, MalformedInput, Modulus, StabctxError, ZdPoly
 
 
 class OutsideCharacterization(StabctxError):
@@ -179,7 +179,7 @@ def verify_level_by_conjugation(phi: ZdPoly, claimed_level: int) -> bool:
     if m.d not in (3, 5) or n > 2:
         raise OracleScaleExceeded("oracle supports d in {3,5}, n <= 2")
     if claimed_level < 1:
-        raise ValueError("hierarchy levels start at 1")
+        raise MalformedInput("hierarchy levels start at 1")
     mat = dense.diagonal_gate(m, phi)
     if claimed_level == 1:
         return _is_pauli(mat, m, n)

@@ -18,6 +18,11 @@ class StabctxError(Exception):
     """Base class for all library errors."""
 
 
+class MalformedInput(StabctxError, ValueError):
+    """Raised when an argument has the wrong length, sign or value; also a
+    ValueError, so `except ValueError` callers keep working."""
+
+
 class ZeroInverse(StabctxError):
     """Raised when inverting 0 mod d."""
 
@@ -59,9 +64,6 @@ class Modulus:
     def inv2(self) -> int:
         # 2 * (d+1)//2 = d + 1 = 1 mod d
         return (self.d + 1) // 2
-
-    def inv(self, a: int) -> int:
-        return inv(a, self)
 
     def __str__(self):
         return str(self.d)
@@ -175,14 +177,11 @@ class ZdPoly:
 
     def __pow__(self, n: int) -> "ZdPoly":
         if n < 0:
-            raise ValueError("negative polynomial power")
+            raise MalformedInput("negative polynomial power")
         out = ZdPoly.constant(self.modulus, 1, self.num_vars)
         for _ in range(n):
             out = out * self
         return out
-
-    def scale(self, c: int) -> "ZdPoly":
-        return self * c
 
     # -- queries -----------------------------------------------------------
 
@@ -326,6 +325,10 @@ def parse_poly(text: str, m: Modulus,
     n = len(tokens)
 
     def term_at(i: int) -> tuple[ZdPoly, int]:
+        if i == n:
+            raise PolyParseError(
+                f"term expected after {tokens[i - 1].group(0).strip()!r}"
+                if i else "empty polynomial")
         coeff = 1
         exps = [0] * nv
         expect_factor = True
@@ -363,7 +366,7 @@ def parse_poly(text: str, m: Modulus,
         sign = -1
         i += 1
     term, i = term_at(i)
-    poly = poly + term.scale(sign)
+    poly = poly + term * sign
     while i < n:
         t = tokens[i]
         if t.group(5):
@@ -374,13 +377,8 @@ def parse_poly(text: str, m: Modulus,
             raise PolyParseError(f"'+' or '-' expected near {t.group(0)!r}")
         i += 1
         term, i = term_at(i)
-        poly = poly + term.scale(sign)
+        poly = poly + term * sign
     return poly
-
-
-def eval_poly(p: ZdPoly, point: Sequence[int]) -> int:
-    """Value of p at point, reduced mod d."""
-    return p.evaluate(point)
 
 
 def is_permutation_polynomial(p: ZdPoly) -> bool:

@@ -194,8 +194,8 @@ def test_criterion_07_family_regression():
         rng = random.Random(100 + d)
         per_context = -(-500 // (d * (d + 1)))  # ceil: >= 500 tuples per d
         total = 0
-        for label, ctx in table1_contexts(m):
-            fam, _, params = label.partition(":")
+        for ctx in table1_contexts(m):
+            fam, _, params = ctx.label.partition(":")
             pieces = dict(p.split("=") for p in params.split(","))
             alpha = int(pieces["alpha"])
             beta = int(pieces.get("beta", 0))
@@ -296,7 +296,7 @@ def test_criterion_10_contextual_fraction():
     inside its time budget."""
     start = time.perf_counter()
     m5 = Modulus(5)
-    family = [c for _l, c in table1_contexts(m5)]
+    family = table1_contexts(m5)
     ok = True
     worst_lp = 0.0
     for st in strong_states(5):

@@ -237,7 +237,7 @@ class TestEmpiricalModel:
     def test_probabilities_sum_to_one(self):
         m = Modulus(3)
         st = state(3, "j*k^2")
-        contexts = [ctx for _l, ctx in table1_contexts(m)]
+        contexts = table1_contexts(m)
         model = build_empirical_model(st, contexts)
         for ci in range(len(contexts)):
             assert model.context_probabilities(ci).sum() == pytest.approx(1.0, abs=1e-9)
@@ -258,13 +258,13 @@ class TestEmpiricalModel:
     def test_strong_state_has_impossible_outcome_in_table1(self):
         m = Modulus(5)
         st = state(5, "j^2*k + 2*j*k^2")
-        model = build_empirical_model(st, [c for _l, c in table1_contexts(m)])
+        model = build_empirical_model(st, table1_contexts(m))
         assert any(not row.possible for row in model.rows.values())
 
     def test_csv_export(self):
         m = Modulus(3)
         st = state(3, "j*k^2")
-        contexts = [c for _l, c in table1_contexts(m)][:3]
+        contexts = table1_contexts(m)[:3]
         model = build_empirical_model(st, contexts)
         text = model.to_csv()
         lines = text.strip().split("\n")

@@ -11,6 +11,7 @@ from stabctx.cli import main
 DATA = pathlib.Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "d5_artifact_sha256.json").read_text())
 CERT_DIGESTS = json.loads((DATA / "analyze_sha256.json").read_text())
+WRITER_DIGESTS = json.loads((DATA / "writer_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -219,6 +220,18 @@ class TestArtifactDigests:
             assert code == (2 if case == "witness" else 0)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == ref[strategy], strategy
+
+    @pytest.mark.parametrize("case", sorted(WRITER_DIGESTS))
+    def test_writer_artifacts(self, capsys, tmp_path, case):
+        """`contexts` (n=1, n=2, --table1), table1 `model` JSON and
+        `verify-theorem1 --include-quadratics` keep the bytes recorded
+        before Table-1 contexts carried their own labels and the JSON
+        writers stopped copying tuples into lists."""
+        ref = WRITER_DIGESTS[case]
+        path = tmp_path / case
+        code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
 
 
 class TestJobsEnvironment:

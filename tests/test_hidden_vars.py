@@ -97,7 +97,7 @@ class TestPrescribedOutcome:
     def test_zero_functional(self):
         m = Modulus(5)
         hv = HiddenVariable(m, 2, (0, 0, 0, 0))
-        for _label, ctx in table1_contexts(m):
+        for ctx in table1_contexts(m):
             assert prescribed_outcome(hv, ctx).values == (0, 0)
 
     def test_dot_product_convention(self):
@@ -108,8 +108,8 @@ class TestPrescribedOutcome:
     def test_family_I_example(self):
         m = Modulus(5)
         hv = HiddenVariable(m, 2, (0, 1, 0, 0))
-        label, ctx = table1_contexts(m)[2]  # I:alpha=2
-        assert label == "I:alpha=2"
+        ctx = table1_contexts(m)[2]
+        assert ctx.label == "I:alpha=2"
         out = prescribed_outcome(hv, ctx)
         assert out.values == tuple(hv.outcome(b.coords)
                                    for b in ctx.canonical_basis)
@@ -215,7 +215,7 @@ class TestContextualFraction:
     def test_strong_state_cf_one(self):
         m = Modulus(5)
         st = state(5, "j^2*k")
-        model = build_empirical_model(st, [c for _l, c in table1_contexts(m)])
+        model = build_empirical_model(st, table1_contexts(m))
         result = contextual_fraction(model)
         assert result.cf == pytest.approx(1.0, abs=1e-6)
         assert not result.weights
@@ -243,7 +243,7 @@ class TestContextualFraction:
             m = Modulus(d)
             st = state(d, text)
             t1 = contextual_fraction(build_empirical_model(
-                st, [c for _l, c in table1_contexts(m)])).cf
+                st, table1_contexts(m))).cf
             full = contextual_fraction(build_empirical_model(
                 st, enumerate_contexts(m, 2))).cf
             assert full >= t1 - 1e-7
@@ -251,7 +251,7 @@ class TestContextualFraction:
     @pytest.mark.parametrize("family", ["table1", "full"])
     def test_consistency_matrix_matches_loop(self, family):
         m = Modulus(3)
-        contexts = [c for _l, c in table1_contexts(m)] if family == "table1" \
+        contexts = table1_contexts(m) if family == "table1" \
             else enumerate_contexts(m, 2)
         outcomes = list(itertools.product(range(3), repeat=2))
         lams = enumerate_linear_hv(m, 2)

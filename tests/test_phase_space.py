@@ -221,8 +221,8 @@ class TestEnumerateContexts:
 class TestTable1Contexts:
     def test_count_d5(self):
         m = Modulus(5)
-        pairs = table1_contexts(m)
-        assert len(pairs) == 30  # 5 + 5 + 20 = d(d+1)
+        contexts = table1_contexts(m)
+        assert len(contexts) == 30  # 5 + 5 + 20 = d(d+1)
 
     @pytest.mark.parametrize("d", [3, 5, 7, 11])
     def test_count_formula(self, d):
@@ -230,7 +230,7 @@ class TestTable1Contexts:
 
     def test_generators_commute(self):
         m = Modulus(5)
-        for _label, ctx in table1_contexts(m):
+        for ctx in table1_contexts(m):
             g1, g2 = ctx.basis
             assert commutes(WeylOperator(g1), WeylOperator(g2))
 
@@ -238,20 +238,20 @@ class TestTable1Contexts:
     def test_members_of_full_enumeration(self, d):
         m = Modulus(d)
         full = set(enumerate_contexts(m, 2))
-        for _label, ctx in table1_contexts(m):
+        for ctx in table1_contexts(m):
             assert ctx in full
 
     def test_labels(self):
         m = Modulus(3)
-        labels = [label for label, _ in table1_contexts(m)]
+        labels = [ctx.label for ctx in table1_contexts(m)]
         assert labels[0] == "I:alpha=0"
         assert "II:alpha=2" in labels
         assert "III:alpha=1,beta=2" in labels
 
     def test_all_distinct_subspaces(self):
         m = Modulus(5)
-        pairs = table1_contexts(m)
-        assert len({ctx.canonical_key for _l, ctx in pairs}) == len(pairs)
+        contexts = table1_contexts(m)
+        assert len({ctx.canonical_key for ctx in contexts}) == len(contexts)
 
 
 class TestContext:
@@ -286,8 +286,8 @@ class TestContext:
 
     def test_record(self):
         m = Modulus(3)
-        label, ctx = table1_contexts(m)[0]
+        ctx = table1_contexts(m)[0]
         rec = ctx.record()
         assert rec["modulus"] == 3
-        assert rec["label"] == label
+        assert rec["label"] == ctx.label == "I:alpha=0"
         assert rec["basis"] == [[1, 0, 0, 0], [0, 0, 0, 1]]

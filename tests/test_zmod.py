@@ -1,18 +1,25 @@
+import doctest
 import itertools
 import random
 
 import pytest
 
+import stabctx.zmod
+from stabctx.born import JointOutcome, RootMultiset, psi_type_I
+from stabctx.hidden_vars import decide_strong_contextuality
+from stabctx.phase_space import enumerate_contexts
+from stabctx.states import PhaseFunctionState, verify_level_by_conjugation
 from stabctx.zmod import (
     ArityMismatch,
     DicksonClassification,
+    MalformedInput,
     Modulus,
     PolyParseError,
+    StabctxError,
     UnsupportedModulus,
     ZdPoly,
     ZeroInverse,
     dickson_classify,
-    eval_poly,
     inv,
     is_permutation_polynomial,
     parse_poly,
@@ -61,24 +68,24 @@ class TestEval:
     def test_example_j2k(self):
         m = Modulus(3)
         p = ZdPoly(m, 2, {(2, 1): 1})
-        assert eval_poly(p, (2, 2)) == 2
+        assert p.evaluate((2, 2)) == 2
 
     def test_zero_poly(self):
         m = Modulus(5)
         p = ZdPoly.zero(m, 2)
         for pt in itertools.product(range(5), repeat=2):
-            assert eval_poly(p, pt) == 0
+            assert p.evaluate(pt) == 0
 
     def test_cube(self):
         m = Modulus(5)
         p = ZdPoly(m, 1, {(3,): 1})
-        assert eval_poly(p, (2,)) == 3
+        assert p.evaluate((2,)) == 3
 
     def test_arity_mismatch(self):
         m = Modulus(5)
         p = ZdPoly(m, 2, {(1, 1): 1})
         with pytest.raises(ArityMismatch):
-            eval_poly(p, (1,))
+            p.evaluate((1,))
 
 
 class TestRingOps:
@@ -141,6 +148,13 @@ class TestTextForm:
         m = Modulus(5)
         for bad in ("j +", "2**k", "j^", "q^2", "j 2"):
             with pytest.raises(PolyParseError):
+                parse_poly(bad, m)
+        for bad, message in (("", "empty polynomial"),
+                             ("   ", "empty polynomial"),
+                             ("-", "term expected after '-'"),
+                             ("j +", "term expected after '\\+'"),
+                             ("j -", "term expected after '-'")):
+            with pytest.raises(PolyParseError, match=message):
                 parse_poly(bad, m)
 
     def test_parse_random_round_trip(self):
@@ -244,3 +258,36 @@ class TestDickson:
                     dickson_classify(p)
                 break
             assert dickson_classify(p).is_permutation == is_permutation_polynomial(p)
+
+
+def test_doctests():
+    """The >>> examples in stabctx.zmod's docstrings (inv, parse_poly)."""
+    result = doctest.testmod(stabctx.zmod)
+    assert result.failed == 0
+    assert result.attempted >= 4
+
+
+
+M3 = Modulus(3)
+J3 = ZdPoly.variable(M3, 0, 2)
+MALFORMED = {
+    "root_count_length": lambda: RootMultiset(M3, (1, 2)),
+    "root_count_negative": lambda: RootMultiset(M3, (1, -1, 0)),
+    "outcome_value_count": lambda: JointOutcome(
+        enumerate_contexts(M3, 2)[0], (1,)),
+    "lambda_components": lambda: psi_type_I(M3, 1, 1, (0, 0, 0), 0, 0, 0),
+    "unknown_strategy": lambda: decide_strong_contextuality(
+        PhaseFunctionState(M3, 2, J3), strategy="fastest"),
+    "hierarchy_level": lambda: verify_level_by_conjugation(J3, 0),
+    "negative_power": lambda: J3 ** -1,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_is_library_error(case):
+    """Malformed arguments raise MalformedInput: a StabctxError, and still
+    a ValueError for callers that catch that."""
+    with pytest.raises(MalformedInput) as info:
+        MALFORMED[case]()
+    assert isinstance(info.value, StabctxError)
+    assert isinstance(info.value, ValueError)
