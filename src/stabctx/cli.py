@@ -15,6 +15,7 @@ byte-identical for identical configuration (including the seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import multiprocessing
 import os
@@ -25,7 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import kernel
 from .born import build_empirical_model
-from .hidden_vars import contextual_fraction, decide_strong_contextuality
+from .hidden_vars import contextual_fraction, decide_strong_contextuality, \
+    write_certificate
 from .phase_space import enumerate_contexts, table1_contexts
 from .states import PhaseFunctionState
 from .zmod import Modulus, StabctxError, ZdPoly, dickson_classify, \
@@ -55,14 +57,15 @@ def _state(args, m: Modulus) -> PhaseFunctionState:
     return PhaseFunctionState(m, 2, phi)
 
 
+def _output(path):
+    """The artifact's text stream: the file at `path`, else stdout."""
+    return open(path, "w", encoding="utf-8") if path \
+        else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, path):
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+    with _output(path) as out:
+        out.write(text)
 
 
 def _json_text(obj) -> str:
@@ -79,7 +82,8 @@ def cmd_analyze(args) -> int:
     m = _modulus(args)
     state = _state(args, m)
     cert = decide_strong_contextuality(state, strategy=args.strategy)
-    _emit(_json_text(cert.to_json_obj()), args.output)
+    with _output(args.output) as out:
+        write_certificate(cert, out)
     return 0 if cert.strongly_contextual else 2
 
 

@@ -22,8 +22,10 @@ its contexts in order over the lam not yet refuted, and every distinct
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence, TextIO
 
 import numpy as np
 from scipy.optimize import linprog
@@ -167,7 +169,8 @@ class Refutation:
     """Evidence that one hidden variable is inconsistent with the state: in
     the named context, the outcome it prescribes is impossible (every one of
     the d^2 kets' root multisets is uniform; the certificate writes d^2 as
-    "kets_checked")."""
+    "kets_checked").  Certificates keep columns and build these on request
+    (`StrongContextualityCertificate.refutations`)."""
 
     lam: tuple[int, ...]
     stage: str  # "proof" | "table1" | "full"
@@ -190,15 +193,19 @@ class Witness:
     rows: tuple[ConsistencyRow, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StrongContextualityCertificate:
     """Machine-checkable verdict for one state.
 
-    strongly_contextual: `refutations` covers every linear hidden variable,
-    in enumeration order; each entry is independently re-checkable through
-    the projector route.  not_strongly_contextual: `witness` names a hidden
+    strongly_contextual: the scan's columns refute every linear hidden
+    variable, one entry per lam in lexicographic order: the stage (index
+    into `stages`), the subspace's row in `context_rows` and the impossible
+    outcome (a, b) lam prescribes there.  `contexts` gives each distinct
+    (stage, row) pair's label and basis.  `refutations` and `stages_used`
+    derive from these.  not_strongly_contextual: `witness` names a hidden
     variable whose prescribed outcome is possible in every enumerated
-    context, with the full consistency table.
+    context, with the full consistency table.  `write_certificate` writes
+    the JSON; `to_json_obj` is its test oracle.
     """
 
     modulus: int
@@ -212,59 +219,120 @@ class StrongContextualityCertificate:
     strategy: str
     normalize: bool
     verdict: str  # "strongly_contextual" | "not_strongly_contextual"
-    refutations: tuple[Refutation, ...] = ()
+    stages: tuple[str, ...] = ()
+    stage: Optional[np.ndarray] = None  # (d^4,) index into `stages`
+    row: Optional[np.ndarray] = None  # (d^4,) row of `context_rows`
+    outcome: Optional[np.ndarray] = None  # (d^4, 2)
+    contexts: Mapping[tuple[int, int], tuple] = field(default_factory=dict)
     witness: Optional[Witness] = None
-    stages_used: frozenset[str] = frozenset()
 
     @property
     def strongly_contextual(self) -> bool:
         return self.verdict == "strongly_contextual"
 
+    @property
+    def stages_used(self) -> frozenset[str]:
+        return frozenset(self.stages[s] for s, _row in self.contexts)
+
+    @cached_property
+    def refutations(self) -> tuple[Refutation, ...]:
+        lams = itertools.product(range(self.modulus), repeat=2 * self.n)
+        return () if self.stage is None else tuple(
+            Refutation(lam, self.stages[s], *self.contexts[s, r], tuple(o))
+            for lam, s, r, o in zip(lams, self.stage.tolist(),
+                                    self.row.tolist(), self.outcome.tolist()))
+
+    def _head(self) -> dict:
+        """The document's fields other than the refutations or witness."""
+        return {"schema": "1", "stages_used": sorted(self.stages_used), **{
+            key: getattr(self, key) for key in (
+                "modulus", "n", "phi", "normalized_phi", "swapped", "strong",
+                "phi1", "phi2", "strategy", "normalize", "verdict")}}
+
     def to_json_obj(self) -> dict:
         """JSON-serializable; tuples are written as arrays."""
-        out = {
-            "schema": "1",
-            "modulus": self.modulus,
-            "n": self.n,
-            "phi": self.phi,
-            "normalized_phi": self.normalized_phi,
-            "swapped": self.swapped,
-            "strong": self.strong,
-            "phi1": self.phi1,
-            "phi2": self.phi2,
-            "strategy": self.strategy,
-            "normalize": self.normalize,
-            "verdict": self.verdict,
-            "stages_used": sorted(self.stages_used),
-        }
-        if self.verdict == "strongly_contextual":
+        out = self._head()
+        if self.strongly_contextual:
             kets = self.modulus ** 2
             out["refutations"] = [
-                {
-                    "lambda": r.lam,
-                    "stage": r.stage,
-                    "context": r.context_label,
-                    "basis": r.context_basis,
-                    "outcome": r.outcome,
-                    "kets_checked": kets,
-                }
-                for r in self.refutations
-            ]
+                {"lambda": r.lam, "stage": r.stage, "context": r.context_label,
+                 "basis": r.context_basis, "outcome": r.outcome,
+                 "kets_checked": kets} for r in self.refutations]
         else:
             assert self.witness is not None
-            out["witness"] = {
-                "lambda": self.witness.lam,
-                "consistency": [
-                    {
-                        "context": row.context_label,
-                        "basis": row.context_basis,
-                        "outcome": row.outcome,
-                        "possible": row.possible,
-                    }
-                    for row in self.witness.rows
-                ],
-            }
+            out["witness"] = {"lambda": self.witness.lam, "consistency": [
+                {"context": row.context_label, "basis": row.context_basis,
+                 "outcome": row.outcome, "possible": row.possible}
+                for row in self.witness.rows]}
         return out
+
+
+# Stands in for the list the writer streams: json.dumps writes it as
+# "\u0000", which no other string of a certificate contains.
+_SLOT = "\0"
+WRITE_BATCH = 4096  # list items joined per write
+
+
+def _field(key: str, value, depth: int) -> str:
+    """The text `"key": value` of an object whose keys sit `depth` levels
+    deep, laid out as json.dumps(..., indent=2) lays it out there; each
+    _SLOT in `value` becomes a %d to format an integer into."""
+    pad = "  " * depth
+    return (f"{pad}{json.dumps(key)}: " + json.dumps(value, indent=2)
+            .replace("\n", "\n" + pad).replace(json.dumps(_SLOT), "%d"))
+
+
+def write_certificate(cert: StrongContextualityCertificate,
+                      out: TextIO) -> None:
+    """Write `cert` to `out` as schema "1" JSON: exactly
+    json.dumps(cert.to_json_obj(), indent=2, sort_keys=True) + "\n".
+
+    The refutations (or the witness's consistency table) are streamed in
+    batches.  Each item is joined from text built once per distinct
+    context, outcome and stage (or possible flag); only a refutation's
+    lambda is formatted per item.
+    """
+    d, width = cert.modulus, 2 * cert.n
+    doc, depth = cert._head(), 2 if cert.strongly_contextual else 3
+    if cert.strongly_contextual:
+        doc["refutations"] = _SLOT
+    else:
+        doc["witness"] = {"consistency": _SLOT, "lambda": cert.witness.lam}
+    head, tail = json.dumps(doc, indent=2, sort_keys=True) \
+        .split(json.dumps(_SLOT))
+    inner = depth + 1  # the items' keys, in sorted order below
+    basis = _field("basis", [[_SLOT] * width] * cert.n, inner)
+
+    def opening(label: str, rows: tuple) -> str:
+        return "  " * depth + "{\n" + basis % sum(rows, ()) + ",\n" \
+            + _field("context", label, inner) + ",\n"
+
+    outcomes = [_field("outcome", ab, inner) + ",\n"
+                for ab in itertools.product(range(d), repeat=2)]
+    end = "\n" + "  " * depth + "}"
+    if cert.strongly_contextual:
+        ns = len(cert.stages)
+        kets = _field("kets_checked", d * d, inner) + ",\n"
+        openings = {r * ns + s: opening(*named) + kets
+                    for (s, r), named in cert.contexts.items()}
+        lam_line = _field("lambda", [_SLOT] * width, inner) + ",\n"
+        stages = [_field("stage", name, inner) + end for name in cert.stages]
+        items = (openings[c] + lam_line % lam + outcomes[o] + stages[s]
+                 for lam, c, o, s in zip(
+                     itertools.product(range(d), repeat=width),
+                     (cert.row * ns + cert.stage).tolist(),
+                     (cert.outcome @ (d, 1)).tolist(), cert.stage.tolist()))
+    else:
+        possible = [_field("possible", p, inner) + end for p in (False, True)]
+        items = (opening(r.context_label, r.context_basis)
+                 + outcomes[r.outcome[0] * d + r.outcome[1]]
+                 + possible[r.possible] for r in cert.witness.rows)
+    out.write(head + "[\n")
+    sep = ""
+    while batch := list(itertools.islice(items, WRITE_BATCH)):
+        out.write(sep + ",\n".join(batch))
+        sep = ",\n"
+    out.write("\n" + "  " * (depth - 1) + "]" + tail + "\n")
 
 
 def proof_context_parameters(m: Modulus, phi1: int, phi2: int,
@@ -356,16 +424,14 @@ class _Scanner:
         self.stages = (("proof",) if use_proof else ()) \
             + (("table1",) if strategy == "table1_first" else ()) + ("full",)
 
-    def key(self, sid: int) -> tuple[tuple[int, ...], ...]:
-        """A subspace's canonical generator rows, as certificates print."""
-        return tuple(map(tuple, self.rows[sid].tolist()))
-
-    def label(self, stage: str, sid: int) -> str:
-        """The family label in the proof and table1 stages, else the span
-        label."""
-        if stage == "full":
-            return span_label(self.rows[sid].tolist())
-        return self.family[sid]
+    def context(self, stage: int, sid: int) -> tuple[str, tuple]:
+        """A subspace's certificate label and basis (its canonical generator
+        rows): the family label in the proof and table1 stages, else the
+        span label."""
+        rows = self.rows[sid].tolist()
+        label = span_label(rows) if self.stages[stage] == "full" \
+            else self.family[sid]
+        return label, tuple(map(tuple, rows))
 
     def _impossible(self, sid: np.ndarray, ab: np.ndarray) -> np.ndarray:
         """Memoized engine answers for arrays of (subspace, (a, b)) queries;
@@ -427,13 +493,14 @@ class _Scanner:
                 break
         return stage, where, outcome
 
-    def consistency_table(self, lam: np.ndarray) -> tuple[ConsistencyRow, ...]:
+    def witness(self, lam: np.ndarray) -> Witness:
+        """lam with its consistency table over every subspace."""
         ab = np.einsum("i,cji->cj", lam, self.rows) % self.d
         impossible = self._impossible(np.arange(len(self.rows)), ab)
-        return tuple(ConsistencyRow(span_label(rows), tuple(map(tuple, rows)),
-                                    tuple(o), not imp)
-                     for rows, o, imp in zip(self.rows.tolist(), ab.tolist(),
-                                             impossible.tolist()))
+        return Witness(tuple(lam.tolist()), tuple(
+            ConsistencyRow(*self.context(-1, sid), tuple(o), not imp)
+            for sid, (o, imp) in enumerate(zip(ab.tolist(),
+                                               impossible.tolist()))))
 
 
 def _normalize(state: PhaseFunctionState):
@@ -495,25 +562,16 @@ def decide_strong_contextuality(state: PhaseFunctionState,
             lam = block[np.argmax(stage < 0)]
             return StrongContextualityCertificate(
                 **base, verdict="not_strongly_contextual",
-                witness=Witness(tuple(lam.tolist()),
-                                scanner.consistency_table(lam)),
-            )
+                witness=scanner.witness(lam))
         blocks.append((stage, where, outcome))
         start, size = start + size, 2 * size
 
-    stage, sid, outcome = (np.concatenate(parts) for parts in zip(*blocks))
-    named = {(s, c): (scanner.label(scanner.stages[s], c), scanner.key(c))
-             for s, c in set(zip(stage.tolist(), sid.tolist()))}
-    refutations = tuple(
-        Refutation(tuple(lam), scanner.stages[s], *named[s, c], (a, b))
-        for lam, s, c, a, b in zip(lams.tolist(), stage.tolist(), sid.tolist(),
-                                   outcome[:, 0].tolist(),
-                                   outcome[:, 1].tolist()))
+    stage, row, outcome = (np.concatenate(parts) for parts in zip(*blocks))
     return StrongContextualityCertificate(
-        **base, verdict="strongly_contextual",
-        refutations=refutations,
-        stages_used=frozenset(scanner.stages[s] for s, _c in named),
-    )
+        **base, verdict="strongly_contextual", stages=scanner.stages,
+        stage=stage, row=row, outcome=outcome,
+        contexts={pair: scanner.context(*pair)
+                  for pair in set(zip(stage.tolist(), row.tolist()))})
 
 
 # -- contextual fraction -------------------------------------------------------

@@ -7,6 +7,9 @@ import sys
 import pytest
 
 from stabctx.cli import main
+from stabctx.hidden_vars import decide_strong_contextuality
+from stabctx.states import PhaseFunctionState
+from stabctx.zmod import Modulus, parse_poly
 
 DATA = pathlib.Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "d5_artifact_sha256.json").read_text())
@@ -210,7 +213,9 @@ class TestArtifactDigests:
         """Certificates keep the bytes recorded before the lambda scan named
         subspaces by their row in `context_rows`: a witness (d=7), and
         refutations from the table1 and full stages (d=7), the table1 stage
-        (d=5) and the proof stage (d=5); full_scan uses the full stage."""
+        (d=5) and the proof stage (d=5); full_scan uses the full stage.
+        `proof_d11` was recorded before certificates kept the scan's columns
+        and `analyze` streamed them."""
         ref = CERT_DIGESTS[case]
         for strategy in ("table1_first", "full_scan"):
             path = tmp_path / strategy
@@ -232,6 +237,45 @@ class TestArtifactDigests:
         code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
+
+
+class TestCertificateWriter:
+    """`analyze` streams its certificate through `write_certificate`; its
+    bytes must equal the oracle json.dumps(cert.to_json_obj(), indent=2,
+    sort_keys=True) + "\n", on stdout and in --output alike."""
+
+    @pytest.mark.parametrize("d, phi, strategies, stages", [
+        (3, "j^2*k", ("table1_first", "full_scan"), ["proof"]),
+        (3, "0", ("table1_first", "full_scan"), []),
+        (5, "j^2*k + 2*j*k^2", ("table1_first", "full_scan"), ["proof"]),
+        (5, "j^3 + j^2*k + k^3", ("table1_first", "full_scan"), ["table1"]),
+        (7, "2*j^3 + j^2*k", ("table1_first", "full_scan"),
+         ["full", "table1"]),
+        (7, "j^3 + 2*j^2*k + 3*k^3 + j", ("table1_first", "full_scan"), []),
+        (11, "j^2*k + 3*j*k^2 + 2*j", ("table1_first",), ["proof"]),
+        (11, "j^3", ("table1_first",), []),
+    ], ids=["d3-proof", "d3-witness", "d5-proof", "d5-table1",
+            "d7-table1-full", "d7-witness", "d11-proof", "d11-witness"])
+    def test_writer_matches_oracle(self, capsys, tmp_path, d, phi,
+                                   strategies, stages):
+        m = Modulus(d)
+        state = PhaseFunctionState(m, 2, parse_poly(phi, m))
+        for strategy in strategies:
+            cert = decide_strong_contextuality(state, strategy=strategy)
+            oracle = json.dumps(cert.to_json_obj(), indent=2,
+                                sort_keys=True) + "\n"
+            want = stages if strategy == "table1_first" or not stages \
+                else ["full"]
+            assert sorted(cert.stages_used) == want
+            path = tmp_path / strategy
+            code, out, _ = run(capsys, "analyze", "--d", str(d), "--phi", phi,
+                               "--strategy", strategy, "--output", str(path))
+            assert code == (0 if stages else 2)
+            assert path.read_bytes() == oracle.encode(), strategy
+            code, out, _ = run(capsys, "analyze", "--d", str(d), "--phi", phi,
+                               "--strategy", strategy)
+            assert code == (0 if stages else 2)
+            assert out.encode() == oracle.encode(), strategy
 
 
 class TestJobsEnvironment:

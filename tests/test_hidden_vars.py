@@ -159,6 +159,20 @@ class TestDecide:
         lams = [r.lam for r in cert.refutations]
         assert lams == [hv.lam for hv in enumerate_linear_hv(Modulus(3), 2)]
 
+    def test_refutations_built_on_request(self):
+        cert = decide_strong_contextuality(state(3, "j^2*k + j*k^2"))
+        assert "refutations" not in vars(cert)  # the scan keeps columns
+        assert cert.stage.shape == cert.row.shape == (81,)
+        assert cert.outcome.shape == (81, 2)
+        refutations = cert.refutations
+        assert refutations is cert.refutations  # built once
+        for r, s, row, o in zip(refutations, cert.stage, cert.row,
+                                cert.outcome):
+            assert r.stage == cert.stages[s]
+            assert (r.context_label, r.context_basis) == cert.contexts[s, row]
+            assert r.outcome == tuple(o)
+        assert cert.stages_used == {r.stage for r in refutations}
+
     def test_refutations_recheck_via_projector(self):
         m = Modulus(3)
         st = state(3, "j^2*k")
