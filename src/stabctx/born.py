@@ -25,7 +25,8 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -248,67 +249,76 @@ class EmpiricalRow:
 
     possible: bool
     probability: float
-    exact_witness: Optional[tuple[tuple[int, ...], ...]]  # per-ket counts when impossible
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalModel:
     """Conditional outcome data for a state over a list of contexts.
 
-    Possibility flags are exact (integer counting); probabilities are floats
-    computed from the same residue counts, and advisory.  Rows are keyed by
-    (context index, outcome values).
+    Two read-only (context, outcome) arrays, outcomes row-major over Z_d^n
+    as `outcomes()` lists them: `possible` is exact (integer counting), and
+    `probability` holds floats from the same residue counts, advisory.
+    `rows` keys the cells by (context index, outcome), built on first use.
     """
 
     state: PhaseFunctionState
     contexts: tuple[Context, ...]
-    rows: dict[tuple[int, tuple[int, ...]], EmpiricalRow]
+    possible: np.ndarray  # (contexts, d^n) bool
+    probability: np.ndarray  # (contexts, d^n) float64
 
-    def row(self, ctx_index: int, values: tuple[int, ...]) -> EmpiricalRow:
-        return self.rows[(ctx_index, tuple(v % self.state.modulus.d
-                                           for v in values))]
+    def __post_init__(self):
+        self.possible.flags.writeable = self.probability.flags.writeable = False
+
+    @cached_property
+    def rows(self) -> dict[tuple[int, tuple[int, ...]], EmpiricalRow]:
+        cells = itertools.product(range(len(self.contexts)), self.outcomes())
+        return dict(zip(cells, map(EmpiricalRow, self.possible.ravel().tolist(),
+                                   self.probability.ravel().tolist())))
+
+    def row(self, ctx_index: int, values: Sequence[int]) -> EmpiricalRow:
+        d, n = self.state.modulus.d, self.state.n
+        if not 0 <= ctx_index < len(self.contexts) or len(values) != n:
+            raise MalformedInput(f"no cell ({ctx_index}, {values}) in model")
+        col = np.ravel_multi_index(np.mod(values, d), (d,) * n)
+        return EmpiricalRow(bool(self.possible[ctx_index, col]),
+                            float(self.probability[ctx_index, col]))
 
     def outcomes(self) -> list[tuple[int, ...]]:
         d = self.state.modulus.d
         return list(itertools.product(range(d), repeat=self.state.n))
-
-    def context_probabilities(self, ctx_index: int) -> np.ndarray:
-        return np.array([self.rows[(ctx_index, o)].probability
-                         for o in self.outcomes()])
 
     def marginal(self, ctx_index: int, point: PhasePoint, value: int) -> float:
         """Probability that the measurement at `point` yields `value`, from
         this context's joint distribution."""
         ctx = self.contexts[ctx_index]
         d = self.state.modulus.d
-        try:
-            widx = ctx.elements.index(point.coords)
-        except ValueError:
-            raise IncompatibleContext(f"{point.coords} not in context") from None
-        coeffs = ctx.element_coeffs[widx]
-        total = 0.0
-        for o in self.outcomes():
-            if sum(c * v for c, v in zip(coeffs, o)) % d == value % d:
-                total += self.rows[(ctx_index, o)].probability
-        return total
+        if (point.modulus != self.state.modulus or point.n != self.state.n
+                or point.coords not in ctx.elements):
+            raise IncompatibleContext(f"{point} not in context {ctx_index}")
+        coeffs = ctx.element_coeffs[ctx.elements.index(point.coords)]
+        values = np.array(self.outcomes()) @ coeffs % d
+        return float(self.probability[ctx_index, values == value % d].sum())
 
     def nonsignalling_defect(self) -> float:
         """Largest marginal disagreement across context overlaps."""
-        m = self.state.modulus
-        worst = 0.0
-        sets = [set(ctx.elements) for ctx in self.contexts]
-        for i, j in itertools.combinations(range(len(self.contexts)), 2):
-            shared = sets[i] & sets[j]
-            for coords in shared:
-                if all(c == 0 for c in coords):
-                    continue
-                pt = PhasePoint(m, self.state.n, coords)
-                for val in range(m.d):
-                    worst = max(worst, abs(self.marginal(i, pt, val)
-                                           - self.marginal(j, pt, val)))
-        return worst
+        m, n = self.state.modulus, self.state.n
+        dists: dict[tuple[int, ...], list[list[float]]] = {}
+        for ci, ctx in enumerate(self.contexts):
+            for coords in ctx.elements:
+                pt = PhasePoint(m, n, coords)
+                dists.setdefault(coords, []).append(
+                    [self.marginal(ci, pt, v) for v in range(m.d)])
+        return max((float(np.ptp(rows, axis=0).max())
+                    for rows in dists.values()), default=0.0)
 
     # -- exports ----------------------------------------------------------
+
+    def _cells(self, outcomes: Sequence):
+        """(label, outcomes[i], possible, probability) per cell, in order."""
+        for ctx, possible, probs in zip(self.contexts, self.possible.tolist(),
+                                        self.probability.tolist()):
+            yield from zip(itertools.repeat(ctx.display_label), outcomes,
+                           possible, probs)
 
     def to_csv(self) -> str:
         """CSV with columns: context, outcome, possible, probability.
@@ -316,38 +326,29 @@ class EmpiricalModel:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["context", "outcome", "possible", "probability"])
-        for ci, ctx in enumerate(self.contexts):
-            label = ctx.display_label
-            for o in self.outcomes():
-                row = self.rows[(ci, o)]
-                writer.writerow([label,
-                                 ";".join(str(v) for v in o),
-                                 "true" if row.possible else "false",
-                                 f"{row.probability:.12f}"])
+        texts = [";".join(map(str, o)) for o in self.outcomes()]
+        writer.writerows((label, o, ("false", "true")[p], f"{q:.12f}")
+                         for label, o, p, q in self._cells(texts))
         return buf.getvalue()
 
     def to_json_obj(self) -> dict:
-        """JSON document carrying the per-ket zero-sum witnesses for
-        impossible outcomes.  JSON-serializable; tuples are written as
-        arrays."""
+        """JSON document; each impossible outcome carries its zero-sum
+        witness, the per-ket root counts.  These are the same for every
+        impossible outcome: d^n kets, each with all d counts d^(n-1).
+        JSON-serializable; tuples are written as arrays."""
+        d, n = self.state.modulus.d, self.state.n
+        witness = ((d ** (n - 1),) * d,) * d ** n
         rows = []
-        for ci, ctx in enumerate(self.contexts):
-            label = ctx.display_label
-            for o in self.outcomes():
-                row = self.rows[(ci, o)]
-                entry = {
-                    "context": label,
-                    "outcome": o,
-                    "possible": row.possible,
-                    "probability": round(row.probability, 12),
-                }
-                if not row.possible and row.exact_witness is not None:
-                    entry["zero_sum_witness"] = row.exact_witness
-                rows.append(entry)
+        for label, o, p, q in self._cells(self.outcomes()):
+            entry = {"context": label, "outcome": o, "possible": p,
+                     "probability": round(q, 12)}
+            if not p:
+                entry["zero_sum_witness"] = witness
+            rows.append(entry)
         return {
             "schema": "1",
-            "modulus": self.state.modulus.d,
-            "n": self.state.n,
+            "modulus": d,
+            "n": n,
             "phi": str(self.state.phi),
             "contexts": [ctx.record() for ctx in self.contexts],
             "rows": rows,
@@ -364,28 +365,26 @@ def build_empirical_model(state: PhaseFunctionState,
     d^(-3n/2) * sum_t c_t omega^t, so its Born probability is
     d^(-3n) * sum_J |sum_t c_t omega^t|^2.  Blocks hold
     max(1, kernel.CHUNK // d^(2n)) contexts, which keeps the counts of one
-    block to a few MiB at any d; each block is reduced before the next.
+    block to a few MiB at any d; each block is reduced into its slice of
+    the model's two arrays before the next.
     """
     for ctx in contexts:
         _check_compatible(state, ctx)
     d, n = state.modulus.d, state.n
-    outcomes = list(itertools.product(range(d), repeat=n))
-    values = np.reshape(outcomes, (-1, n))
+    values = np.reshape(list(itertools.product(range(d), repeat=n)), (-1, n))
     keys = np.reshape([ctx.canonical_key for ctx in contexts], (-1, n, 2 * n))
     phi = state.phi_table()
     roots = np.exp(2j * np.pi * np.arange(d) / d)
     step = max(1, kernel.CHUNK // d ** (2 * n))
-    rows: dict[tuple[int, tuple[int, ...]], EmpiricalRow] = {}
-    for c0 in range(0, len(contexts), step):
+    possible = np.empty((len(keys), d ** n), dtype=bool)
+    probability = np.empty((len(keys), d ** n))
+    for c0 in range(0, len(keys), step):
         block = keys[c0:c0 + step]
         counts = kernel.residue_counts(
-            d, phi, np.repeat(block, len(outcomes), axis=0),
-            np.tile(values, (len(block), 1)))
-        possible = (counts != counts[..., :1]).any(axis=(1, 2)).tolist()
+            d, phi, np.repeat(block, d ** n, axis=0),
+            np.tile(values, (len(block), 1))).reshape(len(block), d ** n, -1, d)
         amps = sum(counts[..., t] * roots[t] for t in range(d))
-        probs = (amps.real ** 2 + amps.imag ** 2).sum(axis=-1) / d ** (3 * n)
-        cells = itertools.product(range(c0, c0 + len(block)), outcomes)
-        for q, (key, p) in enumerate(zip(cells, probs.tolist())):
-            rows[key] = EmpiricalRow(possible[q], p, None if possible[q] else
-                                     tuple(map(tuple, counts[q].tolist())))
-    return EmpiricalModel(state, tuple(contexts), rows)
+        possible[c0:c0 + step] = (counts != counts[..., :1]).any(axis=(2, 3))
+        probability[c0:c0 + step] = \
+            (amps.real ** 2 + amps.imag ** 2).sum(axis=-1) / d ** (3 * n)
+    return EmpiricalModel(state, tuple(contexts), possible, probability)

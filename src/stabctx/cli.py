@@ -185,9 +185,8 @@ def cmd_cf(args) -> int:
     model = build_empirical_model(state, contexts)
     result = contextual_fraction(model)
     if args.format == "json":
-        weights = {",".join(map(str, hv.lam)): round(w, 9)
-                   for hv, w in sorted(result.weights.items(),
-                                       key=lambda kv: kv[0].lam)}
+        weights = {",".join(map(str, lam)): round(w, 9)
+                   for lam, w in sorted(result.weights.items())}
         _emit(_json_text({"schema": "1", "modulus": m.d, "phi": str(state.phi),
                           "contexts": args.contexts, "cf": round(result.cf, 9),
                           "weights": weights}), args.output)

@@ -201,10 +201,11 @@ class StrongContextualityCertificate:
     variable, one entry per lam in lexicographic order: the stage (index
     into `stages`), the subspace's row in `context_rows` and the impossible
     outcome (a, b) lam prescribes there.  `contexts` gives each distinct
-    (stage, row) pair's label and basis.  `refutations` and `stages_used`
-    derive from these.  not_strongly_contextual: `witness` names a hidden
-    variable whose prescribed outcome is possible in every enumerated
-    context, with the full consistency table.  `write_certificate` writes
+    (stage, row) pair's label and basis.  The columns are read-only;
+    `refutations` and `stages_used` derive from them.
+    not_strongly_contextual: `witness` names a hidden variable whose
+    prescribed outcome is possible in every enumerated context, with the
+    full consistency table.  `write_certificate` writes
     the JSON; `to_json_obj` is its test oracle.
     """
 
@@ -225,6 +226,11 @@ class StrongContextualityCertificate:
     outcome: Optional[np.ndarray] = None  # (d^4, 2)
     contexts: Mapping[tuple[int, int], tuple] = field(default_factory=dict)
     witness: Optional[Witness] = None
+
+    def __post_init__(self):
+        for column in (self.stage, self.row, self.outcome):
+            if column is not None:
+                column.flags.writeable = False
 
     @property
     def strongly_contextual(self) -> bool:
@@ -578,15 +584,19 @@ def decide_strong_contextuality(state: PhaseFunctionState,
 
 @dataclass(frozen=True)
 class ContextualFraction:
+    """The LP's contextual fraction, and the weight of every linear hidden
+    variable it keeps (above 1e-9), keyed by its lam tuple."""
+
     cf: float
-    weights: dict[HiddenVariable, float] = field(default_factory=dict)
+    weights: dict[tuple[int, ...], float] = field(default_factory=dict)
 
 
 def consistency_matrix(m: Modulus, n: int,
                        contexts: Sequence[Context]) -> csr_matrix:
-    """The LP's 0/1 matrix: entry (c * d^n + o, l) is 1 iff the l-th linear
-    hidden variable (as `enumerate_linear_hv`) prescribes outcome o
-    (row-major over Z_d^n) on the canonical basis of contexts[c]."""
+    """The LP's 0/1 matrix: entry (c * d^n + o, l) is 1 iff the l-th lam,
+    lexicographically (as `enumerate_linear_hv`), prescribes outcome o
+    (row-major over Z_d^n, the column order of `EmpiricalModel`'s arrays)
+    on the canonical basis of contexts[c]."""
     d = m.d
     lams = np.array(list(itertools.product(range(d), repeat=2 * n)))
     keys = np.array([c.canonical_key for c in contexts]).reshape(-1, n, 2 * n)
@@ -611,22 +621,19 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     Floating point with feasibility tolerance 1e-6; advisory next to the
     exact decision procedure.
     """
-    state = model.state
-    lams = enumerate_linear_hv(state.modulus, state.n)
-    probs = np.reshape([model.context_probabilities(ci) for ci in
-                        range(len(model.contexts))],
-                       (len(model.contexts), len(model.outcomes())))
+    m, n = model.state.modulus, model.state.n
+    probs = model.probability
     sums = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     if bad.size:
         raise InfeasibleModel(
             f"context {bad[0]} probabilities sum to {sums[bad[0]]:.8f}")
-    res = linprog(c=-np.ones(len(lams)), b_ub=np.maximum(probs.ravel(), 0.0),
-                  A_ub=consistency_matrix(state.modulus, state.n, model.contexts),
+    res = linprog(c=-np.ones(m.d ** (2 * n)), b_ub=np.maximum(probs.ravel(), 0.0),
+                  A_ub=consistency_matrix(m, n, model.contexts),
                   bounds=(0, None), method="highs")
     if res.status != 0:
         raise InfeasibleModel(f"LP failed: {res.message}")
-    total = float(res.x.sum())
-    cf = min(max(1.0 - total, 0.0), 1.0)
-    weights = {hv: float(w) for hv, w in zip(lams, res.x) if w > 1e-9}
+    cf = min(max(1.0 - float(res.x.sum()), 0.0), 1.0)
+    lams = itertools.product(range(m.d), repeat=2 * n)
+    weights = {lam: w for lam, w in zip(lams, res.x.tolist()) if w > 1e-9}
     return ContextualFraction(cf, weights)

@@ -22,7 +22,7 @@ from stabctx.born import (
 from stabctx.phase_space import Context, PhasePoint, enumerate_contexts, \
     table1_contexts
 from stabctx.states import PhaseFunctionState
-from stabctx.zmod import Modulus, ZdPoly, inv, parse_poly
+from stabctx.zmod import MalformedInput, Modulus, ZdPoly, inv, parse_poly
 
 
 def state(d, text):
@@ -239,8 +239,8 @@ class TestEmpiricalModel:
         st = state(3, "j*k^2")
         contexts = table1_contexts(m)
         model = build_empirical_model(st, contexts)
-        for ci in range(len(contexts)):
-            assert model.context_probabilities(ci).sum() == pytest.approx(1.0, abs=1e-9)
+        assert model.probability.shape == (len(contexts), 9)
+        assert model.probability.sum(axis=1) == pytest.approx(1.0, abs=1e-9)
 
     def test_possible_iff_probability_above_tolerance(self):
         m = Modulus(3)
@@ -260,6 +260,65 @@ class TestEmpiricalModel:
         st = state(5, "j^2*k + 2*j*k^2")
         model = build_empirical_model(st, table1_contexts(m))
         assert any(not row.possible for row in model.rows.values())
+
+    def test_arrays_read_only(self):
+        model = build_empirical_model(state(3, "j^2*k"), enumerate_contexts(
+            Modulus(3), 2))
+        for table in (model.possible, model.probability):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        assert model.possible.dtype == bool
+
+    def test_arrays_match_rows(self):
+        m = Modulus(3)
+        model = build_empirical_model(state(3, "j*k^2 + 2*j*k"),
+                                      enumerate_contexts(m, 2))
+        assert "rows" not in vars(model)
+        rows = model.rows
+        assert rows is model.rows  # built once
+        for (ci, o), row in rows.items():
+            col = o[0] * 3 + o[1]
+            assert row == model.row(ci, o)
+            assert row.possible == model.possible[ci, col]
+            assert row.probability == model.probability[ci, col]
+
+    def test_row_rejects_cells_outside_the_model(self):
+        m = Modulus(3)
+        model = build_empirical_model(state(3, "j^2*k"), table1_contexts(m))
+        assert model.row(0, (4, -1)) == model.row(0, (1, 2))
+        for ci, values in ((len(model.contexts), (0, 0)), (-1, (0, 0)),
+                           (0, (0,)), (0, (0, 0, 0))):
+            with pytest.raises(MalformedInput):
+                model.row(ci, values)
+
+    def test_marginals_match_cell_loop(self):
+        m = Modulus(3)
+        st = state(3, "j^2*k + j*k^2 + 2*k")
+        model = build_empirical_model(st, enumerate_contexts(m, 2))
+        for ci in range(0, len(model.contexts), 5):
+            ctx = model.contexts[ci]
+            for coords, coeffs in zip(ctx.elements, ctx.element_coeffs):
+                pt = PhasePoint(m, 2, coords)
+                for value in range(3):
+                    loop = sum(model.rows[ci, o].probability
+                               for o in model.outcomes()
+                               if sum(c * v for c, v in zip(coeffs, o)) % 3
+                               == value)
+                    assert model.marginal(ci, pt, value) == \
+                        pytest.approx(loop, abs=1e-12)
+        assert model.nonsignalling_defect() < 1e-9
+
+    def test_marginal_rejects_point_of_another_system(self):
+        model = build_empirical_model(state(3, "j^2*k"),
+                                      enumerate_contexts(Modulus(3), 2))
+        mine = PhasePoint(Modulus(3), 2, (1, 0, 0, 0))
+        ci = next(i for i, ctx in enumerate(model.contexts)
+                  if mine.coords in ctx.elements)
+        assert model.marginal(ci, mine, 0) == pytest.approx(1 / 3)
+        for other in (PhasePoint(Modulus(5), 2, (1, 0, 0, 0)),
+                      PhasePoint(Modulus(3), 1, (1, 0))):
+            with pytest.raises(IncompatibleContext):
+                model.marginal(ci, other, 0)
 
     def test_csv_export(self):
         m = Modulus(3)
@@ -290,6 +349,23 @@ class TestEmpiricalModel:
             for counts in witness:
                 assert len(set(counts)) == 1  # uniform orbit per ket
         json.dumps(doc)  # serializable
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_witness_is_the_engine_counts(self, d):
+        """Every impossible outcome's counts are the uniform table the JSON
+        writes: d^n kets, each with all d counts d^(n-1)."""
+        m = Modulus(d)
+        st = state(d, "j^2*k + 2*j*k^2")
+        contexts = enumerate_contexts(m, 2)
+        model = build_empirical_model(st, contexts)
+        ci, col = np.argwhere(~model.possible)[::7].T
+        counts = kernel.residue_counts(
+            d, st.phi_table(), [contexts[c].canonical_key for c in ci],
+            np.stack([col // d, col % d], axis=1))
+        assert counts.size and (counts == d).all()
+        witnesses = [r["zero_sum_witness"] for r in model.to_json_obj()["rows"]
+                     if not r["possible"]]
+        assert witnesses and all(w == ((d,) * d,) * d * d for w in witnesses)
 
     def test_projector_idempotent_and_orthogonal(self):
         m = Modulus(3)

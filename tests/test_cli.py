@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -292,8 +293,10 @@ def test_selftest(capsys):
 
 
 def test_module_entry_point():
+    # the child imports stabctx from where this process found it
     proc = subprocess.run(
         [sys.executable, "-m", "stabctx", "contexts", "--d", "3", "--count"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "40"

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from stabctx.born import EmpiricalModel, EmpiricalRow, JointOutcome, \
+from stabctx.born import EmpiricalModel, JointOutcome, \
     build_empirical_model, outcome_possibility
 from stabctx.hidden_vars import (
     HiddenVariable,
@@ -173,6 +173,12 @@ class TestDecide:
             assert r.outcome == tuple(o)
         assert cert.stages_used == {r.stage for r in refutations}
 
+    def test_certificate_columns_read_only(self):
+        cert = decide_strong_contextuality(state(3, "j^2*k"))
+        for column in (cert.stage, cert.row, cert.outcome):
+            with pytest.raises(ValueError):
+                column[0] = 999
+
     def test_refutations_recheck_via_projector(self):
         m = Modulus(3)
         st = state(3, "j^2*k")
@@ -243,13 +249,32 @@ class TestContextualFraction:
         assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-6)
 
     def test_cf_matches_decision(self):
-        m = Modulus(3)
-        for text in ("j^2*k", "j*k", "j*k^2 + j*k"):
-            st = state(3, text)
-            model = build_empirical_model(st, enumerate_contexts(m, 2))
+        """cf over all contexts is 1 iff the decision says strong: at d=3,
+        and at d=5 for a strong normal form, cubics ending in a table-1
+        refutation and in a witness, and a quadratic."""
+        cases = [(3, "j^2*k", True), (3, "j*k", False),
+                 (3, "j*k^2 + j*k", True), (5, "j^2*k + 2*j*k^2", True),
+                 (5, "j^3 + k^3", True), (5, "2*j^3 + j*k", False),
+                 (5, "j^2 + 3*k^2 + j*k", False)]
+        for d, text, strong in cases:
+            st = state(d, text)
+            model = build_empirical_model(st, enumerate_contexts(Modulus(d), 2))
             cf = contextual_fraction(model).cf
             cert = decide_strong_contextuality(st)
-            assert (abs(cf - 1.0) < 1e-6) == cert.strongly_contextual, text
+            assert cert.strongly_contextual == strong, text
+            assert (abs(cf - 1.0) < 1e-6) == strong, text
+
+    def test_model_rows_built_on_request(self):
+        """The CLI's model and cf paths read the arrays only."""
+        m = Modulus(5)
+        model = build_empirical_model(state(5, "j*k + 2*j"),
+                                      enumerate_contexts(m, 2))
+        model.to_csv()
+        model.to_json_obj()
+        result = contextual_fraction(model)
+        assert "rows" not in vars(model)
+        assert result.weights and all(
+            type(lam) is tuple and len(lam) == 4 for lam in result.weights)
 
     def test_monotone_in_contexts(self):
         # more contexts, more constraints: cf cannot drop
@@ -283,14 +308,12 @@ class TestContextualFraction:
         m = Modulus(3)
         st = state(3, "j^2*k")
         model = build_empirical_model(st, enumerate_contexts(m, 2))
-        rows = dict(model.rows)
-        for ci in (4, 7):
-            row = rows[(ci, (0, 0))]
-            rows[(ci, (0, 0))] = EmpiricalRow(row.possible,
-                                              row.probability + 0.5, None)
+        probability = model.probability.copy()
+        probability[[4, 7], 0] += 0.5  # outcome (0, 0)
         with pytest.raises(InfeasibleModel, match=r"context 4 probabilities "
                                                   r"sum to 1\.5"):
-            contextual_fraction(EmpiricalModel(st, model.contexts, rows))
+            contextual_fraction(EmpiricalModel(st, model.contexts,
+                                               model.possible, probability))
 
     def test_nonlinear_assignments_never_everywhere_possible(self):
         # sampled non-linear global assignments restrict non-additively to
