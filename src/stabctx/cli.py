@@ -280,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="phase polynomial in j,k, e.g. 'j^2*k + 2*j*k^2'")
         p.add_argument("--jobs", type=_positive_int,
                        default=os.environ.get("STABCTX_JOBS") or "1",
-                       help="worker processes for verify-theorem1; the other "
-                            "subcommands run in one process "
-                            "(default: STABCTX_JOBS or 1)")
+                       help="worker processes for verify-theorem1; starting "
+                            "them costs about 1 s, so this pays off only at "
+                            "large d (d=11, not d=5); the other subcommands "
+                            "run in one process (default: STABCTX_JOBS or 1)")
         p.add_argument("--output", help="write the artifact to this path")
         p.add_argument("--unsafe-scale", action="store_true",
                        help=f"allow d beyond the desk guard ({MAX_DESK_D})")

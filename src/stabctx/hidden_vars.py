@@ -72,6 +72,11 @@ def enumerate_linear_hv(m: Modulus, n: int) -> list[HiddenVariable]:
             for lam in itertools.product(range(m.d), repeat=2 * n)]
 
 
+def _lam_array(d: int, n: int) -> np.ndarray:
+    """The d^(2n) lam as rows of one int array, lexicographic, zero first."""
+    return np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
+
+
 def prescribed_outcome(hv: HiddenVariable, c: Context) -> JointOutcome:
     """Restrict the functional to the context, on its canonical basis."""
     if hv.modulus != c.modulus or hv.n != c.n:
@@ -485,7 +490,8 @@ class _Scanner:
             while alive.size and start < order.shape[1]:
                 stop = start + max(1, QUERY_BATCH // alive.size)
                 sid = order[alive, start:stop]  # subspaces to try, in order
-                ab = np.einsum("li,lcji->lcj", lams[alive], self.rows[sid]) % d
+                ab = (self.rows[sid]
+                      @ lams[alive][:, None, :, None])[..., 0] % d
                 imp = self._impossible(sid, ab)
                 first = np.where(imp.any(axis=1), imp.argmax(axis=1), -1)
                 hit = np.flatnonzero(first >= 0)
@@ -501,7 +507,7 @@ class _Scanner:
 
     def witness(self, lam: np.ndarray) -> Witness:
         """lam with its consistency table over every subspace."""
-        ab = np.einsum("i,cji->cj", lam, self.rows) % self.d
+        ab = self.rows @ lam % self.d
         impossible = self._impossible(np.arange(len(self.rows)), ab)
         return Witness(tuple(lam.tolist()), tuple(
             ConsistencyRow(*self.context(-1, sid), tuple(o), not imp)
@@ -551,7 +557,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
                  and rep.is_strong and rep.phi1 != 0)
     scanner = _Scanner(work, rep, strategy, use_proof)
     d = state.modulus.d
-    lams = np.indices((d,) * 4).reshape(4, -1).T  # lexicographic, zero first
+    lams = _lam_array(d, 2)
 
     base = dict(
         modulus=d, n=2, phi=str(state.phi),
@@ -585,27 +591,41 @@ def decide_strong_contextuality(state: PhaseFunctionState,
 @dataclass(frozen=True)
 class ContextualFraction:
     """The LP's contextual fraction, and the weight of every linear hidden
-    variable it keeps (above 1e-9), keyed by its lam tuple."""
+    variable it keeps (above 1e-9), keyed by its lam tuple.  cf is exactly
+    1.0 with no weights when every lam prescribes an impossible outcome in
+    some context, i.e. when the model is strongly contextual."""
 
     cf: float
     weights: dict[tuple[int, ...], float] = field(default_factory=dict)
 
 
+def _prescribed_cells(m: Modulus, n: int,
+                      contexts: Sequence[Context]) -> np.ndarray:
+    """cells[c, l] = c * d^n + o, where o (row-major over Z_d^n, the column
+    order of `EmpiricalModel`'s arrays) is the outcome the l-th lam,
+    lexicographically (as `enumerate_linear_hv`), prescribes on the
+    canonical basis of contexts[c]."""
+    d = m.d
+    keys = np.array([c.canonical_key for c in contexts]).reshape(-1, n, 2 * n)
+    values = keys @ _lam_array(d, n).T % d  # (context, basis element, lam)
+    return d ** np.arange(n - 1, -1, -1) @ values \
+        + d ** n * np.arange(len(contexts))[:, None]
+
+
+def _incidence(rows: np.ndarray, height: int) -> csr_matrix:
+    """The 0/1 matrix with a 1 at (rows[c, l], l)."""
+    cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    return csr_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())),
+                      shape=(height, rows.shape[1]))
+
+
 def consistency_matrix(m: Modulus, n: int,
                        contexts: Sequence[Context]) -> csr_matrix:
-    """The LP's 0/1 matrix: entry (c * d^n + o, l) is 1 iff the l-th lam,
-    lexicographically (as `enumerate_linear_hv`), prescribes outcome o
-    (row-major over Z_d^n, the column order of `EmpiricalModel`'s arrays)
-    on the canonical basis of contexts[c]."""
-    d = m.d
-    lams = np.array(list(itertools.product(range(d), repeat=2 * n)))
-    keys = np.array([c.canonical_key for c in contexts]).reshape(-1, n, 2 * n)
-    values = np.einsum("lk,cik->cli", lams, keys) % d
-    rows = values @ d ** np.arange(n - 1, -1, -1) \
-        + d ** n * np.arange(len(contexts))[:, None]
-    cols = np.broadcast_to(np.arange(len(lams)), rows.shape)
-    return csr_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())),
-                      shape=(len(contexts) * d ** n, len(lams)))
+    """The LP's 0/1 matrix over every lam: entry (c * d^n + o, l) is 1 iff
+    the l-th lam prescribes outcome o on contexts[c] (see
+    `_prescribed_cells`)."""
+    return _incidence(_prescribed_cells(m, n, contexts),
+                      len(contexts) * m.d ** n)
 
 
 def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
@@ -618,22 +638,37 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     non-additively to some context, where its prescribed outcome has
     probability zero, forcing its weight to zero.
 
+    The LP runs over the support only.  A lam that prescribes an impossible
+    outcome (exact, `model.possible`) in some context has weight zero, so
+    its column is dropped, and then every row no remaining lam reaches.
+    When no lam survives, the model is strongly contextual and cf is
+    exactly 1 with no LP (Abramsky, Barbosa & Mansfield 2017).
+
     Floating point with feasibility tolerance 1e-6; advisory next to the
     exact decision procedure.
     """
     m, n = model.state.modulus, model.state.n
+    if not model.contexts:
+        raise MalformedInput("no contexts: the contextual fraction needs "
+                             "at least one")
     probs = model.probability
     sums = probs.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     if bad.size:
         raise InfeasibleModel(
             f"context {bad[0]} probabilities sum to {sums[bad[0]]:.8f}")
-    res = linprog(c=-np.ones(m.d ** (2 * n)), b_ub=np.maximum(probs.ravel(), 0.0),
-                  A_ub=consistency_matrix(m, n, model.contexts),
+    cells = _prescribed_cells(m, n, model.contexts)
+    keep = np.flatnonzero(model.possible.ravel()[cells].all(axis=0))
+    if not keep.size:
+        return ContextualFraction(1.0, {})
+    reached, rows = np.unique(cells[:, keep], return_inverse=True)
+    res = linprog(c=-np.ones(len(keep)),
+                  b_ub=np.maximum(probs.ravel()[reached], 0.0),
+                  A_ub=_incidence(rows.reshape(-1, len(keep)), len(reached)),
                   bounds=(0, None), method="highs")
     if res.status != 0:
         raise InfeasibleModel(f"LP failed: {res.message}")
     cf = min(max(1.0 - float(res.x.sum()), 0.0), 1.0)
-    lams = itertools.product(range(m.d), repeat=2 * n)
+    lams = map(tuple, _lam_array(m.d, n)[keep].tolist())
     weights = {lam: w for lam, w in zip(lams, res.x.tolist()) if w > 1e-9}
     return ContextualFraction(cf, weights)

@@ -79,7 +79,7 @@ def _chunks(d, phi, n, gens, values):
         phase = phi[shift]
         for q0 in range(0, len(gens), q_step):
             qs = slice(q0, q0 + q_step)
-            points = np.einsum("ei,qij->qej", grid, gens[qs]) % d
+            points = grid @ gens[qs] % d  # (query, element, coordinate)
             P, Q = points[..., 0::2], points[..., 1::2]
             base = (-(values[qs] @ grid.T) - inv2 * (P * Q).sum(axis=-1)) % d
             nq = len(base)

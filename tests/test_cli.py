@@ -16,6 +16,7 @@ DATA = pathlib.Path(__file__).parent / "data"
 DIGESTS = json.loads((DATA / "d5_artifact_sha256.json").read_text())
 CERT_DIGESTS = json.loads((DATA / "analyze_sha256.json").read_text())
 WRITER_DIGESTS = json.loads((DATA / "writer_sha256.json").read_text())
+CF_TABLE1_DIGESTS = json.loads((DATA / "cf_table1_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -208,6 +209,20 @@ class TestArtifactDigests:
                              "--contexts", "full", "--output", str(path))
             assert code == 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == ref[key], key
+
+    @pytest.mark.parametrize("case", sorted(CF_TABLE1_DIGESTS))
+    def test_cf_table1_artifacts(self, capsys, tmp_path, case):
+        """cf JSON over the Table-1 contexts keeps the bytes recorded while
+        the LP still ran over all d^4 lam: no lam survives the strong and
+        cubic pool states, 25 survive the quadratic one, and 50 survive
+        2*j^3 + j*k, whose LP keeps 25 weights."""
+        ref = CF_TABLE1_DIGESTS[case]
+        path = tmp_path / case
+        code, _, _ = run(capsys, "cf", "--d", "5", "--phi", ref["phi"],
+                         "--contexts", "table1", "--format", "json",
+                         "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
 
     @pytest.mark.parametrize("case", sorted(CERT_DIGESTS))
     def test_analyze_certificates(self, capsys, tmp_path, case):

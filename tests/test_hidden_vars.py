@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from stabctx import hidden_vars
 from stabctx.born import EmpiricalModel, JointOutcome, \
     build_empirical_model, outcome_possibility
 from stabctx.hidden_vars import (
@@ -22,7 +24,7 @@ from stabctx.hidden_vars import (
 from stabctx.phase_space import Context, PhasePoint, enumerate_contexts, \
     table1_contexts
 from stabctx.states import PhaseFunctionState, strip_quadratic, swap_qudits
-from stabctx.zmod import Modulus, ZdPoly, parse_poly
+from stabctx.zmod import MalformedInput, Modulus, ZdPoly, parse_poly
 
 
 def state(d, text):
@@ -314,6 +316,53 @@ class TestContextualFraction:
                                                   r"sum to 1\.5"):
             contextual_fraction(EmpiricalModel(st, model.contexts,
                                                model.possible, probability))
+
+    @pytest.mark.parametrize("d, text, family", [
+        (3, "j*k^2 + j*k", "full"), (3, "j*k + 2*j", "full"),
+        (5, "2*j^3 + j*k", "table1"), (5, "2*j^3 + j*k", "full"),
+        (5, "j^2 + 3*k^2 + j*k", "full"), (5, "j^2*k + 2*j*k^2", "table1"),
+    ], ids=["d3-strong", "d3-quadratic", "d5-cubic-table1", "d5-cubic-full",
+            "d5-quadratic", "d5-strong-table1"])
+    def test_pruned_lp_matches_unpruned_oracle(self, d, text, family):
+        """The LP over the support gives the cf and weights of the LP over
+        all d^4 lam, solved here from the whole consistency matrix."""
+        m = Modulus(d)
+        contexts = table1_contexts(m) if family == "table1" \
+            else enumerate_contexts(m, 2)
+        model = build_empirical_model(state(d, text), contexts)
+        res = linprog(c=-np.ones(d ** 4),
+                      b_ub=np.maximum(model.probability.ravel(), 0.0),
+                      A_ub=consistency_matrix(m, 2, contexts),
+                      bounds=(0, None), method="highs")
+        assert res.status == 0
+        oracle = {lam: w for lam, w in zip(
+            itertools.product(range(d), repeat=4), res.x) if w > 1e-9}
+        result = contextual_fraction(model)
+        assert result.cf == pytest.approx(1.0 - res.x.sum(), abs=1e-9)
+        assert result.weights.keys() == oracle.keys()
+        for lam, w in oracle.items():
+            assert result.weights[lam] == pytest.approx(w, abs=1e-9)
+        if (d, text, family) == (5, "2*j^3 + j*k", "table1"):
+            assert result.cf == pytest.approx(0.6180339887, abs=1e-9)
+            assert len(result.weights) == 25
+
+    def test_strong_model_skips_lp(self, monkeypatch):
+        """No lam survives a strongly contextual model's support, so cf is
+        exactly 1 and no LP runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        model = build_empirical_model(state(5, "j^2*k + 2*j*k^2 + j*k"),
+                                      enumerate_contexts(Modulus(5), 2))
+        monkeypatch.setattr(hidden_vars, "linprog", refuse)
+        result = contextual_fraction(model)
+        assert result.cf == 1.0
+        assert result.weights == {}
+
+    def test_no_contexts_rejected(self):
+        model = build_empirical_model(state(3, "j*k"), [])
+        with pytest.raises(MalformedInput, match="no contexts"):
+            contextual_fraction(model)
 
     def test_nonlinear_assignments_never_everywhere_possible(self):
         # sampled non-linear global assignments restrict non-additively to
