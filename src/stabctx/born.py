@@ -290,6 +290,8 @@ class EmpiricalModel:
     def marginal(self, ctx_index: int, point: PhasePoint, value: int) -> float:
         """Probability that the measurement at `point` yields `value`, from
         this context's joint distribution."""
+        if not 0 <= ctx_index < len(self.contexts):
+            raise MalformedInput(f"no context {ctx_index} in model")
         ctx = self.contexts[ctx_index]
         d = self.state.modulus.d
         if (point.modulus != self.state.modulus or point.n != self.state.n

@@ -46,14 +46,12 @@ class PhaseFunctionState:
 
     def phi_table(self) -> np.ndarray:
         """Value table of Phi on Z_d^n (n <= 2), used by `stabctx.kernel`."""
+        if self.n not in (1, 2):
+            raise OracleScaleExceeded("phi tables support n <= 2")
         d = self.modulus.d
-        if self.n == 1:
-            return np.array([self.phi.evaluate((j,)) for j in range(d)],
-                            dtype=np.intc)
-        if self.n == 2:
-            return np.array([[self.phi.evaluate((j, k)) for k in range(d)]
-                             for j in range(d)], dtype=np.intc)
-        raise OracleScaleExceeded("phi tables support n <= 2")
+        points = itertools.product(range(d), repeat=self.n)
+        return np.array([self.phi.evaluate(point) for point in points],
+                        dtype=np.intc).reshape((d,) * self.n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,9 +150,10 @@ def _generator_points(m: Modulus, n: int):
 def _in_level(mat: np.ndarray, level: int, m: Modulus, n: int) -> bool:
     """Membership in hierarchy level `level`, by recursive conjugation.
 
-    Level 1 is brute-forced against all Weyl operators.  For level k > 1 it
-    suffices to conjugate the 2n multiplicative generators: conjugation is a
-    homomorphism and every level is closed under products.
+    Level 1 is `_is_pauli`: the candidate Weyl point is read off the matrix
+    and then verified.  For level k > 1 it suffices to conjugate the 2n
+    multiplicative generators: conjugation is a homomorphism and every level
+    is closed under products.
     """
     if level <= 1:
         return _is_pauli(mat, m, n)

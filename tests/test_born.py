@@ -290,6 +290,10 @@ class TestEmpiricalModel:
                            (0, (0,)), (0, (0, 0, 0))):
             with pytest.raises(MalformedInput):
                 model.row(ci, values)
+        point = PhasePoint(m, 2, model.contexts[-1].elements[1])
+        for ci in (-1, len(model.contexts)):
+            with pytest.raises(MalformedInput):
+                model.marginal(ci, point, 0)
 
     def test_marginals_match_cell_loop(self):
         m = Modulus(3)

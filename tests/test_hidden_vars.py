@@ -223,6 +223,28 @@ class TestDecide:
         assert not cert.strong
         assert cert.verdict in ("strongly_contextual", "not_strongly_contextual")
 
+    @pytest.mark.parametrize("strategy", ["table1_first", "full_scan"])
+    @pytest.mark.parametrize("d, text", [
+        (5, "j^2*k + 2*j*k^2"),
+        (5, "j^3 + j*k^2 + k^3"),
+        (7, "2*j^3 + j^2*k + 3*k^3 + j"),
+    ])
+    def test_engine_asked_each_cell_once(self, monkeypatch, d, text,
+                                         strategy):
+        engine = hidden_vars.kernel.impossible
+        asked = []
+
+        def record(modulus, phi_table, gens, values):
+            cells = np.concatenate(
+                [np.reshape(gens, (len(gens), -1)), values], axis=1)
+            asked.extend(map(tuple, cells.tolist()))
+            return engine(modulus, phi_table, gens, values)
+
+        monkeypatch.setattr(hidden_vars.kernel, "impossible", record)
+        decide_strong_contextuality(state(d, text), strategy=strategy)
+        assert asked
+        assert len(set(asked)) == len(asked)
+
     def test_json_certificate(self):
         import json
         cert = decide_strong_contextuality(state(3, "j^2*k"))

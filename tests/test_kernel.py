@@ -6,6 +6,7 @@ import random
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from stabctx import dense, kernel
 from stabctx.born import JointOutcome, impossibility_by_psi
@@ -84,6 +85,22 @@ def test_proof_stage_parameters_match_reference():
                 assert list(proof_context_parameters(m, phi1, phi2, lam)) == [
                     ("I", alpha_i[i], None), ("II", alpha_ii[i], None),
                     ("III", alpha_iii[i], beta)]
+
+
+@pytest.mark.parametrize("phi_table, gens, values", [
+    # two generator sets, one outcome pair
+    (np.zeros((5, 5)), [((1, 0, 0, 0), (0, 0, 1, 0))] * 2, [(0, 0)]),
+    # one outcome per query where a two-qudit query needs two
+    (np.zeros((5, 5)), [((1, 0, 0, 0), (0, 0, 1, 0))], [(0,)]),
+    # a table over Z_3^2 at d = 5
+    (np.zeros((3, 3)), [((1, 0, 0, 0), (0, 0, 1, 0))], [(0, 0)]),
+    # a three-qudit table
+    (np.zeros((5, 5, 5)), [((1, 0, 0, 0), (0, 0, 1, 0))], [(0, 0)]),
+])
+def test_malformed_queries_rejected(phi_table, gens, values):
+    for engine in (kernel.impossible, kernel.residue_counts):
+        with pytest.raises(kernel.MalformedQuery):
+            engine(5, phi_table, gens, values)
 
 
 def test_multi_chunk_batch_equals_single_queries(monkeypatch):

@@ -56,6 +56,11 @@ class TestConjugationOracle:
         assert verify_level_by_conjugation(phi, 3)
         assert not verify_level_by_conjugation(phi, 2)
 
+    def test_quartic_rejected_below_top_level(self):
+        # U_{j^4} is outside level 3: some conjugate of a conjugate fails
+        # the Pauli check inside the recursion
+        assert not verify_level_by_conjugation(parse_poly("j^4", Modulus(5)), 3)
+
     def test_linear_is_pauli(self):
         m = Modulus(5)
         phi = parse_poly("2*j", m)

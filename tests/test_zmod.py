@@ -153,7 +153,9 @@ class TestTextForm:
                              ("   ", "empty polynomial"),
                              ("-", "term expected after '-'"),
                              ("j +", "term expected after '\\+'"),
-                             ("j -", "term expected after '-'")):
+                             ("j -", "term expected after '-'"),
+                             ("j^2*k$", "unexpected character"),
+                             ("2*", "dangling '\\*'")):
             with pytest.raises(PolyParseError, match=message):
                 parse_poly(bad, m)
 
