@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -49,6 +50,14 @@ class ScaleError(StabctxError):
     """Tabulation requested beyond n = 2."""
 
 
+def _integers(items, what: str) -> tuple[int, ...]:
+    """`items` as a tuple of ints; anything but integers is malformed."""
+    try:
+        return tuple(map(operator.index, items))
+    except TypeError:
+        raise MalformedInput(f"{what} must be integers") from None
+
+
 @dataclass(frozen=True, slots=True)
 class RootMultiset:
     """Multiset of d-th roots of unity as a length-d count vector.
@@ -61,11 +70,12 @@ class RootMultiset:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.counts) != self.modulus.d:
+        counts = _integers(self.counts, "root counts")
+        if len(counts) != self.modulus.d:
             raise MalformedInput("need one count per d-th root")
-        if any(c < 0 for c in self.counts):
+        if any(c < 0 for c in counts):
             raise MalformedInput("counts must be nonnegative")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
+        object.__setattr__(self, "counts", counts)
 
     def total(self) -> int:
         return sum(self.counts)
@@ -93,10 +103,11 @@ class JointOutcome:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.values) != self.context.n:
+        values = _integers(self.values, "outcome values")
+        if len(values) != self.context.n:
             raise MalformedInput("one outcome value per basis vector")
         object.__setattr__(
-            self, "values", tuple(v % self.context.modulus.d for v in self.values))
+            self, "values", tuple(v % self.context.modulus.d for v in values))
 
     def of_element(self, coeffs: Sequence[int]) -> int:
         d = self.context.modulus.d
@@ -361,19 +372,18 @@ def build_empirical_model(state: PhaseFunctionState,
                           contexts: Sequence[Context]) -> EmpiricalModel:
     """Tabulate possibility and probability for every (context, outcome).
 
-    One engine call per block of contexts gives, for each outcome and output
-    ket J, the residue counts c_t of its roots.  The outcome is possible iff
-    some ket's counts are not uniform, and the projected amplitude at J is
-    d^(-3n/2) * sum_t c_t omega^t, so its Born probability is
-    d^(-3n) * sum_J |sum_t c_t omega^t|^2.  Blocks hold
-    max(1, kernel.CHUNK // d^(2n)) contexts, which keeps the counts of one
-    block to a few MiB at any d; each block is reduced into its slice of
-    the model's two arrays before the next.
+    One `kernel.outcome_counts` call per block of contexts gives, for each
+    of a context's d^n outcomes and each output ket J, the residue counts
+    c_t of its roots.  The outcome is possible iff some ket's counts are not
+    uniform, and the projected amplitude at J is d^(-3n/2) * sum_t c_t
+    omega^t, so its Born probability is d^(-3n) * sum_J |sum_t c_t omega^t|^2.
+    Blocks hold max(1, kernel.CHUNK // d^(2n)) contexts, which keeps the
+    counts of one block to a few MiB at any d; each block is reduced into
+    its slice of the model's two arrays before the next.
     """
     for ctx in contexts:
         _check_compatible(state, ctx)
     d, n = state.modulus.d, state.n
-    values = np.reshape(list(itertools.product(range(d), repeat=n)), (-1, n))
     keys = np.reshape([ctx.canonical_key for ctx in contexts], (-1, n, 2 * n))
     phi = state.phi_table()
     roots = np.exp(2j * np.pi * np.arange(d) / d)
@@ -381,10 +391,7 @@ def build_empirical_model(state: PhaseFunctionState,
     possible = np.empty((len(keys), d ** n), dtype=bool)
     probability = np.empty((len(keys), d ** n))
     for c0 in range(0, len(keys), step):
-        block = keys[c0:c0 + step]
-        counts = kernel.residue_counts(
-            d, phi, np.repeat(block, d ** n, axis=0),
-            np.tile(values, (len(block), 1))).reshape(len(block), d ** n, -1, d)
+        counts = kernel.outcome_counts(d, phi, keys[c0:c0 + step])
         amps = sum(counts[..., t] * roots[t] for t in range(d))
         possible[c0:c0 + step] = (counts != counts[..., :1]).any(axis=(2, 3))
         probability[c0:c0 + step] = \

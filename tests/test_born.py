@@ -76,8 +76,26 @@ class TestRootMultiset:
         assert a.merge(b).counts == (3, 3, 3)
         assert a.merge(b).is_zero_sum()
 
+    def test_fractional_count_rejected(self):
+        # once stored as (1, 1, 1, 1, 1), a uniform orbit
+        with pytest.raises(MalformedInput):
+            RootMultiset(Modulus(5), (1, 1, 1, 1, 1.9))
+
+    def test_generator_counts_read_once(self):
+        m = Modulus(5)
+        rm = RootMultiset(m, (c for c in (6, 5, 5, 5, 4)))
+        assert rm.counts == (6, 5, 5, 5, 4)
+        assert rm == RootMultiset(m, np.array([6, 5, 5, 5, 4]))
+
 
 class TestOutcomePossibility:
+    @pytest.mark.parametrize("values", [(1.5, 0), ("1", 0)])
+    def test_non_integer_outcome_rejected(self, values):
+        # (1.5, 0) was once read as (1, 0); ("1", 0) raised a bare TypeError
+        ctx = enumerate_contexts(Modulus(5), 2)[7]
+        with pytest.raises(MalformedInput):
+            JointOutcome(ctx, values)
+
     def test_flat_state_computational_context(self):
         # |+>|+> against {Z x I, I x Z}: every outcome possible, prob 1/9
         m = Modulus(3)

@@ -17,6 +17,7 @@ DIGESTS = json.loads((DATA / "d5_artifact_sha256.json").read_text())
 CERT_DIGESTS = json.loads((DATA / "analyze_sha256.json").read_text())
 WRITER_DIGESTS = json.loads((DATA / "writer_sha256.json").read_text())
 CF_TABLE1_DIGESTS = json.loads((DATA / "cf_table1_sha256.json").read_text())
+D7_DIGESTS = json.loads((DATA / "d7_model_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -209,6 +210,19 @@ class TestArtifactDigests:
                              "--contexts", "full", "--output", str(path))
             assert code == 0
             assert hashlib.sha256(path.read_bytes()).hexdigest() == ref[key], key
+
+    @pytest.mark.parametrize("state_class", sorted(D7_DIGESTS))
+    def test_d7_full_context_model_csv(self, capsys, tmp_path, state_class):
+        """At d=7 one subspace has d^6 = 117,649 exponents, more than
+        kernel.CHUNK, so the engine splits its outcomes; the bytes were
+        recorded while every outcome was a separate engine query."""
+        ref = D7_DIGESTS[state_class]
+        path = tmp_path / "model.csv"
+        code, _, _ = run(capsys, "model", "--d", "7", "--phi", ref["phi"],
+                         "--contexts", "full", "--format", "csv",
+                         "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["model_csv"]
 
     @pytest.mark.parametrize("case", sorted(CF_TABLE1_DIGESTS))
     def test_cf_table1_artifacts(self, capsys, tmp_path, case):

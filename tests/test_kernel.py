@@ -71,6 +71,9 @@ def test_inputs_reduced_mod_d():
             assert np.array_equal(
                 kernel.impossible(d, *moved),
                 (want == d).all(axis=(1, 2)))
+            assert np.array_equal(
+                kernel.outcome_counts(d, moved[0], moved[1][:d]),
+                kernel.outcome_counts(d, tab, gens[:d]))
 
 
 def test_proof_stage_parameters_match_reference():
@@ -87,20 +90,32 @@ def test_proof_stage_parameters_match_reference():
                     ("III", alpha_iii[i], beta)]
 
 
+KEY = ((1, 0, 0, 0), (0, 0, 1, 0))
+
+
 @pytest.mark.parametrize("phi_table, gens, values", [
     # two generator sets, one outcome pair
-    (np.zeros((5, 5)), [((1, 0, 0, 0), (0, 0, 1, 0))] * 2, [(0, 0)]),
+    (np.zeros((5, 5), dtype=int), [KEY] * 2, [(0, 0)]),
     # one outcome per query where a two-qudit query needs two
-    (np.zeros((5, 5)), [((1, 0, 0, 0), (0, 0, 1, 0))], [(0,)]),
+    (np.zeros((5, 5), dtype=int), [KEY], [(0,)]),
     # a table over Z_3^2 at d = 5
-    (np.zeros((3, 3)), [((1, 0, 0, 0), (0, 0, 1, 0))], [(0, 0)]),
+    (np.zeros((3, 3), dtype=int), [KEY], [(0, 0)]),
     # a three-qudit table
-    (np.zeros((5, 5, 5)), [((1, 0, 0, 0), (0, 0, 1, 0))], [(0, 0)]),
+    (np.zeros((5, 5, 5), dtype=int), [KEY], [(0, 0)]),
+    # a float table, float generators, float and string outcomes: none of
+    # them may be truncated to the integers they start with
+    (np.zeros((5, 5)), [KEY], [(0, 0)]),
+    (np.zeros((5, 5), dtype=int), [((1.5, 0, 0, 0), (0, 0, 1, 0))], [(0, 0)]),
+    (np.zeros((5, 5), dtype=int), [KEY], [(1.5, 0)]),
+    (np.zeros((5, 5), dtype=int), [KEY], [("1", 0)]),
 ])
 def test_malformed_queries_rejected(phi_table, gens, values):
     for engine in (kernel.impossible, kernel.residue_counts):
         with pytest.raises(kernel.MalformedQuery):
             engine(5, phi_table, gens, values)
+    if len(gens) == 1 and values == [(0, 0)]:  # table or generators at fault
+        with pytest.raises(kernel.MalformedQuery):
+            kernel.outcome_counts(5, phi_table, gens)
 
 
 def test_multi_chunk_batch_equals_single_queries(monkeypatch):
@@ -137,3 +152,57 @@ def test_one_query_memory_bounded_at_d31():
     # about 24 bytes per CHUNK entry; one unchunked query at d = 31
     # (d^4 = 923,521 exponents) takes about 22 MiB
     assert peak < 48 * kernel.CHUNK
+
+
+def every_outcome_by_query(d, n, phi_table, gens):
+    """outcome_counts' oracle: residue_counts over each subspace repeated
+    once per outcome, outcomes row-major."""
+    outcomes = np.indices((d,) * n).reshape(n, -1).T
+    counts = kernel.residue_counts(
+        d, phi_table, np.repeat(gens, d ** n, axis=0),
+        np.tile(outcomes, (len(gens), 1)))
+    return counts.reshape(len(gens), d ** n, d ** n, d)
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (5, 2), (7, 2), (5, 1)])
+def test_outcome_counts_equal_one_query_per_outcome(d, n):
+    rng = random.Random(d + n)
+    m = Modulus(d)
+    keys = np.array([c.canonical_key for c in enumerate_contexts(m, n)])
+    if n == 2:
+        tables = [random_state(rng, d).phi_table() for _ in range(2)]
+    else:
+        tables = [np.array([rng.randrange(d) for _ in range(d)])]
+    for tab in tables:
+        got = kernel.outcome_counts(d, tab, keys)
+        assert got.shape == (len(keys), d ** n, d ** n, d)
+        assert np.array_equal(got, every_outcome_by_query(d, n, tab, keys))
+
+
+@pytest.mark.parametrize("chunk", [
+    2 * 5 ** 6,  # two subspaces per bincount
+    4 * 5 ** 4,  # four outcomes per bincount
+    100,  # one outcome and four kets per bincount
+])
+def test_outcome_counts_split_equals_unsplit(monkeypatch, chunk):
+    d = 5
+    st = random_state(random.Random(5), d)
+    keys = [c.canonical_key for c in enumerate_contexts(Modulus(d), 2)[::15]]
+    monkeypatch.setattr(kernel, "CHUNK", len(keys) * d ** 6)
+    whole = kernel.outcome_counts(d, st.phi_table(), keys)
+    monkeypatch.setattr(kernel, "CHUNK", chunk)
+    split = kernel.outcome_counts(d, st.phi_table(), keys)
+    assert np.array_equal(split, whole)
+
+
+def test_one_subspace_memory_bounded_at_d13():
+    d = 13
+    tab = np.arange(d * d).reshape(d, d) ** 3 % d
+    tracemalloc.start()
+    try:
+        out = kernel.outcome_counts(d, tab, [((1, 0, 0, 0), (0, 0, 0, 1))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # d^6 = 4,826,809 exponents, split into outcome blocks of CHUNK or fewer
+    assert peak < out.nbytes + 48 * kernel.CHUNK
