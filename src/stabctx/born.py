@@ -7,10 +7,13 @@ for every output basis ket, one root of unity per subspace element; since d
 is prime such a sum vanishes iff every root appears equally often.  All
 (im)possibility verdicts here are therefore decided by integer counting,
 done by the engine in `stabctx.kernel`, which also serves the decision
-procedure; this module wraps its counts as per-ket `RootMultiset`s and
-zero-sum witnesses.  Born probabilities are read off the same counts c_t:
-the projected amplitude at ket J is d^(-3n/2) * sum_t c_t omega^t.  They
-are floats and advisory only, cross-checked against `stabctx.dense`.
+procedure; this module wraps its per-ket counts as `RootMultiset`s and
+zero-sum witnesses.  Empirical models take the expectation instead:
+d^(2n) <psi|Pi|psi> is a sum of d^(2n) roots, counted by the engine from
+the state's characteristic function.  The outcome is possible iff those
+counts R[s] are not uniform, and its Born probability is
+d^(-2n) * sum_s R[s] cos(2 pi s / d).  Probabilities are floats and
+advisory only, cross-checked against `stabctx.dense`.
 
 The same expansion read as a polynomial in the subspace coordinates (x, y)
 yields the master polynomial: an outcome is impossible iff that polynomial
@@ -268,7 +271,7 @@ class EmpiricalModel:
 
     Two read-only (context, outcome) arrays, outcomes row-major over Z_d^n
     as `outcomes()` lists them: `possible` is exact (integer counting), and
-    `probability` holds floats from the same residue counts, advisory.
+    `probability` holds floats from the same counts, advisory.
     `rows` keys the cells by (context index, outcome), built on first use.
     """
 
@@ -372,28 +375,19 @@ def build_empirical_model(state: PhaseFunctionState,
                           contexts: Sequence[Context]) -> EmpiricalModel:
     """Tabulate possibility and probability for every (context, outcome).
 
-    One `kernel.outcome_counts` call per block of contexts gives, for each
-    of a context's d^n outcomes and each output ket J, the residue counts
-    c_t of its roots.  The outcome is possible iff some ket's counts are not
-    uniform, and the projected amplitude at J is d^(-3n/2) * sum_t c_t
-    omega^t, so its Born probability is d^(-3n) * sum_J |sum_t c_t omega^t|^2.
-    Blocks hold max(1, kernel.CHUNK // d^(2n)) contexts, which keeps the
-    counts of one block to a few MiB at any d; each block is reduced into
-    its slice of the model's two arrays before the next.
+    From each cell's `kernel.weyl_counts` R[s], the roots whose sum is
+    d^(2n) <psi|Pi|psi>: possible iff R is not uniform (exact, d prime), with
+    probability d^(-2n) * sum_s R[s] cos(2 pi s / d), or exactly 0.0.
     """
     for ctx in contexts:
         _check_compatible(state, ctx)
     d, n = state.modulus.d, state.n
     keys = np.reshape([ctx.canonical_key for ctx in contexts], (-1, n, 2 * n))
-    phi = state.phi_table()
-    roots = np.exp(2j * np.pi * np.arange(d) / d)
-    step = max(1, kernel.CHUNK // d ** (2 * n))
+    cos = np.cos(2 * np.pi * np.arange(d) / d)
     possible = np.empty((len(keys), d ** n), dtype=bool)
     probability = np.empty((len(keys), d ** n))
-    for c0 in range(0, len(keys), step):
-        counts = kernel.outcome_counts(d, phi, keys[c0:c0 + step])
-        amps = sum(counts[..., t] * roots[t] for t in range(d))
-        possible[c0:c0 + step] = (counts != counts[..., :1]).any(axis=(2, 3))
-        probability[c0:c0 + step] = \
-            (amps.real ** 2 + amps.imag ** 2).sum(axis=-1) / d ** (3 * n)
-    return EmpiricalModel(state, tuple(contexts), possible, probability)
+    for qs, counts in kernel.weyl_counts(d, state.phi_table(), keys):
+        possible[qs] = (counts != counts[..., :1]).any(axis=-1)
+        probability[qs] = np.where(possible[qs], counts @ cos, 0.0)
+    return EmpiricalModel(state, tuple(contexts), possible,
+                          probability / d ** (2 * n))

@@ -11,24 +11,25 @@ coordinates (P, Q), one root of unity omega^e with
 
 Since d is prime, the d^n roots of one ket sum to zero iff every residue
 appears equally often, i.e. d^(n-1) times; the outcome is impossible iff
-that holds at every ket.  This module is the only place the exponent is
-written out.
+that holds at every ket (`residue_counts` counts, `impossible` decides).
+This module is the only place the exponent is written out.
 
-There are two entries.  `residue_counts` (and `impossible`, which reduces
-its counts to one flag per query) takes one outcome per query;
-`outcome_counts` counts all d^n outcomes of each subspace.  Only the term
--sum_i c_i a_i depends on the outcome, so it makes a subspace's gathers
-once and adds that term for every outcome.
+`weyl_counts` counts d^(2n) <psi|Pi|psi> for each outcome's projector Pi:
+pairing with the state adds -Phi(J) to e, and with E_w(J) = e - Phi(J) +
+sum_i c_i a_i, sum_J omega^E_w(J) = d^n <psi|W(w)|psi> is the state's
+characteristic function at w = (P, Q).  Counted once per point as C_w, it
+gives each cell's counts R[s] = sum_c C_(c.g)[s + c.a], and the outcome is
+possible iff R is not uniform.
 
 Every input must be integer and is reduced mod d on entry, so any integers
-that mean the same thing mod d give the same answer.  Exponents are counted
-in chunks of at most CHUNK (queries, outcomes and then kets are split as
-needed), so working memory stays bounded at any d.
+that mean the same thing mod d give the same answer.  Exponents and gathers
+come in chunks of at most CHUNK, so working memory stays bounded at any d.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -45,15 +46,20 @@ class MalformedQuery(StabctxError):
 
 
 def _reduce(array, d):
-    array = np.asarray(array)
-    if not np.issubdtype(array.dtype, np.integer):
+    try:
+        array = np.asarray(array)
+    except ValueError:  # ragged rows
+        raise MalformedQuery("expected rectangular integer arrays") from None
+    if array.size and not np.issubdtype(array.dtype, np.integer):
         raise MalformedQuery(f"expected integers, got {array.dtype} entries")
     return (array % d).astype(np.int64)
 
 
-def _prepare(d, phi_table, gens, values):
-    phi = _reduce(phi_table, d).astype(np.int32)
-    gens, values = _reduce(gens, d), _reduce(values, d)
+def _prepare(d, phi_table, gens, values=None):
+    """Inputs reduced mod d; without `values`, only table and generators."""
+    phi, gens = _reduce(phi_table, d).astype(np.int32), _reduce(gens, d)
+    values = (np.zeros(gens.shape[:2], dtype=np.int64) if values is None
+              else _reduce(values, d))
     n = phi.ndim
     if (n not in (1, 2) or phi.shape != (d,) * n
             or gens.shape[1:] != (n, 2 * n) or values.shape != gens.shape[:2]):
@@ -71,25 +77,17 @@ def _grid(d, n):
 
 
 def _ket_tables(d, phi, grid, place, kets):
-    """The (point, ket) tables of one ket chunk: J.P mod d plus 3d times the
-    ket's column, and Phi(J - Q)."""
+    """The (point, ket) tables of one ket chunk: J.P mod d and Phi(J - Q)."""
     shift = np.zeros((len(grid), len(kets)), dtype=np.int32)
     for i in range(grid.shape[1]):
         shift += (kets[:, i] - grid[:, i, None]) % d * place[i]
-    return (grid @ kets.T % d + 3 * d * np.arange(len(kets), dtype=np.int32),
-            phi[shift])
+    return grid @ kets.T % d, phi[shift]
 
 
-def _subspace_terms(d, grid, place, gens, dot, phase):
-    """e[q, element, ket], the J.P and Phi(J - Q) terms gathered at each
-    element's (P, Q), and -inv2 * sum P_i Q_i per (q, element), which the
-    caller reduces mod d with the outcome term."""
-    points = grid @ gens % d  # (subspace, element, coordinate)
-    P, Q = points[..., 0::2], points[..., 1::2]
-    e = dot[P @ place]
-    e += phase[Q @ place]
-    inv2 = (d + 1) // 2
-    return e, -inv2 * (P * Q).sum(axis=-1)
+def _fold(bins, d):
+    """Counts over exponents in [0, 3d), last axis, folded mod d.  Two slice
+    adds run 3-4x faster than a sum over a size-3 axis on these shapes."""
+    return bins[..., :d] + bins[..., d:2 * d] + bins[..., 2 * d:]
 
 
 def _chunks(d, phi, n, gens, values):
@@ -103,25 +101,28 @@ def _chunks(d, phi, n, gens, values):
     """
     grid, place = _grid(d, n)
     size = len(grid)
-    if size * size <= CHUNK:
-        q_step, k_step = CHUNK // (size * size), size
-    else:
-        q_step, k_step = 1, max(1, CHUNK // size)
-    span = 3 * d
+    k_step = min(size, max(1, CHUNK // size))
+    q_step = max(1, CHUNK // (size * size))  # 1 unless k_step == size
+    span, inv2 = 3 * d, (d + 1) // 2
     for k0 in range(0, size, k_step):
         kets = grid[k0:k0 + k_step]
         nk = len(kets)
-        tables = _ket_tables(d, phi, grid, place, kets)
+        dot, phase = _ket_tables(d, phi, grid, place, kets)
+        dot += span * np.arange(nk, dtype=np.int32)
         for q0 in range(0, len(gens), q_step):
             qs = slice(q0, q0 + q_step)
-            e, quad = _subspace_terms(d, grid, place, gens[qs], *tables)
-            base = (quad - values[qs] @ grid.T) % d
+            points = grid @ gens[qs] % d  # (query, element, coordinate)
+            P, Q = points[..., 0::2], points[..., 1::2]
+            e = dot[P @ place]
+            e += phase[Q @ place]
+            base = (-inv2 * (P * Q).sum(axis=-1) - values[qs] @ grid.T) % d
+            del points, P, Q  # not held through the bincount peak
             nq = len(base)
             base += span * nk * np.arange(nq)[:, None]
             e += base.astype(np.int32)[:, :, None]
             counts = np.bincount(e.ravel(), minlength=nq * nk * span)
             yield (qs, slice(k0, k0 + nk),
-                   counts.reshape(nq, nk, 3, d).sum(axis=2))
+                   _fold(counts.reshape(nq, nk, span), d))
 
 
 def residue_counts(d: int, phi_table, gens, values) -> np.ndarray:
@@ -148,41 +149,46 @@ def impossible(d: int, phi_table, gens, values) -> np.ndarray:
     return out
 
 
-def outcome_counts(d: int, phi_table, gens) -> np.ndarray:
-    """counts[q, o, ket, t]: `residue_counts` of subspace q with outcome o,
-    for all d^n outcomes o row-major over Z_d^n.
+def _point_counts(d, phi, grid, place):
+    """C[w, t]: how many kets J give E_w(J) = t, points w = (P, Q) row-major
+    with P major.  As in `_chunks`, the (point, ket) tables J.P - Phi(J) at P
+    and Phi(J - Q) at Q and -inv2 * sum P_i Q_i are counted over 3d bins."""
+    size, span = len(grid), 3 * d
+    dot, phase = _ket_tables(d, phi, grid, place, grid)
+    dot = (dot - phi) % d
+    quad = -((d + 1) // 2) * (grid @ grid.T).ravel() % d
+    step = max(1, CHUNK // size)
+    out = np.empty((size * size, d), dtype=np.min_scalar_type(size))
+    for w0 in range(0, size * size, step):
+        ws = np.arange(w0, min(w0 + step, size * size), dtype=np.int32)
+        e = dot[ws // size]
+        e += phase[ws % size] + (quad[ws] + span * (ws - w0))[:, None]
+        bins = np.bincount(e.ravel(), minlength=len(ws) * span)
+        out[ws] = _fold(bins.reshape(-1, span), d)
+    return out
 
-    The gathers of a block of subspaces are made once per ket chunk; the
-    outcome term -sum c_i a_i, tabulated over (outcome, element), is added
-    in blocks of outcomes, so one bincount never exceeds CHUNK exponents.
-    Arguments as for `residue_counts`, without the outcomes.
-    """
-    phi, n, gens, _ = _prepare(d, phi_table, gens,
-                               np.zeros(np.shape(gens)[:2], dtype=np.int64))
+
+def weyl_counts(d: int, phi_table,
+                gens) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (subspace slice, R[q, o, s]) blocks, R counting the d^(2n)
+    roots of d^(2n) <psi|Pi|psi> equal to omega^s, Pi the projector of
+    subspace q's outcome o (row-major over Z_d^n): R[q, o, s] =
+    sum_c C_(c.g)[(s + c.o) mod d], gathered CHUNK counts at a time.
+    Arguments as for `residue_counts` without outcomes, checked lazily."""
+    phi, n, gens, _ = _prepare(d, phi_table, gens)
     grid, place = _grid(d, n)
     size = len(grid)
-    k_step = min(size, max(1, CHUNK // size))
-    o_step = min(size, max(1, CHUNK // (size * k_step)))
-    q_step = max(1, CHUNK // (size * k_step * size))  # 1 unless o_step == size
-    span = 3 * d
-    term = -(grid @ grid.T) % d  # (outcome, element)
-    out = np.empty((len(gens), size, size, d), dtype=np.int64)
-    for k0 in range(0, size, k_step):
-        kets = grid[k0:k0 + k_step]
-        nk = len(kets)
-        tables = _ket_tables(d, phi, grid, place, kets)
-        for q0 in range(0, len(gens), q_step):
-            e, quad = _subspace_terms(d, grid, place, gens[q0:q0 + q_step],
-                                      *tables)
-            nq = len(e)
-            for o0 in range(0, size, o_step):
-                base = (quad[:, None] + term[o0:o0 + o_step]) % d
-                no = base.shape[1]
-                base += span * nk * np.arange(nq * no).reshape(nq, no, 1)
-                counts = np.bincount(
-                    (e[:, None] + base.astype(np.int32)[..., None]).ravel(),
-                    minlength=nq * no * nk * span).reshape(nq, no, nk, 3, d)
-                # two adds fold the bins 3-4x faster than .sum(axis=3)
-                out[q0:q0 + nq, o0:o0 + no, k0:k0 + nk] = \
-                    counts[..., 0, :] + counts[..., 1, :] + counts[..., 2, :]
-    return out
+    # C_w[t mod d] at t * size^2 + w for t < 2d, so that no index wraps
+    flat = np.tile(_point_counts(d, phi, grid, place).T, (2, 1)).ravel()
+    shifts = grid @ grid.T % d * size ** 2  # (outcome, element): c.o rows
+    residues = size ** 2 * np.arange(d).reshape(d, 1, 1, 1)
+    o_step = min(size, max(1, CHUNK // (size * d)))
+    q_step = max(1, CHUNK // (size * size * d))  # 1 unless o_step == size
+    for q0 in range(0, len(gens), q_step):
+        coords = grid @ gens[q0:q0 + q_step] % d  # (subspace, element, coord)
+        w = coords[..., 0::2] @ place * size + coords[..., 1::2] @ place
+        out = np.empty((len(w), size, d), dtype=np.int64)
+        for o0 in range(0, size, o_step):
+            idx = residues + (shifts[o0:o0 + o_step] + w[:, None])
+            out[:, o0:o0 + o_step] = flat[idx].sum(axis=-1).transpose(1, 2, 0)
+        yield slice(q0, q0 + len(w)), out

@@ -407,8 +407,8 @@ def dense_probability(st, ctx, values):
 
 
 class TestBornFromCounts:
-    """Probabilities from the engine's residue counts against the dense
-    projector oracle, and the blocking of contexts into engine calls."""
+    """Probabilities from the engine's counts against the dense projector
+    oracle, and the blocking of contexts into the engine's gathers."""
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_matches_dense_projector_on_every_cell(self, d):
@@ -420,6 +420,8 @@ class TestBornFromCounts:
         for (ci, o), row in model.rows.items():
             assert abs(row.probability
                        - dense_probability(st, contexts[ci], o)) <= 1e-12
+        impossible = model.probability[~model.possible]
+        assert impossible.size and (impossible == 0.0).all()
 
     def test_matches_dense_projector_single_qudit(self):
         m = Modulus(5)
@@ -432,12 +434,13 @@ class TestBornFromCounts:
             assert abs(row.probability
                        - dense_probability(st, contexts[ci], o)) <= 1e-12
             assert row.possible == (row.probability > 1e-9)
+            assert row.possible or row.probability == 0.0
 
     def test_blocks_match_one_context_per_block(self):
         m = Modulus(5)
         st = state(5, "j^3 + 2*j^2*k + k^2 + j")
         contexts = enumerate_contexts(m, 2)
-        assert len(contexts) > kernel.CHUNK // 5 ** 4  # spans two blocks
+        assert len(contexts) > kernel.CHUNK // 5 ** 5  # spans two gathers
         model = build_empirical_model(st, contexts)
         for ci, ctx in enumerate(contexts):
             single = build_empirical_model(st, [ctx])

@@ -213,9 +213,9 @@ class TestArtifactDigests:
 
     @pytest.mark.parametrize("state_class", sorted(D7_DIGESTS))
     def test_d7_full_context_model_csv(self, capsys, tmp_path, state_class):
-        """At d=7 one subspace has d^6 = 117,649 exponents, more than
-        kernel.CHUNK, so the engine splits its outcomes; the bytes were
-        recorded while every outcome was a separate engine query."""
+        """At d=7 the d^6 = 117,649 point exponents, more than
+        kernel.CHUNK, span two bincounts; the bytes were recorded while
+        every outcome was a separate engine query."""
         ref = D7_DIGESTS[state_class]
         path = tmp_path / "model.csv"
         code, _, _ = run(capsys, "model", "--d", "7", "--phi", ref["phi"],

@@ -12,7 +12,7 @@ from stabctx import dense, kernel
 from stabctx.born import JointOutcome, impossibility_by_psi
 from stabctx.hidden_vars import proof_context_parameters, \
     proof_stage_parameters
-from stabctx.phase_space import enumerate_contexts
+from stabctx.phase_space import enumerate_contexts, table1_contexts
 from stabctx.states import PhaseFunctionState
 from stabctx.zmod import Modulus, ZdPoly
 
@@ -28,6 +28,18 @@ def random_state(rng, d):
 
 def all_outcomes(d):
     return [(a, b) for a in range(d) for b in range(d)]
+
+
+def weyl(d, phi_table, gens):
+    """All of kernel.weyl_counts' blocks, checked to tile the subspaces in
+    order."""
+    blocks, end = [], 0
+    for qs, block in kernel.weyl_counts(d, phi_table, gens):
+        assert (qs.start, qs.stop) == (end, end + len(block))
+        blocks.append(block)
+        end = qs.stop
+    assert end == len(gens)
+    return np.concatenate(blocks)
 
 
 def test_kernel_matches_projector_route():
@@ -72,8 +84,8 @@ def test_inputs_reduced_mod_d():
                 kernel.impossible(d, *moved),
                 (want == d).all(axis=(1, 2)))
             assert np.array_equal(
-                kernel.outcome_counts(d, moved[0], moved[1][:d]),
-                kernel.outcome_counts(d, tab, gens[:d]))
+                weyl(d, moved[0], moved[1][:d]),
+                weyl(d, tab, gens[:d]))
 
 
 def test_proof_stage_parameters_match_reference():
@@ -108,6 +120,9 @@ KEY = ((1, 0, 0, 0), (0, 0, 1, 0))
     (np.zeros((5, 5), dtype=int), [((1.5, 0, 0, 0), (0, 0, 1, 0))], [(0, 0)]),
     (np.zeros((5, 5), dtype=int), [KEY], [(1.5, 0)]),
     (np.zeros((5, 5), dtype=int), [KEY], [("1", 0)]),
+    # ragged generators, ragged outcomes
+    (np.zeros((5, 5), dtype=int), [((1, 0, 0, 0), (0, 0, 1))], [(0, 0)]),
+    (np.zeros((5, 5), dtype=int), [KEY] * 2, [(0, 0), (0,)]),
 ])
 def test_malformed_queries_rejected(phi_table, gens, values):
     for engine in (kernel.impossible, kernel.residue_counts):
@@ -115,7 +130,7 @@ def test_malformed_queries_rejected(phi_table, gens, values):
             engine(5, phi_table, gens, values)
     if len(gens) == 1 and values == [(0, 0)]:  # table or generators at fault
         with pytest.raises(kernel.MalformedQuery):
-            kernel.outcome_counts(5, phi_table, gens)
+            weyl(5, phi_table, gens)
 
 
 def test_multi_chunk_batch_equals_single_queries(monkeypatch):
@@ -154,44 +169,82 @@ def test_one_query_memory_bounded_at_d31():
     assert peak < 48 * kernel.CHUNK
 
 
-def every_outcome_by_query(d, n, phi_table, gens):
-    """outcome_counts' oracle: residue_counts over each subspace repeated
-    once per outcome, outcomes row-major."""
+def every_cell(d, n, gens):
+    """Query generators and outcomes: each subspace repeated once per
+    outcome, outcomes row-major."""
     outcomes = np.indices((d,) * n).reshape(n, -1).T
-    counts = kernel.residue_counts(
-        d, phi_table, np.repeat(gens, d ** n, axis=0),
-        np.tile(outcomes, (len(gens), 1)))
-    return counts.reshape(len(gens), d ** n, d ** n, d)
+    return np.repeat(gens, d ** n, axis=0), np.tile(outcomes, (len(gens), 1))
 
 
-@pytest.mark.parametrize("d, n", [(3, 2), (5, 2), (7, 2), (5, 1)])
-def test_outcome_counts_equal_one_query_per_outcome(d, n):
+def weyl_by_query(d, n, phi_table, gens):
+    """weyl_counts' oracle from residue_counts on every cell: the root
+    counted at ket J and residue t has expectation exponent t - Phi(J), so
+    shifting each ket's counts by Phi(J) and summing over kets gives R."""
+    counts = kernel.residue_counts(d, phi_table, *every_cell(d, n, gens))
+    counts = counts.reshape(len(gens), d ** n, d ** n, d)
+    shift = (np.arange(d) + np.ravel(phi_table)[:, None]) % d  # (ket, s)
+    return np.take_along_axis(
+        counts, np.broadcast_to(shift, counts.shape), axis=3).sum(axis=2)
+
+
+def impossible_by_query(d, n, phi_table, gens):
+    """kernel.impossible on every (subspace, outcome) cell, shaped (q, o)."""
+    return kernel.impossible(d, phi_table, *every_cell(d, n, gens)).reshape(
+        len(gens), d ** n)
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
+                                  (7, 2)])
+def test_weyl_counts_equal_ket_sums_of_residue_counts(d, n):
     rng = random.Random(d + n)
     m = Modulus(d)
     keys = np.array([c.canonical_key for c in enumerate_contexts(m, n)])
     if n == 2:
         tables = [random_state(rng, d).phi_table() for _ in range(2)]
-    else:
-        tables = [np.array([rng.randrange(d) for _ in range(d)])]
+    else:  # a quadratic table is a stabilizer state, with impossible outcomes
+        tables = [np.array([rng.randrange(d) for _ in range(d)]),
+                  np.arange(d) ** 2 * rng.randrange(1, d) % d]
+    verdicts = set()
     for tab in tables:
-        got = kernel.outcome_counts(d, tab, keys)
-        assert got.shape == (len(keys), d ** n, d ** n, d)
-        assert np.array_equal(got, every_outcome_by_query(d, n, tab, keys))
+        got = weyl(d, tab, keys)
+        assert got.shape == (len(keys), d ** n, d)
+        assert np.array_equal(got, weyl_by_query(d, n, tab, keys))
+        possible = (got != got[..., :1]).any(axis=-1)
+        assert np.array_equal(possible, ~impossible_by_query(d, n, tab, keys))
+        verdicts.update(possible.ravel().tolist())
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d, count", [(11, 6), (13, 4)])
+def test_weyl_possibility_matches_impossible_on_sampled_cells(d, count):
+    rng = random.Random(d)
+    m = Modulus(d)
+    pools = (enumerate_contexts(m, 2), table1_contexts(m))
+    verdicts = set()
+    for _ in range(2):
+        tab = random_state(rng, d).phi_table()
+        keys = [pool[rng.randrange(len(pool))].canonical_key
+                for pool in pools for _ in range(count)]
+        got = weyl(d, tab, keys)
+        possible = (got != got[..., :1]).any(axis=-1)
+        assert np.array_equal(possible, ~impossible_by_query(d, 2, tab, keys))
+        verdicts.update(possible.ravel().tolist())
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("chunk", [
-    2 * 5 ** 6,  # two subspaces per bincount
-    4 * 5 ** 4,  # four outcomes per bincount
-    100,  # one outcome and four kets per bincount
+    2 * 5 ** 6,  # ten subspaces per gather, all points in one bincount
+    4 * 5 ** 4,  # twenty outcomes per gather, 100 points per bincount
+    100,  # one outcome per gather, four points per bincount
 ])
-def test_outcome_counts_split_equals_unsplit(monkeypatch, chunk):
+def test_weyl_counts_split_equals_unsplit(monkeypatch, chunk):
     d = 5
     st = random_state(random.Random(5), d)
     keys = [c.canonical_key for c in enumerate_contexts(Modulus(d), 2)[::15]]
     monkeypatch.setattr(kernel, "CHUNK", len(keys) * d ** 6)
-    whole = kernel.outcome_counts(d, st.phi_table(), keys)
+    whole = weyl(d, st.phi_table(), keys)
     monkeypatch.setattr(kernel, "CHUNK", chunk)
-    split = kernel.outcome_counts(d, st.phi_table(), keys)
+    split = weyl(d, st.phi_table(), keys)
     assert np.array_equal(split, whole)
 
 
@@ -200,9 +253,11 @@ def test_one_subspace_memory_bounded_at_d13():
     tab = np.arange(d * d).reshape(d, d) ** 3 % d
     tracemalloc.start()
     try:
-        out = kernel.outcome_counts(d, tab, [((1, 0, 0, 0), (0, 0, 0, 1))])
+        blocks = list(kernel.weyl_counts(d, tab, [((1, 0, 0, 0),
+                                                   (0, 0, 0, 1))]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # d^6 = 4,826,809 exponents, split into outcome blocks of CHUNK or fewer
-    assert peak < out.nbytes + 48 * kernel.CHUNK
+    # d^6 = 4,826,809 point exponents in bincounts of CHUNK or fewer, then
+    # gathers of CHUNK or fewer counts
+    assert peak < sum(b.nbytes for _, b in blocks) + 48 * kernel.CHUNK
