@@ -30,7 +30,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -331,21 +331,22 @@ class EmpiricalModel:
 
     def _cells(self, outcomes: Sequence):
         """(label, outcomes[i], possible, probability) per cell, in order."""
-        for ctx, possible, probs in zip(self.contexts, self.possible.tolist(),
-                                        self.probability.tolist()):
+        for ctx, possible, probs in zip(self.contexts, self.possible,
+                                        self.probability):
             yield from zip(itertools.repeat(ctx.display_label), outcomes,
-                           possible, probs)
+                           possible.tolist(), probs.tolist())
 
-    def to_csv(self) -> str:
-        """CSV with columns: context, outcome, possible, probability.
+    def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
+        """CSV with columns: context, outcome, possible, probability,
+        streamed row by row to `out`, or returned as text without `out`.
         Outcome values are ';'-joined; probabilities use 12 digits."""
-        buf = io.StringIO()
+        buf = io.StringIO() if out is None else out
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["context", "outcome", "possible", "probability"])
         texts = [";".join(map(str, o)) for o in self.outcomes()]
         writer.writerows((label, o, ("false", "true")[p], f"{q:.12f}")
                          for label, o, p, q in self._cells(texts))
-        return buf.getvalue()
+        return buf.getvalue() if out is None else None
 
     def to_json_obj(self) -> dict:
         """JSON document; each impossible outcome carries its zero-sum
@@ -375,9 +376,9 @@ def build_empirical_model(state: PhaseFunctionState,
                           contexts: Sequence[Context]) -> EmpiricalModel:
     """Tabulate possibility and probability for every (context, outcome).
 
-    From each cell's `kernel.weyl_counts` R[s], the roots whose sum is
-    d^(2n) <psi|Pi|psi>: possible iff R is not uniform (exact, d prime), with
-    probability d^(-2n) * sum_s R[s] cos(2 pi s / d), or exactly 0.0.
+    From each cell's `kernel.PointCounts.weyl_counts` R[s], the roots whose
+    sum is d^(2n) <psi|Pi|psi>: possible iff R is not uniform (exact, d
+    prime), with probability d^(-2n) * sum_s R[s] cos(2 pi s / d), or 0.0.
     """
     for ctx in contexts:
         _check_compatible(state, ctx)
@@ -386,7 +387,8 @@ def build_empirical_model(state: PhaseFunctionState,
     cos = np.cos(2 * np.pi * np.arange(d) / d)
     possible = np.empty((len(keys), d ** n), dtype=bool)
     probability = np.empty((len(keys), d ** n))
-    for qs, counts in kernel.weyl_counts(d, state.phi_table(), keys):
+    for qs, counts in kernel.PointCounts(d, state.phi_table()).weyl_counts(
+            keys):
         possible[qs] = (counts != counts[..., :1]).any(axis=-1)
         probability[qs] = np.where(possible[qs], counts @ cos, 0.0)
     return EmpiricalModel(state, tuple(contexts), possible,

@@ -156,10 +156,11 @@ def cmd_model(args) -> int:
     state = _state(args, m)
     contexts = _contexts_for(args, m)
     model = build_empirical_model(state, contexts)
-    if args.format == "csv":
-        _emit(model.to_csv(), args.output)
-    else:
-        _emit(_json_text(model.to_json_obj()), args.output)
+    with _output(args.output) as out:
+        if args.format == "csv":
+            model.to_csv(out)
+        else:
+            out.write(_json_text(model.to_json_obj()))
     return 0
 
 
@@ -247,14 +248,15 @@ def cmd_selftest(args) -> int:
         ctx = contexts[rng.randrange(len(contexts))]
         outcome = JointOutcome(ctx, (rng.randrange(3), rng.randrange(3)))
         exact = outcome_possibility(st, outcome).possible
-        engine = not kernel.impossible(3, st.phi_table(), [ctx.canonical_key],
-                                       [outcome.values])[0]
+        query = ([ctx.canonical_key], [outcome.values])
+        engine = not kernel.impossible(3, st.phi_table(), *query)[0]
+        cell = not kernel.PointCounts(3, st.phi_table()).impossible(*query)[0]
         psi = not impossibility_by_psi(st, outcome)
         proj = dense.outcome_projector(ctx, outcome.values)
         vec = dense.phase_state_vector(m, st.phi)
         dense_prob = float(np.linalg.norm(proj @ vec) ** 2)
         counted = build_empirical_model(st, [ctx]).row(0, outcome.values)
-        agree &= exact == engine == psi == (dense_prob > 1e-18)
+        agree &= exact == engine == cell == psi == (dense_prob > 1e-18)
         probs_agree &= abs(counted.probability - dense_prob) <= 1e-12
     check("possibility routes agree (40 random cases)", agree)
     check("counted and dense probabilities agree (40 random cases)",

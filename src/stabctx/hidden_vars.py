@@ -15,9 +15,10 @@ enumeration when the shortcut does not apply.
 The scan handles candidates as arrays rather than one at a time: shortcut
 parameters are computed for a whole block of lam at once, each stage walks
 its contexts in order over the lam not yet refuted, and every distinct
-(subspace, outcome) query is answered once, by the batched exact engine in
-`stabctx.kernel`, and kept in one int8 table over (subspace, a, b) cells.
-Each block of lam fills its own slice of the certificate's columns.
+(subspace, outcome) query is answered once, from the state's point-count
+table (`kernel.PointCounts`, built once per state), and kept in one int8
+table over (subspace, a, b) cells.  Each block of lam fills its own slice
+of the certificate's columns.
 """
 
 from __future__ import annotations
@@ -409,10 +410,11 @@ class _Scanner:
     stage, as the strategy allows) until its prescribed outcome is
     impossible in one.  A subspace is named by its row in `context_rows`:
     the table1 stage is the rows of the Table-1 families, in catalogue
-    order, and the full stage is every row.  lam are processed as arrays,
-    and every distinct (subspace, a, b) query goes to the engine at most
-    once per state: `known` holds one int8 per cell at (sid*d + a)*d + b,
-    -1 until asked, then 0 (possible) or 1 (impossible).  That is
+    order, and the full stage is every row.  lam are processed as arrays.
+    `counts`, the state's `kernel.PointCounts`, is built here, and every
+    distinct (subspace, a, b) cell goes to its `impossible` at most once
+    per state: `known` holds one int8 per cell at (sid*d + a)*d + b, -1
+    until asked, then 0 (possible) or 1 (impossible).  That is
     (d^2+1)(d+1)d^2 bytes: 19,600 at d = 7, 177,144 at d = 11.
     """
 
@@ -420,7 +422,7 @@ class _Scanner:
                  strategy: str, use_proof: bool):
         self.m = work_state.modulus
         self.d = self.m.d
-        self.phi_tab = work_state.phi_table()
+        self.counts = kernel.PointCounts(self.d, work_state.phi_table())
         self.rep = rep
         self.rows = context_rows(self.m, 2)  # (subspaces, 2, 4)
         self.known = np.full(len(self.rows) * self.d ** 2, -1, dtype=np.int8)
@@ -446,14 +448,14 @@ class _Scanner:
     def _impossible(self, sid: np.ndarray, ab: np.ndarray) -> np.ndarray:
         """Answers, from `known`, for arrays of (subspace, (a, b)) queries;
         cells not asked yet (a query's answer depends only on its cell) go
-        to the engine in one call."""
+        to `counts` in one call."""
         d = self.d
         qid = (sid * d + ab[..., 0]) * d + ab[..., 1]
         new = self.known[qid] < 0
         if new.any():
             todo, first = np.unique(qid[new], return_index=True)
-            self.known[todo] = kernel.impossible(
-                d, self.phi_tab, self.rows[sid[new][first]], ab[new][first])
+            self.known[todo] = self.counts.impossible(
+                self.rows[sid[new][first]], ab[new][first])
         return self.known[qid] == 1
 
     def scan(self, lams: np.ndarray, stage: np.ndarray, where: np.ndarray,

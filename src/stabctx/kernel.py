@@ -1,4 +1,4 @@
-"""Exact possibility engine: batched residue counting.
+"""Exact possibility engine: counting roots of unity.
 
 A query is a maximal isotropic subspace of Z_d^(2n), given by n generator
 rows g_1..g_n in (p1,q1,...,pn,qn) order, and the outcomes a_1..a_n
@@ -9,17 +9,17 @@ coordinates (P, Q), one root of unity omega^e with
 
     e = -sum_i c_i a_i - inv2 * sum_i P_i Q_i + sum_i J_i P_i + Phi(J - Q).
 
-Since d is prime, the d^n roots of one ket sum to zero iff every residue
-appears equally often, i.e. d^(n-1) times; the outcome is impossible iff
-that holds at every ket (`residue_counts` counts, `impossible` decides).
-This module is the only place the exponent is written out.
-
-`weyl_counts` counts d^(2n) <psi|Pi|psi> for each outcome's projector Pi:
-pairing with the state adds -Phi(J) to e, and with E_w(J) = e - Phi(J) +
-sum_i c_i a_i, sum_J omega^E_w(J) = d^n <psi|W(w)|psi> is the state's
-characteristic function at w = (P, Q).  Counted once per point as C_w, it
-gives each cell's counts R[s] = sum_c C_(c.g)[s + c.a], and the outcome is
-possible iff R is not uniform.
+The production engine is `PointCounts`.  Pairing with the state adds
+-Phi(J) to e, and with E_w(J) = e - Phi(J) + sum_i c_i a_i, sum_J
+omega^E_w(J) = d^n <psi|W(w)|psi> is the state's characteristic function
+at w = (P, Q).  Counted once per state as C_w, it gives the counts R[s] =
+sum_c C_(c.g)[s + c.a] of the roots of d^(2n) <psi|Pi|psi>, and since d is
+prime the outcome is impossible iff R is uniform.  Its readers serve
+empirical models (`weyl_counts`) and the hidden-variable scan (`impossible`).
+The per-ket route stays as an oracle: one ket's d^n roots sum to zero iff
+each residue appears d^(n-1) times, and the outcome is impossible iff that
+holds at every ket (`residue_counts` counts, `impossible` decides).  This
+module is the only place the exponent is written out.
 
 Every input must be integer and is reduced mod d on entry, so any integers
 that mean the same thing mod d give the same answer.  Exponents and gathers
@@ -55,17 +55,23 @@ def _reduce(array, d):
     return (array % d).astype(np.int64)
 
 
-def _prepare(d, phi_table, gens, values=None):
-    """Inputs reduced mod d; without `values`, only table and generators."""
-    phi, gens = _reduce(phi_table, d).astype(np.int32), _reduce(gens, d)
+def _queries(d, n, gens, values=None):
+    """Generators and outcomes (zero without `values`) reduced mod d."""
+    gens = _reduce(gens, d)
     values = (np.zeros(gens.shape[:2], dtype=np.int64) if values is None
               else _reduce(values, d))
-    n = phi.ndim
-    if (n not in (1, 2) or phi.shape != (d,) * n
-            or gens.shape[1:] != (n, 2 * n) or values.shape != gens.shape[:2]):
-        raise MalformedQuery(f"phi table {phi.shape}, generators {gens.shape} "
-                             f"and outcomes {values.shape} do not fit d={d}")
-    return phi.ravel(), n, gens, values
+    if gens.shape[1:] != (n, 2 * n) or values.shape != gens.shape[:2]:
+        raise MalformedQuery(f"generators {gens.shape} and outcomes "
+                             f"{values.shape} do not fit n={n}")
+    return gens, values
+
+
+def _table(d, phi_table):
+    """The phi table reduced mod d, flattened, and its qudit count n."""
+    phi = _reduce(phi_table, d).astype(np.int32)
+    if phi.ndim not in (1, 2) or phi.shape != (d,) * phi.ndim:
+        raise MalformedQuery(f"phi table {phi.shape} does not fit d={d}")
+    return phi.ravel(), phi.ndim
 
 
 def _grid(d, n):
@@ -132,7 +138,8 @@ def residue_counts(d: int, phi_table, gens, values) -> np.ndarray:
     phi_table has shape (d,)*n with n in {1, 2}; gens has shape (Q, n, 2n)
     and values shape (Q, n), all of integer dtype.
     """
-    phi, n, gens, values = _prepare(d, phi_table, gens, values)
+    phi, n = _table(d, phi_table)
+    gens, values = _queries(d, n, gens, values)
     out = np.empty((len(gens), d ** n, d), dtype=np.int64)
     for qs, ks, counts in _chunks(d, phi, n, gens, values):
         out[qs, ks] = counts
@@ -142,7 +149,8 @@ def residue_counts(d: int, phi_table, gens, values) -> np.ndarray:
 def impossible(d: int, phi_table, gens, values) -> np.ndarray:
     """Boolean per query: whether its joint outcome is impossible, i.e. every
     ket's root multiset is uniform.  Arguments as for `residue_counts`."""
-    phi, n, gens, values = _prepare(d, phi_table, gens, values)
+    phi, n = _table(d, phi_table)
+    gens, values = _queries(d, n, gens, values)
     out = np.ones(len(gens), dtype=bool)
     for qs, _ks, counts in _chunks(d, phi, n, gens, values):
         out[qs] &= (counts == d ** (n - 1)).all(axis=(1, 2))
@@ -150,45 +158,78 @@ def impossible(d: int, phi_table, gens, values) -> np.ndarray:
 
 
 def _point_counts(d, phi, grid, place):
-    """C[w, t]: how many kets J give E_w(J) = t, points w = (P, Q) row-major
-    with P major.  As in `_chunks`, the (point, ket) tables J.P - Phi(J) at P
-    and Phi(J - Q) at Q and -inv2 * sum P_i Q_i are counted over 3d bins."""
+    """C[t, w], residue-major: how many kets J give E_w(J) = t, points w =
+    (P, Q) row-major with P major.  As in `_chunks`, the (point, ket) tables
+    J.P - Phi(J) at P and Phi(J - Q) at Q and -inv2 * sum P_i Q_i are
+    counted over 3d bins."""
     size, span = len(grid), 3 * d
     dot, phase = _ket_tables(d, phi, grid, place, grid)
     dot = (dot - phi) % d
     quad = -((d + 1) // 2) * (grid @ grid.T).ravel() % d
     step = max(1, CHUNK // size)
-    out = np.empty((size * size, d), dtype=np.min_scalar_type(size))
+    out = np.empty((d, size * size), dtype=np.min_scalar_type(size))
     for w0 in range(0, size * size, step):
         ws = np.arange(w0, min(w0 + step, size * size), dtype=np.int32)
         e = dot[ws // size]
         e += phase[ws % size] + (quad[ws] + span * (ws - w0))[:, None]
         bins = np.bincount(e.ravel(), minlength=len(ws) * span)
-        out[ws] = _fold(bins.reshape(-1, span), d)
+        out[:, w0:w0 + len(ws)] = _fold(bins.reshape(-1, span), d).T
     return out
 
 
-def weyl_counts(d: int, phi_table,
-                gens) -> Iterator[tuple[slice, np.ndarray]]:
-    """Yield (subspace slice, R[q, o, s]) blocks, R counting the d^(2n)
-    roots of d^(2n) <psi|Pi|psi> equal to omega^s, Pi the projector of
-    subspace q's outcome o (row-major over Z_d^n): R[q, o, s] =
-    sum_c C_(c.g)[(s + c.o) mod d], gathered CHUNK counts at a time.
-    Arguments as for `residue_counts` without outcomes, checked lazily."""
-    phi, n, gens, _ = _prepare(d, phi_table, gens)
-    grid, place = _grid(d, n)
-    size = len(grid)
-    # C_w[t mod d] at t * size^2 + w for t < 2d, so that no index wraps
-    flat = np.tile(_point_counts(d, phi, grid, place).T, (2, 1)).ravel()
-    shifts = grid @ grid.T % d * size ** 2  # (outcome, element): c.o rows
-    residues = size ** 2 * np.arange(d).reshape(d, 1, 1, 1)
-    o_step = min(size, max(1, CHUNK // (size * d)))
-    q_step = max(1, CHUNK // (size * size * d))  # 1 unless o_step == size
-    for q0 in range(0, len(gens), q_step):
-        coords = grid @ gens[q0:q0 + q_step] % d  # (subspace, element, coord)
-        w = coords[..., 0::2] @ place * size + coords[..., 1::2] @ place
-        out = np.empty((len(w), size, d), dtype=np.int64)
-        for o0 in range(0, size, o_step):
-            idx = residues + (shifts[o0:o0 + o_step] + w[:, None])
-            out[:, o0:o0 + o_step] = flat[idx].sum(axis=-1).transpose(1, 2, 0)
-        yield slice(q0, q0 + len(w)), out
+class PointCounts:
+    """One state's point counts C, built once for two readers that gather a
+    cell's R[s] = sum_c C_(c.g)[(s + c.a) mod d], CHUNK counts at a time.
+    C is d^(2n+1) counts of one or two bytes: 161 KB at d = 11."""
+
+    def __init__(self, d: int, phi_table):
+        phi, self.n = _table(d, phi_table)
+        self.d, (self.grid, self.place) = d, _grid(d, self.n)
+        self.table = _point_counts(d, phi, self.grid, self.place)
+        # [s, shift]: the offset in C of row (s + shift) mod d
+        self.rot = np.add.outer(range(d), range(d)) % d * d ** (2 * self.n)
+
+    def _points(self, gens):
+        """w[q, c]: the row-major index of subspace q's element c.g."""
+        coords = self.grid @ gens % self.d  # (subspace, element, coordinate)
+        return coords[..., 0::2] @ self.place * len(self.grid) \
+            + coords[..., 1::2] @ self.place
+
+    def _gather(self, rows, w):
+        """R[s, ...] = sum_c C[(s + shift) mod d, w[..., c]]: `rows` are
+        rot.take(shifts, axis=1), broadcast against the points w."""
+        return self.table.ravel()[rows + w].sum(axis=-1)
+
+    def weyl_counts(self, gens) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (subspace slice, R[q, o, s]) blocks, R counting the d^(2n)
+        roots of d^(2n) <psi|Pi|psi> equal to omega^s, Pi the projector of
+        subspace q's outcome o (row-major over Z_d^n).  Generators as for
+        `residue_counts`, checked lazily."""
+        gens, _ = _queries(self.d, self.n, gens)
+        d, size = self.d, len(self.grid)
+        shifts = self.grid @ self.grid.T % d  # c.o: (outcome, element)
+        o_step = min(size, max(1, CHUNK // (size * d)))
+        q_step = max(1, CHUNK // (size * size * d))  # 1 unless o_step == size
+        block = max(1, CHUNK // (size * d))  # subspaces per yielded block
+        for b0 in range(0, len(gens), block):
+            w = self._points(gens[b0:b0 + block])
+            out = np.empty((len(w), size, d), dtype=np.int64)
+            for o0 in range(0, size, o_step):
+                rows = self.rot.take(shifts[o0:o0 + o_step, None], axis=1)
+                for q0 in range(0, len(w), q_step):
+                    out[q0:q0 + q_step, o0:o0 + o_step] = self._gather(
+                        rows, w[q0:q0 + q_step]).transpose(2, 1, 0)
+            yield slice(b0, b0 + len(w)), out
+
+    def impossible(self, gens, values) -> np.ndarray:
+        """Boolean per cell: whether R is uniform, i.e. <psi|Pi|psi> = 0.
+        The per-ket `impossible`'s verdicts and arguments, less the table."""
+        gens, values = _queries(self.d, self.n, gens, values)
+        step = max(1, CHUNK // (len(self.grid) * self.d))
+        out = np.empty(len(gens), dtype=bool)
+        for q0 in range(0, len(gens), step):
+            qs = slice(q0, q0 + step)
+            rows = self.rot.take(values[qs] @ self.grid.T % self.d, axis=1)
+            counts = self._gather(rows, self._points(gens[qs]))
+            out[qs] = (counts == counts[:1]).all(axis=0)
+        return out

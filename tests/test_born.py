@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import random
@@ -356,6 +357,9 @@ class TestEmpiricalModel:
         assert first[1] == "0;0"
         assert first[2] in ("true", "false")
         float(first[3])
+        out = io.StringIO()
+        assert model.to_csv(out) is None
+        assert out.getvalue() == text
 
     def test_json_export_carries_witnesses(self):
         m = Modulus(3)

@@ -245,14 +245,16 @@ class TestArtifactDigests:
         refutations from the table1 and full stages (d=7), the table1 stage
         (d=5) and the proof stage (d=5); full_scan uses the full stage.
         `proof_d11` was recorded before certificates kept the scan's columns
-        and `analyze` streamed them."""
+        and `analyze` streamed them.  `witness_d13` (the d=11 proof state,
+        not strong at d = 1 mod 3) and `witness_flat_d11` were recorded
+        while the scan still asked the per-ket engine."""
         ref = CERT_DIGESTS[case]
         for strategy in ("table1_first", "full_scan"):
             path = tmp_path / strategy
             code, _, _ = run(capsys, "analyze", "--d", str(ref["d"]),
                              "--phi", ref["phi"], "--strategy", strategy,
                              "--output", str(path))
-            assert code == (2 if case == "witness" else 0)
+            assert code == (2 if case.startswith("witness") else 0)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == ref[strategy], strategy
 

@@ -231,16 +231,17 @@ class TestDecide:
     ])
     def test_engine_asked_each_cell_once(self, monkeypatch, d, text,
                                          strategy):
-        engine = hidden_vars.kernel.impossible
+        engine = hidden_vars.kernel.PointCounts.impossible
         asked = []
 
-        def record(modulus, phi_table, gens, values):
+        def record(counts, gens, values):
             cells = np.concatenate(
                 [np.reshape(gens, (len(gens), -1)), values], axis=1)
             asked.extend(map(tuple, cells.tolist()))
-            return engine(modulus, phi_table, gens, values)
+            return engine(counts, gens, values)
 
-        monkeypatch.setattr(hidden_vars.kernel, "impossible", record)
+        monkeypatch.setattr(hidden_vars.kernel.PointCounts, "impossible",
+                            record)
         decide_strong_contextuality(state(d, text), strategy=strategy)
         assert asked
         assert len(set(asked)) == len(asked)

@@ -31,10 +31,10 @@ def all_outcomes(d):
 
 
 def weyl(d, phi_table, gens):
-    """All of kernel.weyl_counts' blocks, checked to tile the subspaces in
-    order."""
+    """All of kernel.PointCounts.weyl_counts' blocks, checked to tile the
+    subspaces in order."""
     blocks, end = [], 0
-    for qs, block in kernel.weyl_counts(d, phi_table, gens):
+    for qs, block in kernel.PointCounts(d, phi_table).weyl_counts(gens):
         assert (qs.start, qs.stop) == (end, end + len(block))
         blocks.append(block)
         end = qs.stop
@@ -253,11 +253,48 @@ def test_one_subspace_memory_bounded_at_d13():
     tab = np.arange(d * d).reshape(d, d) ** 3 % d
     tracemalloc.start()
     try:
-        blocks = list(kernel.weyl_counts(d, tab, [((1, 0, 0, 0),
-                                                   (0, 0, 0, 1))]))
+        blocks = list(kernel.PointCounts(d, tab).weyl_counts(
+            [((1, 0, 0, 0), (0, 0, 0, 1))]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # d^6 = 4,826,809 point exponents in bincounts of CHUNK or fewer, then
     # gathers of CHUNK or fewer counts
     assert peak < sum(b.nbytes for _, b in blocks) + 48 * kernel.CHUNK
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_point_counts_impossible_equals_per_ket_impossible(d):
+    """Every (subspace, outcome) cell up to d = 7; beyond, every outcome of
+    sampled random and Table-1 subspaces."""
+    rng = random.Random(20 + d)
+    m = Modulus(d)
+    pools = (enumerate_contexts(m, 2), table1_contexts(m))
+    verdicts = set()
+    for _ in range(2):
+        tab = random_state(rng, d).phi_table()
+        keys = [c.canonical_key for c in pools[0]] if d <= 7 else [
+            pool[rng.randrange(len(pool))].canonical_key
+            for pool in pools for _ in range(5)]
+        gens, outcomes = every_cell(d, 2, keys)
+        got = kernel.PointCounts(d, tab).impossible(gens, outcomes)
+        assert np.array_equal(got, kernel.impossible(d, tab, gens, outcomes))
+        verdicts.update(got.tolist())
+    assert verdicts == {True, False}
+
+
+def test_cell_gathers_memory_bounded_at_d13():
+    d = 13
+    tab = np.arange(d * d).reshape(d, d) ** 3 % d
+    gens, outcomes = every_cell(d, 2, [((1, 0, 0, 0), (0, 0, 0, 1))])
+    tracemalloc.start()
+    try:
+        counts = kernel.PointCounts(d, tab)
+        counts.impossible(gens, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the table (5.7 CHUNK), then d^3 = 2,197 counts per cell in gathers
+    # of CHUNK or fewer, six for these 169 cells: measured 21 CHUNK more
+    assert len(gens) * d ** 3 > 5 * kernel.CHUNK
+    assert peak < counts.table.nbytes + 48 * kernel.CHUNK
