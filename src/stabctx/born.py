@@ -5,12 +5,13 @@ phase-function state is a zero-vs-nonzero question about a sum of d-th roots
 of unity.  Expanding the joint eigenspace projector against the state gives,
 for every output basis ket, one root of unity per subspace element; since d
 is prime such a sum vanishes iff every root appears equally often.  All
-(im)possibility verdicts here are therefore decided by integer counting,
-done by the engine in `stabctx.kernel`, which also serves the decision
-procedure; this module wraps its per-ket counts as `RootMultiset`s and
-zero-sum witnesses.  Empirical models take the expectation instead:
-d^(2n) <psi|Pi|psi> is a sum of d^(2n) roots, counted by the engine from
-the state's characteristic function.  The outcome is possible iff those
+(im)possibility verdicts here are therefore decided by integer counting
+in `stabctx.kernel`: `outcome_possibility` wraps the per-ket oracle
+`kernel.residue_counts` as `RootMultiset`s and zero-sum witnesses.
+Empirical models take the expectation instead and read
+`kernel.PointCounts`, as the lambda scan in `stabctx.hidden_vars` does:
+d^(2n) <psi|Pi|psi> is a sum of d^(2n) roots, counted from the state's
+characteristic function.  The outcome is possible iff those
 counts R[s] are not uniform, and its Born probability is
 d^(-2n) * sum_s R[s] cos(2 pi s / d).  Probabilities are floats and
 advisory only, cross-checked against `stabctx.dense`.
@@ -27,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, TextIO
@@ -37,8 +37,8 @@ import numpy as np
 from . import kernel
 from .phase_space import Context, PhasePoint, symplectic_product
 from .states import PhaseFunctionState
-from .zmod import MalformedInput, Modulus, StabctxError, ZdPoly, inv, \
-    is_permutation_polynomial
+from .zmod import MalformedInput, Modulus, StabctxError, ZdPoly, _integers, \
+    inv, is_permutation_polynomial
 
 
 class IncompatibleContext(StabctxError):
@@ -51,14 +51,6 @@ class NonCommuting(StabctxError):
 
 class ScaleError(StabctxError):
     """Tabulation requested beyond n = 2."""
-
-
-def _integers(items, what: str) -> tuple[int, ...]:
-    """`items` as a tuple of ints; anything but integers is malformed."""
-    try:
-        return tuple(map(operator.index, items))
-    except TypeError:
-        raise MalformedInput(f"{what} must be integers") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,6 +283,7 @@ class EmpiricalModel:
 
     def row(self, ctx_index: int, values: Sequence[int]) -> EmpiricalRow:
         d, n = self.state.modulus.d, self.state.n
+        values = _integers(values, "outcome values")
         if not 0 <= ctx_index < len(self.contexts) or len(values) != n:
             raise MalformedInput(f"no cell ({ctx_index}, {values}) in model")
         col = np.ravel_multi_index(np.mod(values, d), (d,) * n)
@@ -312,6 +305,7 @@ class EmpiricalModel:
                 or point.coords not in ctx.elements):
             raise IncompatibleContext(f"{point} not in context {ctx_index}")
         coeffs = ctx.element_coeffs[ctx.elements.index(point.coords)]
+        (value,) = _integers((value,), "outcome values")
         values = np.array(self.outcomes()) @ coeffs % d
         return float(self.probability[ctx_index, values == value % d].sum())
 

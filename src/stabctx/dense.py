@@ -8,6 +8,7 @@ scale (d <= 5, n <= 2 for the hierarchy oracle), so plain numpy is plenty.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -48,29 +49,23 @@ def weyl_matrix(point: PhasePoint) -> np.ndarray:
     return out
 
 
+def _phases(m: Modulus, phi: ZdPoly) -> np.ndarray:
+    """omega^{phi(j)} for every ket j, row-major: leftmost qudit most
+    significant."""
+    w = omega(m.d)
+    return np.array([w ** phi.evaluate(ket) for ket
+                     in itertools.product(range(m.d), repeat=phi.num_vars)])
+
+
 def phase_state_vector(m: Modulus, phi: ZdPoly) -> np.ndarray:
     """Normalized state vector with amplitudes omega^{phi(j)} / d^{n/2}."""
-    d = m.d
-    n = phi.num_vars
-    w = omega(d)
-    size = d ** n
-    vec = np.empty(size, dtype=complex)
-    for idx in range(size):
-        # row-major ket index: leftmost qudit most significant
-        point = tuple((idx // d ** (n - 1 - i)) % d for i in range(n))
-        vec[idx] = w ** phi.evaluate(point)
-    return vec / np.sqrt(size)
+    vec = _phases(m, phi)
+    return vec / np.sqrt(vec.size)
 
 
 def diagonal_gate(m: Modulus, phi: ZdPoly) -> np.ndarray:
     """The diagonal unitary with phases omega^{phi(j)}."""
-    d = m.d
-    n = phi.num_vars
-    w = omega(d)
-    diag = [w ** phi.evaluate(tuple((idx // d ** (n - 1 - i)) % d
-                                    for i in range(n)))
-            for idx in range(d ** n)]
-    return np.diag(diag)
+    return np.diag(_phases(m, phi))
 
 
 def outcome_projector(context: Context, values: tuple[int, ...]) -> np.ndarray:

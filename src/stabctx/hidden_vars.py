@@ -39,7 +39,7 @@ from .phase_space import Context, UnsupportedScale, context_rows, \
     span_label, table1_contexts
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
-from .zmod import MalformedInput, Modulus, StabctxError, inv
+from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
 
 
 class IncompleteProbe(StabctxError):
@@ -61,8 +61,9 @@ class HiddenVariable:
     def __post_init__(self):
         if len(self.lam) != 2 * self.n:
             raise UnsupportedScale(f"{len(self.lam)} components for n={self.n}")
-        object.__setattr__(self, "lam",
-                           tuple(c % self.modulus.d for c in self.lam))
+        d = self.modulus.d
+        object.__setattr__(self, "lam", tuple(
+            c % d for c in _integers(self.lam, "hidden-variable components")))
 
     def outcome(self, coords: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(self.lam, coords)) % self.modulus.d

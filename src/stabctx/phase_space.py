@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .zmod import Modulus, StabctxError, inv
+from .zmod import Modulus, StabctxError, _integers, inv
 
 
 class DimensionMismatch(StabctxError):
@@ -39,8 +39,9 @@ class PhasePoint:
         if self.n < 1 or len(self.coords) != 2 * self.n:
             raise DimensionMismatch(
                 f"{len(self.coords)} coordinates for n={self.n}")
-        object.__setattr__(
-            self, "coords", tuple(c % self.modulus.d for c in self.coords))
+        d = self.modulus.d
+        object.__setattr__(self, "coords", tuple(
+            c % d for c in _integers(self.coords, "phase-space coordinates")))
 
     def __add__(self, other: "PhasePoint") -> "PhasePoint":
         _check_same_space(self, other)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,86 +92,70 @@ def _weyl_points(m: Modulus, n: int):
         yield PhasePoint(m, n, coords)
 
 
-def _digits(idx: int, d: int, n: int) -> tuple[int, ...]:
-    return tuple((idx // d ** (n - 1 - i)) % d for i in range(n))
+@lru_cache(maxsize=None)
+def _unit_points(m: Modulus, n: int) -> tuple[PhasePoint, ...]:
+    """The 2n unit vectors of Z_d^(2n): the generators Z_i and X_i."""
+    return tuple(PhasePoint(m, n, tuple(int(i == k) for k in range(2 * n)))
+                 for i in range(2 * n))
+
+
+@lru_cache(maxsize=None)
+def _overlap_tables(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ket indices j+q for every shift q (rows) and ket j (columns), and the
+    character table omega^(-p.j) over kets p (rows) and j (columns); cached,
+    so read-only."""
+    kets = np.indices((d,) * n).reshape(n, -1).T
+    shifted = (kets[:, None, :] + kets[None, :, :]) % d
+    shift = np.ravel_multi_index(tuple(shifted.transpose(2, 0, 1)), (d,) * n)
+    chars = dense.omega(d) ** (-(kets @ kets.T) % d)
+    shift.flags.writeable = chars.flags.writeable = False
+    return shift, chars
 
 
 def _is_pauli(mat: np.ndarray, m: Modulus, n: int) -> bool:
     """Whether mat equals omega^t W(p,q) for some point and t in Z_d.
 
-    Weyl operators are monomial matrices whose permutation part is a
-    per-qudit shift and whose phases step by omega^{p_i} along each qudit;
-    the candidate point is read off the matrix and then verified exactly.
+    The Weyl operators are orthogonal under the trace inner product, and up
+    to a phase <W(p,q), mat> = sum_j omega^(-p.j) mat[j+q, j].  So the one
+    candidate is the (p,q) of largest overlap, read from the product of the
+    matrix's shifted diagonals with the character table; mat is accepted iff
+    it equals W(p,q) times the d-th root of unity nearest their overlap.
     """
     d = m.d
-    size = d ** n
-    cols = np.arange(size)
-    rows = np.abs(mat).argmax(axis=0)
-    if not np.allclose(np.abs(mat[rows, cols]), 1.0, atol=1e-7):
-        return False  # not monomial with unit entries
-    # shift part: column (j1,..,jn) must map to row (j1+q1,..,jn+qn)
-    q = _digits(int(rows[0]), d, n)
-    strides = [d ** (n - 1 - i) for i in range(n)]
-    expected = cols.copy()
-    for i in range(n):
-        col_digit = (cols // strides[i]) % d
-        expected += ((col_digit + q[i]) % d - col_digit) * strides[i]
-    if not np.array_equal(rows, expected):
-        return False
-    # phase steps along each qudit give the p coordinates
-    w = dense.omega(d)
-    coords = []
-    for i in range(n):
-        step = strides[i]
-        ratio = mat[rows[step], step] / mat[rows[0], 0]
-        p = int(np.round(np.angle(ratio) / (2 * np.pi / d))) % d
-        if abs(ratio - w ** p) > 1e-6:
-            return False
-        coords.append(p)
-        coords.append(q[i])
-    ref = dense.weyl_matrix(PhasePoint(m, n, tuple(coords)))
-    phase = mat[rows[0], 0] / ref[rows[0], 0]
-    if abs(phase ** d - 1.0) > 1e-6:
-        return False  # global phase must be a d-th root of unity
-    return bool(np.allclose(mat, phase * ref, atol=dense.ATOL))
-
-
-def _generator_points(m: Modulus, n: int):
-    pts = []
-    for i in range(n):
-        z = [0] * (2 * n)
-        z[2 * i] = 1
-        x = [0] * (2 * n)
-        x[2 * i + 1] = 1
-        pts.append(PhasePoint(m, n, tuple(z)))
-        pts.append(PhasePoint(m, n, tuple(x)))
-    return pts
+    shift, chars = _overlap_tables(d, n)
+    overlaps = np.abs(mat[shift, np.arange(d ** n)] @ chars)
+    q, p = np.unravel_index(overlaps.argmax(), overlaps.shape)
+    pairs = zip(np.unravel_index(p, (d,) * n), np.unravel_index(q, (d,) * n))
+    weyl = dense.weyl_matrix(PhasePoint(m, n, sum(pairs, ())))  # (p1,q1,...)
+    t = round(np.angle(np.vdot(weyl, mat)) * d / (2 * np.pi))
+    return bool(np.allclose(mat, dense.omega(d) ** t * weyl, atol=dense.ATOL))
 
 
 def _in_level(mat: np.ndarray, level: int, m: Modulus, n: int) -> bool:
     """Membership in hierarchy level `level`, by recursive conjugation.
 
-    Level 1 is `_is_pauli`: the candidate Weyl point is read off the matrix
-    and then verified.  For level k > 1 it suffices to conjugate the 2n
-    multiplicative generators: conjugation is a homomorphism and every level
-    is closed under products.
+    Level 1 is the Weyl operators times d-th roots of unity (`_is_pauli`);
+    U is in level k > 1 iff U W U^dagger is in level k-1 for every Weyl
+    operator W.  Conjugation by U is multiplicative and every Weyl operator
+    is a product of the 2n unit ones up to a phase, so when level k-1 is a
+    group the unit operators suffice.  Levels 1 and 2 (Paulis with phases,
+    Cliffords) are groups; from level 3 up the levels are not closed under
+    products (Gottesman & Chuang 1999), so levels k > 3 conjugate all
+    d^(2n) Weyl operators.
     """
-    if level <= 1:
+    if level == 1:
         return _is_pauli(mat, m, n)
-    for g in _generator_points(m, n):
-        w = dense.weyl_matrix(g)
-        conj = mat @ w @ mat.conj().T
-        if not _in_level(conj, level - 1, m, n):
-            return False
-    return True
+    points = _unit_points(m, n) if level <= 3 else _weyl_points(m, n)
+    return all(_in_level(mat @ dense.weyl_matrix(point) @ mat.conj().T,
+                         level - 1, m, n)
+               for point in points)
 
 
 def verify_level_by_conjugation(phi: ZdPoly, claimed_level: int) -> bool:
     """Dense oracle: does U_phi lie in the claimed hierarchy level?
 
-    Builds the d^n x d^n diagonal matrix, conjugates each of the d^(2n) Weyl
-    operators, and checks the conjugates against the next level down
-    recursively.  Membership is non-strict: any gate confirmed at level k is
+    Builds the d^n x d^n diagonal matrix and decides membership with
+    `_in_level`.  Membership is non-strict: any gate confirmed at level k is
     confirmed at every higher level.  Scale-limited to d in {3,5}, n <= 2.
     """
     m = phi.modulus
@@ -179,15 +164,7 @@ def verify_level_by_conjugation(phi: ZdPoly, claimed_level: int) -> bool:
         raise OracleScaleExceeded("oracle supports d in {3,5}, n <= 2")
     if claimed_level < 1:
         raise MalformedInput("hierarchy levels start at 1")
-    mat = dense.diagonal_gate(m, phi)
-    if claimed_level == 1:
-        return _is_pauli(mat, m, n)
-    for point in _weyl_points(m, n):
-        w = dense.weyl_matrix(point)
-        conj = mat @ w @ mat.conj().T
-        if not _in_level(conj, claimed_level - 1, m, n):
-            return False
-    return True
+    return _in_level(dense.diagonal_gate(m, phi), claimed_level, m, n)
 
 
 def strongness(state: PhaseFunctionState) -> StrongnessReport:

@@ -9,6 +9,7 @@ valid for d not congruent to 1 mod 3).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
@@ -37,6 +38,14 @@ class UnsupportedModulus(StabctxError):
 
 class PolyParseError(StabctxError):
     """Raised on malformed polynomial text."""
+
+
+def _integers(items, what: str) -> tuple[int, ...]:
+    """`items` as a tuple of ints; anything but integers is malformed."""
+    try:
+        return tuple(map(operator.index, items))
+    except TypeError:
+        raise MalformedInput(f"{what} must be integers") from None
 
 
 def _is_odd_prime(d: int) -> bool:

@@ -314,6 +314,19 @@ class TestEmpiricalModel:
             with pytest.raises(MalformedInput):
                 model.marginal(ci, point, 0)
 
+    def test_row_rejects_non_integer_outcome(self):
+        model = build_empirical_model(state(3, "j^2*k"),
+                                      table1_contexts(Modulus(3)))
+        with pytest.raises(MalformedInput):
+            model.row(0, (1.5, 0))
+
+    def test_marginal_rejects_non_integer_value(self):
+        m = Modulus(3)
+        model = build_empirical_model(state(3, "j^2*k"), table1_contexts(m))
+        point = PhasePoint(m, 2, model.contexts[0].elements[1])
+        with pytest.raises(MalformedInput):
+            model.marginal(0, point, 1.5)
+
     def test_marginals_match_cell_loop(self):
         m = Modulus(3)
         st = state(3, "j^2*k + j*k^2 + 2*k")

@@ -48,6 +48,11 @@ class TestEnumerate:
         assert hvs[1].lam == (0, 0, 0, 1)
         assert hvs == enumerate_linear_hv(Modulus(3), 2)
 
+    @pytest.mark.parametrize("component", [1.5, "1"])
+    def test_rejects_non_integer_components(self, component):
+        with pytest.raises(MalformedInput):
+            HiddenVariable(Modulus(5), 2, (component, 0, 0, 0))
+
 
 class TestLinearityForcing:
     def test_all_linear_pass_d3(self):

@@ -21,7 +21,7 @@ from stabctx.phase_space import (
     symplectic_product,
     table1_contexts,
 )
-from stabctx.zmod import Modulus
+from stabctx.zmod import MalformedInput, Modulus
 
 KEY_DIGESTS = json.loads((pathlib.Path(__file__).parent / "data"
                           / "context_keys_sha256.json").read_text())
@@ -252,6 +252,19 @@ class TestTable1Contexts:
         m = Modulus(5)
         contexts = table1_contexts(m)
         assert len({ctx.canonical_key for ctx in contexts}) == len(contexts)
+
+
+class TestPhasePoint:
+    def test_integer_coordinates_reduced_mod_d(self):
+        point = PhasePoint(Modulus(5), 2, (np.int64(6), -1, True, 0))
+        assert point.coords == (1, 4, 1, 0)
+
+    @pytest.mark.parametrize("coord", [1.5, "1"])
+    def test_rejects_non_integer_coordinates(self, coord):
+        # a float coordinate would otherwise survive into Context.basis and
+        # be truncated by the RREF behind the canonical key
+        with pytest.raises(MalformedInput):
+            PhasePoint(Modulus(5), 2, (coord, 0, 0, 0))
 
 
 class TestContext:

@@ -1,12 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from stabctx import dense
+from stabctx.phase_space import PhasePoint
 from stabctx.states import (
     OracleScaleExceeded,
     OutsideCharacterization,
     PhaseFunctionState,
+    _is_pauli,
     diagonal_gate_level,
     strip_quadratic,
     strongness,
@@ -49,6 +53,34 @@ class TestDiagonalGateLevel:
             diagonal_gate_level(parse_poly("j^2*k^2", m))
 
 
+class TestPauliCheck:
+    @pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_accepts_every_weyl_operator_times_every_root(self, d, n):
+        m = Modulus(d)
+        w = dense.omega(d)
+        for coords in itertools.product(range(d), repeat=2 * n):
+            weyl = dense.weyl_matrix(PhasePoint(m, n, coords))
+            for t in range(d):
+                assert _is_pauli(w ** t * weyl, m, n) is True, (coords, t)
+
+    @pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (5, 1), (5, 2)])
+    def test_rejects_near_misses(self, d, n):
+        m = Modulus(d)
+        size = d ** n
+        weyl = dense.weyl_matrix(PhasePoint(m, n, (1,) * (2 * n)))
+        kets = np.arange(size)
+        misses = {
+            "phase not a d-th root": weyl * np.exp(1j * np.pi / 7),
+            "fourier": np.exp(2j * np.pi * np.outer(kets, kets) / size)
+            / np.sqrt(size),
+            "swap of two kets": np.eye(size)[[1, 0, *range(2, size)]],
+            "diag(1, ..., 1, -1)": np.diag([1.0] * (size - 1) + [-1.0]),
+            "diag(-1, 1, ..., 1)": np.diag([-1.0] + [1.0] * (size - 1)),
+        }
+        for name, mat in misses.items():
+            assert _is_pauli(mat.astype(complex), m, n) is False, name
+
+
 class TestConjugationOracle:
     def test_j2k_is_level_3_not_2(self):
         m = Modulus(5)
@@ -60,6 +92,11 @@ class TestConjugationOracle:
         # U_{j^4} is outside level 3: some conjugate of a conjugate fails
         # the Pauli check inside the recursion
         assert not verify_level_by_conjugation(parse_poly("j^4", Modulus(5)), 3)
+
+    def test_j2k2_is_level_4_not_3_at_d3(self):
+        phi = parse_poly("j^2*k^2", Modulus(3))
+        assert verify_level_by_conjugation(phi, 4) is True
+        assert verify_level_by_conjugation(phi, 3) is False
 
     def test_linear_is_pauli(self):
         m = Modulus(5)
