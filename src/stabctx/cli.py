@@ -283,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_positive_int,
                        default=os.environ.get("STABCTX_JOBS") or "1",
                        help="worker processes for verify-theorem1; starting "
-                            "them costs about 1 s, so on 2 cores --jobs 2 "
-                            "took 2.7 s against 3.8 s at d=11 but 1.0 s "
-                            "against 0.1 s at d=5; the other subcommands "
-                            "run in one process (default: STABCTX_JOBS or 1)")
+                            "them costs about 1 s, so they pay off only when "
+                            "the states take longer (timings in the README); "
+                            "the other subcommands run in one process "
+                            "(default: STABCTX_JOBS or 1)")
         p.add_argument("--output", help="write the artifact to this path")
         p.add_argument("--unsafe-scale", action="store_true",
                        help=f"allow d beyond the desk guard ({MAX_DESK_D})")

@@ -36,7 +36,7 @@ from scipy.sparse import csr_matrix
 from . import kernel
 from .born import EmpiricalModel, JointOutcome
 from .phase_space import Context, UnsupportedScale, context_rows, \
-    span_label, table1_contexts
+    span_label, table1_rows
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
 from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
@@ -410,8 +410,8 @@ class _Scanner:
     Each lam walks its stream of contexts (proof, then table1, then full
     stage, as the strategy allows) until its prescribed outcome is
     impossible in one.  A subspace is named by its row in `context_rows`:
-    the table1 stage is the rows of the Table-1 families, in catalogue
-    order, and the full stage is every row.  lam are processed as arrays.
+    the table1 stage is the Table-1 families' rows, `table1_rows`, and the
+    full stage is every row.  lam are processed as arrays.
     `counts`, the state's `kernel.PointCounts`, is built here, and every
     distinct (subspace, a, b) cell goes to its `impossible` at most once
     per state: `known` holds one int8 per cell at (sid*d + a)*d + b, -1
@@ -427,13 +427,7 @@ class _Scanner:
         self.rep = rep
         self.rows = context_rows(self.m, 2)  # (subspaces, 2, 4)
         self.known = np.full(len(self.rows) * self.d ** 2, -1, dtype=np.int8)
-        families = table1_contexts(self.m)
-        index = {key: sid for sid, key
-                 in enumerate(map(tuple, self.rows.reshape(-1, 8).tolist()))}
-        self.table1 = np.array(  # row of each family, in order
-            [index[sum(ctx.canonical_key, ())] for ctx in families])
-        self.family = {sid: ctx.label for sid, ctx
-                       in zip(self.table1.tolist(), families)}
+        self.table1, self.labels = table1_rows(self.m)
         self.stages = (("proof",) if use_proof else ()) \
             + (("table1",) if strategy == "table1_first" else ()) + ("full",)
 
@@ -443,7 +437,7 @@ class _Scanner:
         span label."""
         rows = self.rows[sid].tolist()
         label = span_label(rows) if self.stages[stage] == "full" \
-            else self.family[sid]
+            else self.labels[np.argmax(self.table1 == sid)]
         return label, tuple(map(tuple, rows))
 
     def _impossible(self, sid: np.ndarray, ab: np.ndarray) -> np.ndarray:
@@ -474,7 +468,7 @@ class _Scanner:
             if name == "proof":
                 alpha_i, alpha_ii, alpha_iii, beta = proof_stage_parameters(
                     self.m, self.rep.phi1, self.rep.phi2, lams)
-                # table1_contexts lists I_alpha, II_alpha, then III_alpha,beta
+                # table1_rows lists I_alpha, II_alpha, then III_alpha,beta
                 # with beta = 1..d-1 innermost
                 order = self.table1[np.stack(
                     [alpha_i, d + alpha_ii,

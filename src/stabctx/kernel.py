@@ -33,7 +33,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .zmod import StabctxError
+from .zmod import MalformedInput
 
 # Exponents evaluated per np.bincount.  Working memory is about 24 bytes per
 # exponent (int32 terms, the intp copy bincount makes, the bins): 1.2 MiB
@@ -41,7 +41,7 @@ from .zmod import StabctxError
 CHUNK = 1 << 16
 
 
-class MalformedQuery(StabctxError):
+class MalformedQuery(MalformedInput):
     """Table, generators or outcomes are not integer arrays that fit d."""
 
 

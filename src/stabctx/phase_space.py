@@ -212,6 +212,7 @@ def span_label(rows: Sequence[Sequence[int]]) -> str:
     return "span:" + "|".join(",".join(str(c) for c in row) for row in rows)
 
 
+@functools.lru_cache(maxsize=None)
 def context_rows(m: Modulus, n: int) -> np.ndarray:
     """Canonical generator rows of every maximal isotropic subspace of
     Z_d^(2n): an int64 array of shape (count, n, 2n), one reduced-echelon
@@ -221,7 +222,7 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
     `itertools.combinations` order, the free entries of each pattern
     lexicographically) and the non-isotropic ones dropped.  A subspace's
     row index is a stable name for it.  Supported for n in {1, 2}; counts
-    are d+1 and (d^2+1)(d+1).
+    are d+1 and (d^2+1)(d+1).  Cached per (m, n), so read-only.
     """
     if n not in (1, 2):
         raise UnsupportedScale(f"context enumeration supports n in {{1,2}}, got {n}")
@@ -240,7 +241,9 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
         u, w = rows[:, 0], rows[:, -1]
         form = u[:, 0::2] * w[:, 1::2] - u[:, 1::2] * w[:, 0::2]
         blocks.append(rows[form.sum(axis=1) % d == 0])
-    return np.concatenate(blocks)
+    out = np.concatenate(blocks)
+    out.flags.writeable = False
+    return out
 
 
 def enumerate_contexts(m: Modulus, n: int) -> list[Context]:
@@ -270,3 +273,16 @@ def table1_contexts(m: Modulus) -> list[Context]:
                for a in range(d) for b in range(1, d)])
     return [Context([PhasePoint(m, 2, u), PhasePoint(m, 2, v)], label=label)
             for label, u, v in rows]
+
+
+@functools.lru_cache(maxsize=None)
+def table1_rows(m: Modulus) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The row in `context_rows(m, 2)` of each `table1_contexts(m)` family,
+    in catalogue order, and the family labels in the same order: what the
+    hidden-variable scan names families by.  Cached per m, so read-only."""
+    keys = context_rows(m, 2).reshape(-1, 8).tolist()
+    index = {tuple(key): sid for sid, key in enumerate(keys)}
+    families = table1_contexts(m)
+    ids = np.array([index[sum(ctx.canonical_key, ())] for ctx in families])
+    ids.flags.writeable = False
+    return ids, tuple(ctx.label for ctx in families)

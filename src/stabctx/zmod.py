@@ -66,8 +66,10 @@ class Modulus:
     d: int
 
     def __post_init__(self):
-        if not isinstance(self.d, int) or not _is_odd_prime(self.d):
-            raise UnsupportedModulus(f"modulus must be an odd prime, got {self.d!r}")
+        d = _integers((self.d,), "modulus")[0]
+        if not _is_odd_prime(d):
+            raise UnsupportedModulus(f"modulus must be an odd prime, got {d!r}")
+        object.__setattr__(self, "d", d)
 
     @property
     def inv2(self) -> int:
@@ -86,7 +88,7 @@ def inv(a: int, m: Modulus) -> int:
         >>> inv(1, Modulus(7))
         1
     """
-    a %= m.d
+    a = _integers((a,), "inverted values")[0] % m.d
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {m.d}")
     return pow(a, m.d - 2, m.d)
@@ -100,9 +102,10 @@ class ZdPoly:
     """Sparse polynomial over Z_d in num_vars variables.
 
     Coefficients are stored canonically: keys are exponent tuples of length
-    num_vars, values are nonzero residues in 1..d-1.  Exponents are kept as
-    written (x^d is not folded to x eagerly); use :meth:`fermat_reduce` when
-    the reduced functional form is wanted.
+    num_vars, values are nonzero residues in 1..d-1.  Both are read as
+    integers (numpy ones become ints), and exponents must be >= 0.
+    Exponents are kept as written (x^d is not folded to x eagerly); use
+    :meth:`fermat_reduce` when the reduced functional form is wanted.
     """
 
     modulus: Modulus
@@ -115,12 +118,15 @@ class ZdPoly:
         d = self.modulus.d
         clean = {}
         for exps, c in self.coeffs.items():
+            exps = _integers(exps, "exponents")
             if len(exps) != self.num_vars:
                 raise ArityMismatch(
                     f"exponent tuple {exps} does not have {self.num_vars} entries")
-            c %= d
+            if min(exps) < 0:
+                raise MalformedInput(f"negative exponent in {exps}")
+            c = _integers((c,), "coefficients")[0] % d
             if c:
-                clean[tuple(int(e) for e in exps)] = c
+                clean[exps] = c
         object.__setattr__(self, "coeffs", clean)
 
     # -- constructors ------------------------------------------------------
@@ -131,7 +137,7 @@ class ZdPoly:
 
     @classmethod
     def constant(cls, m: Modulus, c: int, num_vars: int) -> "ZdPoly":
-        return cls(m, num_vars, {(0,) * num_vars: c % m.d})
+        return cls(m, num_vars, {(0,) * num_vars: c})
 
     @classmethod
     def variable(cls, m: Modulus, index: int, num_vars: int) -> "ZdPoly":
@@ -141,7 +147,7 @@ class ZdPoly:
 
     @classmethod
     def monomial(cls, m: Modulus, coeff: int, exps: Sequence[int]) -> "ZdPoly":
-        return cls(m, len(exps), {tuple(exps): coeff % m.d})
+        return cls(m, len(exps), {tuple(exps): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -150,7 +156,7 @@ class ZdPoly:
             if other.modulus != self.modulus or other.num_vars != self.num_vars:
                 raise ArityMismatch("polynomial domains differ")
             return other
-        return ZdPoly.constant(self.modulus, int(other), self.num_vars)
+        return ZdPoly.constant(self.modulus, other, self.num_vars)
 
     def __add__(self, other) -> "ZdPoly":
         other = self._coerce(other)
@@ -185,6 +191,7 @@ class ZdPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ZdPoly":
+        n = _integers((n,), "polynomial powers")[0]
         if n < 0:
             raise MalformedInput("negative polynomial power")
         out = ZdPoly.constant(self.modulus, 1, self.num_vars)
@@ -228,7 +235,7 @@ class ZdPoly:
             raise ArityMismatch(
                 f"point of length {len(point)} for {self.num_vars} variables")
         d = self.modulus.d
-        pt = [p % d for p in point]
+        pt = [p % d for p in _integers(point, "evaluation points")]
         total = 0
         for exps, c in self.coeffs.items():
             t = c

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from stabctx import hidden_vars
+from stabctx import hidden_vars, phase_space
 from stabctx.born import EmpiricalModel, JointOutcome, \
     build_empirical_model, outcome_possibility
 from stabctx.hidden_vars import (
@@ -250,6 +250,30 @@ class TestDecide:
         decide_strong_contextuality(state(d, text), strategy=strategy)
         assert asked
         assert len(set(asked)) == len(asked)
+
+    @pytest.mark.parametrize("strategy", ["table1_first", "full_scan"])
+    @pytest.mark.parametrize("d, text, strong", [
+        (5, "j^2*k + 2*j*k^2", True),
+        (5, "j*k + 2*j", False),
+        (7, "j^2*k", True),
+        (7, "j^2*k + 3*j*k^2", False),
+    ])
+    def test_scan_builds_no_context(self, monkeypatch, d, text, strong,
+                                    strategy):
+        """Once a first decide at d has built the tables, the scan names
+        subspaces by their rows and builds no `Context`."""
+        decide_strong_contextuality(state(d, text), strategy=strategy)
+        init = phase_space.Context.__init__
+        built = []
+
+        def record(ctx, *args, **kwargs):
+            built.append(args)
+            init(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(phase_space.Context, "__init__", record)
+        cert = decide_strong_contextuality(state(d, text), strategy=strategy)
+        assert cert.strongly_contextual == strong
+        assert built == []
 
     def test_json_certificate(self):
         import json

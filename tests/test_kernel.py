@@ -125,12 +125,16 @@ KEY = ((1, 0, 0, 0), (0, 0, 1, 0))
     (np.zeros((5, 5), dtype=int), [KEY] * 2, [(0, 0), (0,)]),
 ])
 def test_malformed_queries_rejected(phi_table, gens, values):
+    """Every engine entry raises MalformedQuery, which is a MalformedInput
+    and so also a ValueError."""
     for engine in (kernel.impossible, kernel.residue_counts):
-        with pytest.raises(kernel.MalformedQuery):
+        with pytest.raises(kernel.MalformedQuery) as info:
             engine(5, phi_table, gens, values)
+        assert isinstance(info.value, ValueError)
     if len(gens) == 1 and values == [(0, 0)]:  # table or generators at fault
-        with pytest.raises(kernel.MalformedQuery):
+        with pytest.raises(kernel.MalformedQuery) as info:
             weyl(5, phi_table, gens)
+        assert isinstance(info.value, ValueError)
 
 
 def test_multi_chunk_batch_equals_single_queries(monkeypatch):

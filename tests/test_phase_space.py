@@ -20,6 +20,7 @@ from stabctx.phase_space import (
     enumerate_contexts,
     symplectic_product,
     table1_contexts,
+    table1_rows,
 )
 from stabctx.zmod import MalformedInput, Modulus
 
@@ -252,6 +253,27 @@ class TestTable1Contexts:
         m = Modulus(5)
         contexts = table1_contexts(m)
         assert len({ctx.canonical_key for ctx in contexts}) == len(contexts)
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+    def test_rows_name_the_catalogue(self, d):
+        """`table1_rows` gives each family's row in `context_rows`, in
+        catalogue order, with the family's label."""
+        m = Modulus(d)
+        rows, labels = table1_rows(m)
+        keys = context_rows(m, 2)[rows].tolist()
+        contexts = table1_contexts(m)
+        assert keys == [[list(row) for row in ctx.canonical_key]
+                        for ctx in contexts]
+        assert labels == tuple(ctx.label for ctx in contexts)
+
+    def test_tables_built_once_and_read_only(self):
+        m = Modulus(5)
+        assert table1_rows(m) is table1_rows(Modulus(5))
+        assert context_rows(m, 2) is context_rows(Modulus(5), 2)
+        for table in (table1_rows(m)[0], context_rows(m, 1),
+                      context_rows(m, 2)):
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 class TestPhasePoint:

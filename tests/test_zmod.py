@@ -2,9 +2,11 @@ import doctest
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import stabctx.zmod
+from stabctx import kernel
 from stabctx.born import JointOutcome, RootMultiset, psi_type_I
 from stabctx.hidden_vars import decide_strong_contextuality
 from stabctx.phase_space import enumerate_contexts
@@ -282,6 +284,19 @@ MALFORMED = {
         PhaseFunctionState(M3, 2, J3), strategy="fastest"),
     "hierarchy_level": lambda: verify_level_by_conjugation(J3, 0),
     "negative_power": lambda: J3 ** -1,
+    "float_power": lambda: J3 ** 1.5,
+    "float_modulus": lambda: Modulus(5.0),
+    "string_modulus": lambda: Modulus("5"),
+    "float_coefficient": lambda: ZdPoly(Modulus(5), 2, {(1, 1): 2.5}),
+    "string_coefficient": lambda: ZdPoly(Modulus(5), 2, {(1, 1): "2"}),
+    "float_exponent": lambda: ZdPoly(Modulus(5), 2, {(1.5, 1): 2}),
+    "negative_exponent": lambda: ZdPoly(Modulus(5), 2, {(-1, 1): 2}),
+    "float_summand": lambda: parse_poly("j", Modulus(5)) + 2.5,
+    "float_factor": lambda: 2.7 * parse_poly("j", Modulus(5)),
+    "float_inverse": lambda: inv(2.5, Modulus(5)),
+    "float_point": lambda: parse_poly("j*k", Modulus(5)).evaluate((1.5, 2)),
+    "ragged_engine_query": lambda: kernel.impossible(
+        5, np.zeros((5, 5), dtype=int), [((1, 0, 0, 0), (0, 0, 1))], [(0, 0)]),
 }
 
 
@@ -293,3 +308,17 @@ def test_malformed_input_is_library_error(case):
         MALFORMED[case]()
     assert isinstance(info.value, StabctxError)
     assert isinstance(info.value, ValueError)
+
+
+def test_numpy_integers_read_as_ints():
+    """Numpy integers mean the same as Python ints at the boundary, and
+    are stored as Python ints."""
+    m = Modulus(np.int64(5))
+    assert m == Modulus(5) and type(m.d) is int
+    p = ZdPoly(m, 2, {(np.int64(2), np.int32(1)): np.int64(7)})
+    assert p == ZdPoly(m, 2, {(2, 1): 2}) and str(p) == "2*j^2*k"
+    [(exps, c)] = p.coeffs.items()
+    assert {type(v) for v in (*exps, c)} == {int}
+    assert p.evaluate((np.int64(1), np.int8(3))) == 1
+    assert str(parse_poly("j", m) + np.int64(6)) == "j + 1"
+    assert inv(np.int64(2), m) == 3
