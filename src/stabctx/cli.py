@@ -17,12 +17,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import multiprocessing
 import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import kernel
 from .born import build_empirical_model
@@ -118,6 +116,8 @@ def cmd_verify_theorem1(args) -> int:
                 cases.append((phi1, phi2, q, PhaseFunctionState(m, 2, phi)))
     states = [state for *_, state in cases]
     if args.jobs > 1:  # whole states are independent
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=args.jobs,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=_positive_int,
                        default=os.environ.get("STABCTX_JOBS") or "1",
                        help="worker processes for verify-theorem1; starting "
-                            "them costs about 1 s, so they pay off only when "
+                            "them costs about 0.3 s, so they pay off only when "
                             "the states take longer (timings in the README); "
                             "the other subcommands run in one process "
                             "(default: STABCTX_JOBS or 1)")

@@ -26,12 +26,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping, Optional, Sequence, TextIO
+from functools import cache, cached_property
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, TextIO
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from . import kernel
 from .born import EmpiricalModel, JointOutcome
@@ -40,6 +38,9 @@ from .phase_space import Context, UnsupportedScale, context_rows, \
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
 from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 class IncompleteProbe(StabctxError):
@@ -604,9 +605,26 @@ def _prescribed_cells(m: Modulus, n: int,
         + d ** n * np.arange(len(contexts))[:, None]
 
 
+@cache
+def _scipy():
+    """scipy's LP solver and sparse matrix, imported on first use: only the
+    contextual fraction needs them, and they take most of the package's
+    import time."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+    return linprog, csr_matrix
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, the contextual fraction's solver, called
+    through this module's name so that it can be replaced."""
+    return _scipy()[0](*args, **kwargs)
+
+
 def _incidence(rows: np.ndarray, height: int) -> csr_matrix:
     """The 0/1 matrix with a 1 at (rows[c, l], l)."""
     cols = np.broadcast_to(np.arange(rows.shape[1]), rows.shape)
+    csr_matrix = _scipy()[1]
     return csr_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())),
                       shape=(height, rows.shape[1]))
 
@@ -639,6 +657,7 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     Floating point with feasibility tolerance 1e-6; advisory next to the
     exact decision procedure.
     """
+    _scipy()  # the first call pays the import, whichever branch it takes
     m, n = model.state.modulus, model.state.n
     if not model.contexts:
         raise MalformedInput("no contexts: the contextual fraction needs "

@@ -36,9 +36,10 @@ class PhasePoint:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1 or len(self.coords) != 2 * self.n:
-            raise DimensionMismatch(
-                f"{len(self.coords)} coordinates for n={self.n}")
+        n = _integers((self.n,), "qudit counts")[0]
+        if n < 1 or len(self.coords) != 2 * n:
+            raise DimensionMismatch(f"{len(self.coords)} coordinates for n={n}")
+        object.__setattr__(self, "n", n)
         d = self.modulus.d
         object.__setattr__(self, "coords", tuple(
             c % d for c in _integers(self.coords, "phase-space coordinates")))
@@ -67,8 +68,8 @@ class WeylOperator:
     phase_exp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "phase_exp",
-                           self.phase_exp % self.point.modulus.d)
+        object.__setattr__(self, "phase_exp", _integers(
+            (self.phase_exp,), "phase exponents")[0] % self.point.modulus.d)
 
     def is_identity(self) -> bool:
         return self.point.is_zero() and self.phase_exp == 0

@@ -113,8 +113,10 @@ class ZdPoly:
     coeffs: Mapping[tuple[int, ...], int]
 
     def __post_init__(self):
-        if self.num_vars < 1:
+        num_vars = _integers((self.num_vars,), "num_vars")[0]
+        if num_vars < 1:
             raise ArityMismatch("num_vars must be >= 1")
+        object.__setattr__(self, "num_vars", num_vars)
         d = self.modulus.d
         clean = {}
         for exps, c in self.coeffs.items():
@@ -141,6 +143,9 @@ class ZdPoly:
 
     @classmethod
     def variable(cls, m: Modulus, index: int, num_vars: int) -> "ZdPoly":
+        index, num_vars = _integers((index, num_vars), "variable indices")
+        if not 0 <= index < num_vars:
+            raise MalformedInput(f"no variable {index} among {num_vars}")
         exps = [0] * num_vars
         exps[index] = 1
         return cls(m, num_vars, {tuple(exps): 1})

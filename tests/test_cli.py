@@ -331,3 +331,33 @@ def test_module_entry_point():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "40"
+
+
+SCIPY_PROBE = """
+import json, sys
+import stabctx, stabctx.cli
+from stabctx.cli import main
+
+out, phi = sys.argv[1], "j^2*k + 2*j*k^2"
+codes = [main(["analyze", "--d", "5", "--phi", phi, "--output", out]),
+         main(["model", "--d", "5", "--phi", phi, "--output", out])]
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+codes.append(main(["cf", "--d", "5", "--phi", phi, "--output", out]))
+print(json.dumps({"codes": codes, "before": before,
+                  "after": "scipy.optimize" in sys.modules,
+                  "cf": open(out).read()}))
+"""
+
+
+def test_scipy_loaded_only_by_cf(tmp_path):
+    """analyze and model never import scipy; cf imports its LP solver on
+    entry, even for a strongly contextual model, which needs no LP."""
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "artifact")],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0]
+    assert result["before"] == []
+    assert result["after"]
+    assert result["cf"] == "1.000000\n"

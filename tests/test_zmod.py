@@ -9,7 +9,7 @@ import stabctx.zmod
 from stabctx import kernel
 from stabctx.born import JointOutcome, RootMultiset, psi_type_I
 from stabctx.hidden_vars import decide_strong_contextuality
-from stabctx.phase_space import enumerate_contexts
+from stabctx.phase_space import PhasePoint, WeylOperator, enumerate_contexts
 from stabctx.states import PhaseFunctionState, verify_level_by_conjugation
 from stabctx.zmod import (
     ArityMismatch,
@@ -290,6 +290,12 @@ MALFORMED = {
     "float_coefficient": lambda: ZdPoly(Modulus(5), 2, {(1, 1): 2.5}),
     "string_coefficient": lambda: ZdPoly(Modulus(5), 2, {(1, 1): "2"}),
     "float_exponent": lambda: ZdPoly(Modulus(5), 2, {(1.5, 1): 2}),
+    "float_num_vars": lambda: ZdPoly(Modulus(5), 2.5, {}),
+    "float_variable_index": lambda: ZdPoly.variable(Modulus(5), 1.5, 2),
+    "variable_index_out_of_range": lambda: ZdPoly.variable(Modulus(5), 2, 2),
+    "float_qudit_count": lambda: PhasePoint(Modulus(5), 2.0, (1, 0, 0, 0)),
+    "float_phase_exponent": lambda: WeylOperator(
+        PhasePoint(Modulus(5), 2, (1, 0, 0, 0)), 1.5),
     "negative_exponent": lambda: ZdPoly(Modulus(5), 2, {(-1, 1): 2}),
     "float_summand": lambda: parse_poly("j", Modulus(5)) + 2.5,
     "float_factor": lambda: 2.7 * parse_poly("j", Modulus(5)),
