@@ -283,6 +283,7 @@ class EmpiricalModel:
 
     def row(self, ctx_index: int, values: Sequence[int]) -> EmpiricalRow:
         d, n = self.state.modulus.d, self.state.n
+        (ctx_index,) = _integers((ctx_index,), "context indices")
         values = _integers(values, "outcome values")
         if not 0 <= ctx_index < len(self.contexts) or len(values) != n:
             raise MalformedInput(f"no cell ({ctx_index}, {values}) in model")
@@ -297,6 +298,8 @@ class EmpiricalModel:
     def marginal(self, ctx_index: int, point: PhasePoint, value: int) -> float:
         """Probability that the measurement at `point` yields `value`, from
         this context's joint distribution."""
+        ctx_index, value = _integers((ctx_index, value),
+                                     "context indices and outcome values")
         if not 0 <= ctx_index < len(self.contexts):
             raise MalformedInput(f"no context {ctx_index} in model")
         ctx = self.contexts[ctx_index]
@@ -305,7 +308,6 @@ class EmpiricalModel:
                 or point.coords not in ctx.elements):
             raise IncompatibleContext(f"{point} not in context {ctx_index}")
         coeffs = ctx.element_coeffs[ctx.elements.index(point.coords)]
-        (value,) = _integers((value,), "outcome values")
         values = np.array(self.outcomes()) @ coeffs % d
         return float(self.probability[ctx_index, values == value % d].sum())
 

@@ -8,12 +8,12 @@ are the d^(2n) linear functionals lam . (p1,q1,...,pn,qn).  The decision
 procedure therefore scans that list and hunts, per candidate, for one context
 in which the prescribed joint outcome is impossible.  A strong normal-form
 state phi1*j^2*k + phi2*j*k^2 with phi1 != 0 admits a three-context shortcut
-per candidate (families I, II, III with parameters computed from lam); the
-scan falls back to the full family catalogue and then to complete context
-enumeration when the shortcut does not apply.
+per candidate (`proof_stage_positions`: families I, II, III computed from
+lam); the scan falls back to the full family catalogue and then to complete
+context enumeration when the shortcut does not apply.
 
 The scan handles candidates as arrays rather than one at a time: shortcut
-parameters are computed for a whole block of lam at once, each stage walks
+contexts are computed for a whole block of lam at once, each stage walks
 its contexts in order over the lam not yet refuted, and every distinct
 (subspace, outcome) query is answered once, from the state's point-count
 table (`kernel.PointCounts`, built once per state), and kept in one int8
@@ -60,6 +60,7 @@ class HiddenVariable:
     lam: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integers((self.n,), "qudit counts")[0])
         if len(self.lam) != 2 * self.n:
             raise UnsupportedScale(f"{len(self.lam)} components for n={self.n}")
         d = self.modulus.d
@@ -142,17 +143,14 @@ def proof_chain_identities(m: Modulus):
 
 
 def check_linearity_forcing(m: Modulus,
-                            candidate: Mapping[tuple[int, ...], int],
-                            n: int = 2) -> bool:
-    """Whether an outcome assignment satisfies every forcing identity.
+                            candidate: Mapping[tuple[int, ...], int]) -> bool:
+    """Whether a two-qudit assignment satisfies every forcing identity.
 
     The candidate maps phase-point coordinate tuples to outcomes and must be
     defined on every point an identity references (IncompleteProbe if not).
     Linear assignments always pass; any non-linear assignment violates at
     least one identity.
     """
-    if n != 2:
-        raise UnsupportedScale("linearity forcing is stated for n = 2")
     return violated_identity(m, candidate) is None
 
 
@@ -350,37 +348,17 @@ def write_certificate(cert: StrongContextualityCertificate,
     out.write("\n" + "  " * (depth - 1) + "]" + tail + "\n")
 
 
-def proof_context_parameters(m: Modulus, phi1: int, phi2: int,
-                             lam: Sequence[int]):
-    """Per-candidate family parameters for the three-context shortcut.
-
-    Requires phi1 != 0.  Yields (family, alpha, beta) with beta None for
-    families I and II:
+def proof_stage_positions(m: Modulus, phi1: int, phi2: int,
+                          lams: np.ndarray) -> np.ndarray:
+    """The three-context shortcut: for each row of an (N, 4) array of lam,
+    the positions in `table1_rows(m)` of the families I_alpha, II_alpha and
+    III_alpha,beta below, shape (N, 3).  Requires phi1 != 0.  On the state
+    phi1*j^2*k + phi2*j*k^2, at least one of the three refutes lam:
         I:   alpha = 2*l1*phi2
         II:  alpha = 2*l3*phi1
         III: if phi2 = -1: alpha = 6*(l1*phi1 - l3),        beta = 1/phi1
              else:         alpha = 2/(phi2+1) * (l1*phi1*(phi2+2)
                                      + l3*(phi2^2 - 1)),    beta = (phi2+1)/phi1
-    """
-    d = m.d
-    l1, _l2, l3, _l4 = tuple(c % d for c in lam)
-    yield ("I", 2 * l1 * phi2 % d, None)
-    yield ("II", 2 * l3 * phi1 % d, None)
-    if phi2 % d == d - 1:
-        alpha = 6 * (l1 * phi1 - l3) % d
-        beta = inv(phi1, m)
-    else:
-        alpha = (2 * inv(phi2 + 1, m)
-                 * (l1 * phi1 * (phi2 + 2) + l3 * (phi2 * phi2 - 1))) % d
-        beta = inv(phi1, m) * (phi2 + 1) % d
-    yield ("III", alpha, beta)
-
-
-def proof_stage_parameters(m: Modulus, phi1: int, phi2: int, lams: np.ndarray):
-    """`proof_context_parameters` for an (N, 4) array of hidden variables.
-
-    Returns (alpha_I, alpha_II, alpha_III, beta_III): three arrays of shape
-    (N,) and the family-III beta, which does not depend on lam.
     """
     d = m.d
     phi1, phi2 = phi1 % d, phi2 % d
@@ -394,7 +372,10 @@ def proof_stage_parameters(m: Modulus, phi1: int, phi2: int, lams: np.ndarray):
         alpha_iii = (2 * inv(phi2 + 1, m)
                      * (l1 * phi1 * (phi2 + 2) + l3 * (phi2 * phi2 - 1))) % d
         beta = inv(phi1, m) * (phi2 + 1) % d
-    return alpha_i, alpha_ii, alpha_iii, beta
+    # table1_rows lists I_alpha, II_alpha, then III_alpha,beta with
+    # beta = 1..d-1 innermost
+    return np.stack([alpha_i, d + alpha_ii,
+                     2 * d + (d - 1) * alpha_iii + beta - 1], axis=1)
 
 
 # (lam, context) pairs looked up per step of a stage's context walk: a lone
@@ -467,13 +448,8 @@ class _Scanner:
         alive = np.arange(n)
         for s, name in enumerate(self.stages):
             if name == "proof":
-                alpha_i, alpha_ii, alpha_iii, beta = proof_stage_parameters(
-                    self.m, self.rep.phi1, self.rep.phi2, lams)
-                # table1_rows lists I_alpha, II_alpha, then III_alpha,beta
-                # with beta = 1..d-1 innermost
-                order = self.table1[np.stack(
-                    [alpha_i, d + alpha_ii,
-                     2 * d + (d - 1) * alpha_iii + beta - 1], axis=1)]
+                order = self.table1[proof_stage_positions(
+                    self.m, self.rep.phi1, self.rep.phi2, lams)]
             else:
                 ids = self.table1 if name == "table1" \
                     else np.arange(len(self.rows))

@@ -33,7 +33,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .zmod import MalformedInput
+from .zmod import MalformedInput, Modulus
 
 # Exponents evaluated per np.bincount.  Working memory is about 24 bytes per
 # exponent (int32 terms, the intp copy bincount makes, the bins): 1.2 MiB
@@ -67,11 +67,13 @@ def _queries(d, n, gens, values=None):
 
 
 def _table(d, phi_table):
-    """The phi table reduced mod d, flattened, and its qudit count n."""
+    """d read as a `Modulus` (counting decides possibility only for prime
+    d), the phi table reduced mod d and flattened, and its qudit count n."""
+    d = Modulus(d).d
     phi = _reduce(phi_table, d).astype(np.int32)
     if phi.ndim not in (1, 2) or phi.shape != (d,) * phi.ndim:
         raise MalformedQuery(f"phi table {phi.shape} does not fit d={d}")
-    return phi.ravel(), phi.ndim
+    return d, phi.ravel(), phi.ndim
 
 
 def _grid(d, n):
@@ -138,7 +140,7 @@ def residue_counts(d: int, phi_table, gens, values) -> np.ndarray:
     phi_table has shape (d,)*n with n in {1, 2}; gens has shape (Q, n, 2n)
     and values shape (Q, n), all of integer dtype.
     """
-    phi, n = _table(d, phi_table)
+    d, phi, n = _table(d, phi_table)
     gens, values = _queries(d, n, gens, values)
     out = np.empty((len(gens), d ** n, d), dtype=np.int64)
     for qs, ks, counts in _chunks(d, phi, n, gens, values):
@@ -149,7 +151,7 @@ def residue_counts(d: int, phi_table, gens, values) -> np.ndarray:
 def impossible(d: int, phi_table, gens, values) -> np.ndarray:
     """Boolean per query: whether its joint outcome is impossible, i.e. every
     ket's root multiset is uniform.  Arguments as for `residue_counts`."""
-    phi, n = _table(d, phi_table)
+    d, phi, n = _table(d, phi_table)
     gens, values = _queries(d, n, gens, values)
     out = np.ones(len(gens), dtype=bool)
     for qs, _ks, counts in _chunks(d, phi, n, gens, values):
@@ -183,7 +185,7 @@ class PointCounts:
     C is d^(2n+1) counts of one or two bytes: 161 KB at d = 11."""
 
     def __init__(self, d: int, phi_table):
-        phi, self.n = _table(d, phi_table)
+        d, phi, self.n = _table(d, phi_table)
         self.d, (self.grid, self.place) = d, _grid(d, self.n)
         self.table = _point_counts(d, phi, self.grid, self.place)
         # [s, shift]: the offset in C of row (s + shift) mod d

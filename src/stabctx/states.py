@@ -18,7 +18,8 @@ import numpy as np
 
 from . import dense
 from .phase_space import PhasePoint
-from .zmod import ArityMismatch, MalformedInput, Modulus, StabctxError, ZdPoly
+from .zmod import ArityMismatch, MalformedInput, Modulus, StabctxError, \
+    ZdPoly, _integers
 
 
 class OutsideCharacterization(StabctxError):
@@ -39,6 +40,7 @@ class PhaseFunctionState:
     phi: ZdPoly
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integers((self.n,), "qudit counts")[0])
         if self.phi.modulus != self.modulus:
             raise ArityMismatch("phi modulus differs from state modulus")
         if self.phi.num_vars != self.n:

@@ -273,13 +273,10 @@ class ZdPoly:
 
     # -- text form -----------------------------------------------------------
 
-    def format(self, names: Optional[Sequence[str]] = None) -> str:
-        if names is None:
-            names = _DEFAULT_NAMES.get(self.num_vars)
-            if names is None:
-                names = tuple(f"x{i}" for i in range(self.num_vars))
-        if len(names) != self.num_vars:
-            raise ArityMismatch("one name per variable required")
+    def format(self) -> str:
+        """The canonical text form, as `str` gives it."""
+        names = _DEFAULT_NAMES.get(self.num_vars) or tuple(
+            f"x{i}" for i in range(self.num_vars))
         if not self.coeffs:
             return "0"
         parts = []

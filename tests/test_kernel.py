@@ -1,7 +1,9 @@
 """The possibility engine against oracles that share no code with it: the
-master-polynomial route, the dense projector norm, and the per-candidate
-proof-stage parameters."""
+master-polynomial route and the dense projector norm.  Also the proof
+stage's three contexts per hidden variable, checked to refute it by the
+engine and, on a sample, by the master-polynomial route."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -10,9 +12,10 @@ import pytest
 
 from stabctx import dense, kernel
 from stabctx.born import JointOutcome, impossibility_by_psi
-from stabctx.hidden_vars import proof_context_parameters, \
-    proof_stage_parameters
-from stabctx.phase_space import enumerate_contexts, table1_contexts
+from stabctx.hidden_vars import HiddenVariable, prescribed_outcome, \
+    proof_stage_positions
+from stabctx.phase_space import context_rows, enumerate_contexts, \
+    table1_contexts, table1_rows
 from stabctx.states import PhaseFunctionState
 from stabctx.zmod import Modulus, ZdPoly
 
@@ -88,18 +91,36 @@ def test_inputs_reduced_mod_d():
                 weyl(d, tab, gens[:d]))
 
 
-def test_proof_stage_parameters_match_reference():
-    for d, pairs in ((5, [(p1, p2) for p1 in range(1, 5) for p2 in range(5)]),
+def test_proof_stage_contexts_refute_every_lambda():
+    """On every strong normal form, at least one of the three Table-1
+    contexts `proof_stage_positions` names for a lam (not necessarily each)
+    makes lam's prescribed outcome impossible; at d = 5 a seeded sample is
+    rechecked through the master polynomial, which shares no code with the
+    engine."""
+    rng = random.Random(16)
+    for d, pairs in ((3, None), (5, None),
                      (11, [(1, 10), (3, 5), (7, 0), (10, 10)])):
         m = Modulus(d)
         lams = np.indices((d,) * 4).reshape(4, -1).T
-        for phi1, phi2 in pairs:
-            alpha_i, alpha_ii, alpha_iii, beta = proof_stage_parameters(
-                m, phi1, phi2, lams)
-            for i, lam in enumerate(lams.tolist()):
-                assert list(proof_context_parameters(m, phi1, phi2, lam)) == [
-                    ("I", alpha_i[i], None), ("II", alpha_ii[i], None),
-                    ("III", alpha_iii[i], beta)]
+        rows = context_rows(m, 2)
+        table1 = table1_rows(m)[0]
+        families = table1_contexts(m)
+        for phi1, phi2 in pairs or itertools.product(range(1, d), range(d)):
+            st = PhaseFunctionState(m, 2, ZdPoly(m, 2, {(2, 1): phi1,
+                                                        (1, 2): phi2}))
+            pos = proof_stage_positions(m, phi1, phi2, lams)
+            gens = rows[table1[pos]]  # (lam, 3, 2, 4)
+            ab = (gens @ lams[:, None, :, None])[..., 0] % d
+            refuted = kernel.PointCounts(d, st.phi_table()).impossible(
+                gens.reshape(-1, 2, 4), ab.reshape(-1, 2)).reshape(-1, 3)
+            assert refuted.any(axis=1).all(), (d, phi1, phi2)
+            if d != 5:
+                continue
+            for i in rng.sample(range(len(lams)), 5):
+                hv = HiddenVariable(m, 2, tuple(lams[i]))
+                assert any(impossibility_by_psi(
+                    st, prescribed_outcome(hv, families[p]))
+                    for p in pos[i].tolist()), (phi1, phi2, hv.lam)
 
 
 KEY = ((1, 0, 0, 0), (0, 0, 1, 0))

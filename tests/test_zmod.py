@@ -7,10 +7,15 @@ import pytest
 
 import stabctx.zmod
 from stabctx import kernel
-from stabctx.born import JointOutcome, RootMultiset, psi_type_I
-from stabctx.hidden_vars import decide_strong_contextuality
-from stabctx.phase_space import PhasePoint, WeylOperator, enumerate_contexts
-from stabctx.states import PhaseFunctionState, verify_level_by_conjugation
+from stabctx.born import IncompatibleContext, JointOutcome, RootMultiset, \
+    ScaleError, build_empirical_model, impossibility_by_psi, \
+    master_polynomial, outcome_possibility, psi_type_I
+from stabctx.hidden_vars import HiddenVariable, decide_strong_contextuality, \
+    prescribed_outcome
+from stabctx.phase_space import Context, DimensionMismatch, PhasePoint, \
+    UnsupportedScale, WeylOperator, enumerate_contexts, table1_contexts
+from stabctx.states import OracleScaleExceeded, PhaseFunctionState, \
+    strip_quadratic, strongness, swap_qudits, verify_level_by_conjugation
 from stabctx.zmod import (
     ArityMismatch,
     DicksonClassification,
@@ -274,6 +279,25 @@ def test_doctests():
 
 M3 = Modulus(3)
 J3 = ZdPoly.variable(M3, 0, 2)
+M5 = Modulus(5)
+X5 = ZdPoly.variable(M5, 0, 1)
+JK5 = parse_poly("j*k", M5)
+ONE_QUDIT = PhaseFunctionState(M5, 1, X5)
+THREE_QUDITS = PhaseFunctionState(M5, 3, ZdPoly.zero(M5, 3))
+KEY = ((1, 0, 0, 0), (0, 0, 1, 0))
+
+
+def model3():
+    return build_empirical_model(PhaseFunctionState(M3, 2, J3 * J3),
+                                 table1_contexts(M3))
+
+
+def unit_context(n):
+    """span{e_1, e_3, ..., e_(2n-1)} in Z_5^(2n): the p coordinates."""
+    return Context([PhasePoint(M5, n, tuple(int(i == k) for k in range(2 * n)))
+                    for i in range(0, 2 * n, 2)])
+
+
 MALFORMED = {
     "root_count_length": lambda: RootMultiset(M3, (1, 2)),
     "root_count_negative": lambda: RootMultiset(M3, (1, -1, 0)),
@@ -303,17 +327,83 @@ MALFORMED = {
     "float_point": lambda: parse_poly("j*k", Modulus(5)).evaluate((1.5, 2)),
     "ragged_engine_query": lambda: kernel.impossible(
         5, np.zeros((5, 5), dtype=int), [((1, 0, 0, 0), (0, 0, 1))], [(0, 0)]),
+    "float_state_qudit_count": lambda: PhaseFunctionState(M5, 2.0, JK5),
+    "float_hidden_variable_qudit_count": lambda: HiddenVariable(
+        M5, 2.0, (0, 0, 0, 0)),
+    "float_context_index": lambda: model3().row(1.5, (0, 0)),
+    "string_context_index": lambda: model3().row("1", (0, 0)),
+    "float_marginal_context_index": lambda: model3().marginal(
+        1.5, PhasePoint(M3, 2, (1, 0, 0, 0)), 0),
+    "float_kernel_modulus": lambda: kernel.PointCounts(
+        5.0, np.zeros((5, 5), int)),
+    "string_kernel_modulus": lambda: kernel.PointCounts(
+        "5", np.zeros((5, 5), int)),
 }
+# Arguments outside a function's scope: each case raises the StabctxError
+# subclass that the function documents.
+OUT_OF_SCOPE = {
+    # counting decides possibility only for prime d
+    "composite_kernel_modulus": (UnsupportedModulus, lambda:
+                                 kernel.PointCounts(9, np.zeros((9, 9), int))),
+    "composite_oracle_modulus": (UnsupportedModulus, lambda: kernel.impossible(
+        9, np.zeros((9, 9), int), [KEY], [(0, 0)])),
+    # born
+    "three_qudit_possibility": (ScaleError, lambda: outcome_possibility(
+        THREE_QUDITS, JointOutcome(unit_context(3), (0, 0, 0)))),
+    "master_poly_one_qudit": (ScaleError, lambda: master_polynomial(
+        ONE_QUDIT, PhasePoint(M5, 1, (1, 0)), PhasePoint(M5, 1, (2, 0)),
+        0, 0, 0, 0)),
+    "master_poly_modulus": (IncompatibleContext, lambda: master_polynomial(
+        PhaseFunctionState(M5, 2, JK5), PhasePoint(M3, 2, (1, 0, 0, 0)),
+        PhasePoint(M5, 2, (0, 0, 1, 0)), 0, 0, 0, 0)),
+    "psi_route_one_qudit": (ScaleError, lambda: impossibility_by_psi(
+        ONE_QUDIT, JointOutcome(unit_context(1), (0,)))),
+    # hidden_vars
+    "hidden_variable_length": (UnsupportedScale, lambda: HiddenVariable(
+        M5, 2, (0, 0, 0))),
+    "prescribed_outcome_size": (UnsupportedScale, lambda: prescribed_outcome(
+        HiddenVariable(M5, 1, (0, 0)), unit_context(2))),
+    "decide_one_qudit": (UnsupportedScale, lambda:
+                         decide_strong_contextuality(ONE_QUDIT)),
+    # phase_space
+    "phase_point_coordinates": (DimensionMismatch, lambda: PhasePoint(
+        M5, 2, (1, 0, 0))),
+    "context_empty_basis": (DimensionMismatch, lambda: Context([])),
+    "context_basis_size": (DimensionMismatch, lambda: Context(
+        [PhasePoint(M5, 2, (1, 0, 0, 0))])),
+    # states
+    "state_modulus": (ArityMismatch, lambda: PhaseFunctionState(M3, 2, JK5)),
+    "state_variable_count": (ArityMismatch, lambda: PhaseFunctionState(
+        M5, 1, JK5)),
+    "phi_table_three_qudits": (OracleScaleExceeded,
+                               lambda: THREE_QUDITS.phi_table()),
+    "strongness_one_qudit": (ArityMismatch, lambda: strongness(ONE_QUDIT)),
+    "strip_quadratic_one_qudit": (ArityMismatch,
+                                  lambda: strip_quadratic(ONE_QUDIT)),
+    "swap_qudits_one_qudit": (ArityMismatch, lambda: swap_qudits(ONE_QUDIT)),
+    # zmod
+    "no_variables": (ArityMismatch, lambda: ZdPoly(M5, 0, {})),
+    "exponent_arity": (ArityMismatch, lambda: ZdPoly(M5, 2, {(1,): 1})),
+    "sum_of_domains": (ArityMismatch, lambda: JK5 + X5),
+    "substitute_count": (ArityMismatch, lambda: JK5.substitute([X5])),
+    "substitute_domains": (ArityMismatch, lambda: JK5.substitute([X5, JK5])),
+    "dickson_two_variables": (ArityMismatch, lambda: dickson_classify(JK5)),
+    "dickson_quartic": (ArityMismatch, lambda: dickson_classify(X5 ** 4)),
+}
+BOUNDARY = {**{k: (MalformedInput, f) for k, f in MALFORMED.items()},
+            **OUT_OF_SCOPE}
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("case", sorted(BOUNDARY))
 def test_malformed_input_is_library_error(case):
-    """Malformed arguments raise MalformedInput: a StabctxError, and still
-    a ValueError for callers that catch that."""
-    with pytest.raises(MalformedInput) as info:
-        MALFORMED[case]()
+    """Malformed or out-of-scope arguments raise the documented StabctxError
+    subclass; only MalformedInput is also a ValueError, for callers that
+    catch that."""
+    error, call = BOUNDARY[case]
+    with pytest.raises(error) as info:
+        call()
     assert isinstance(info.value, StabctxError)
-    assert isinstance(info.value, ValueError)
+    assert isinstance(info.value, ValueError) == (error is MalformedInput)
 
 
 def test_numpy_integers_read_as_ints():
