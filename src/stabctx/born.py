@@ -154,8 +154,9 @@ def master_polynomial(state: PhaseFunctionState, u: PhasePoint, v: PhasePoint,
     """
     if state.n != 2:
         raise ScaleError("master polynomial is two-qudit machinery")
-    if u.modulus != state.modulus or v.modulus != state.modulus:
-        raise IncompatibleContext("generator moduli differ from the state")
+    if any(w.modulus != state.modulus or w.n != state.n for w in (u, v)):
+        raise IncompatibleContext("generators live on a different system "
+                                  "than the state")
     if symplectic_product(u, v) != 0:
         raise NonCommuting("generators do not commute")
     m = state.modulus
@@ -325,23 +326,25 @@ class EmpiricalModel:
 
     # -- exports ----------------------------------------------------------
 
-    def _cells(self, outcomes: Sequence):
-        """(label, outcomes[i], possible, probability) per cell, in order."""
-        for ctx, possible, probs in zip(self.contexts, self.possible,
-                                        self.probability):
-            yield from zip(itertools.repeat(ctx.display_label), outcomes,
-                           possible.tolist(), probs.tolist())
+    def _by_context(self):
+        """(label, possible, probability) per context, rows as lists."""
+        return zip([ctx.display_label for ctx in self.contexts],
+                   self.possible.tolist(), self.probability.tolist())
 
     def to_csv(self, out: Optional[TextIO] = None) -> Optional[str]:
         """CSV with columns: context, outcome, possible, probability,
-        streamed row by row to `out`, or returned as text without `out`.
-        Outcome values are ';'-joined; probabilities use 12 digits."""
+        streamed one context at a time to `out`, or returned as text without
+        `out`.  Outcome values are ';'-joined; probabilities use 12 digits."""
         buf = io.StringIO() if out is None else out
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["context", "outcome", "possible", "probability"])
-        texts = [";".join(map(str, o)) for o in self.outcomes()]
-        writer.writerows((label, o, ("false", "true")[p], f"{q:.12f}")
-                         for label, o, p, q in self._cells(texts))
+        buf.write("context,outcome,possible,probability\n")
+        texts = [";".join(map(str, o)) + "," for o in self.outcomes()]
+        flags = ("false,", "true,")
+        for label, possible, probs in self._by_context():
+            field = io.StringIO()  # the label as csv quotes it, then ","
+            csv.writer(field, lineterminator="\n").writerow((label, ""))
+            prefix = field.getvalue()[:-1]
+            buf.write("".join([f"{prefix}{o}{flags[p]}{q:.12f}\n"
+                               for o, p, q in zip(texts, possible, probs)]))
         return buf.getvalue() if out is None else None
 
     def to_json_obj(self) -> dict:
@@ -351,13 +354,14 @@ class EmpiricalModel:
         JSON-serializable; tuples are written as arrays."""
         d, n = self.state.modulus.d, self.state.n
         witness = ((d ** (n - 1),) * d,) * d ** n
-        rows = []
-        for label, o, p, q in self._cells(self.outcomes()):
-            entry = {"context": label, "outcome": o, "possible": p,
-                     "probability": round(q, 12)}
-            if not p:
-                entry["zero_sum_witness"] = witness
-            rows.append(entry)
+        rows, outcomes = [], self.outcomes()
+        for label, possible, probs in self._by_context():
+            for o, p, q in zip(outcomes, possible, probs):
+                entry = {"context": label, "outcome": o, "possible": p,
+                         "probability": round(q, 12)}
+                if not p:
+                    entry["zero_sum_witness"] = witness
+                rows.append(entry)
         return {
             "schema": "1",
             "modulus": d,

@@ -33,8 +33,8 @@ import numpy as np
 
 from . import kernel
 from .born import EmpiricalModel, JointOutcome
-from .phase_space import Context, UnsupportedScale, context_rows, \
-    span_label, table1_rows
+from .phase_space import Context, DimensionMismatch, UnsupportedScale, \
+    context_rows, span_label, table1_rows
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
 from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
@@ -61,6 +61,8 @@ class HiddenVariable:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integers((self.n,), "qudit counts")[0])
+        if self.n < 1:
+            raise DimensionMismatch(f"hidden variable on n={self.n} qudits")
         if len(self.lam) != 2 * self.n:
             raise UnsupportedScale(f"{len(self.lam)} components for n={self.n}")
         d = self.modulus.d
@@ -568,17 +570,28 @@ class ContextualFraction:
     weights: dict[tuple[int, ...], float] = field(default_factory=dict)
 
 
+def _cell_dtype(cells: int) -> type:
+    """int32 while it indexes `cells` model cells, else int64."""
+    return np.int32 if cells <= 2 ** 31 else np.int64
+
+
 def _prescribed_cells(m: Modulus, n: int,
                       contexts: Sequence[Context]) -> np.ndarray:
     """cells[c, l] = c * d^n + o, where o (row-major over Z_d^n, the column
     order of `EmpiricalModel`'s arrays) is the outcome the l-th lam,
     lexicographically (as `enumerate_linear_hv`), prescribes on the
-    canonical basis of contexts[c]."""
-    d = m.d
-    keys = np.array([c.canonical_key for c in contexts]).reshape(-1, n, 2 * n)
-    values = keys @ _lam_array(d, n).T % d  # (context, basis element, lam)
-    return d ** np.arange(n - 1, -1, -1) @ values \
-        + d ** n * np.arange(len(contexts))[:, None]
+    canonical basis of contexts[c].  With lam = (hi, lo), key . lam is
+    key[:n] . hi + key[n:] . lo: one outer sum over the d^n halves."""
+    d, count = m.d, len(contexts)
+    keys = np.array([c.canonical_key for c in contexts]).reshape(-1, n, 2, n)
+    halves = (keys @ np.indices((d,) * n).reshape(n, -1) % d).astype(
+        np.min_scalar_type(2 * d))  # (context, element, hi or lo, half index)
+    cells = np.repeat(np.arange(count, dtype=_cell_dtype(count * d ** n)),
+                      d ** (2 * n)).reshape(count, d ** n, d ** n)
+    for i in range(n):  # Horner's rule: c * d^n + o
+        cells *= d
+        cells += (halves[:, i, 0, :, None] + halves[:, i, 1, None, :]) % d
+    return cells.reshape(count, d ** (2 * n))
 
 
 @cache

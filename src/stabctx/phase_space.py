@@ -137,7 +137,8 @@ class Context:
     Identity is the subspace: equality and hashing use the reduced-echelon
     canonical form, so the same subspace presented with different generators
     compares equal.  The display basis is kept as given (labelled context
-    families keep their defining generators).
+    families keep their defining generators).  Read-only, since the cached
+    catalogues share their contexts.
     """
 
     def __init__(self, basis: Sequence[PhasePoint], label: Optional[str] = None):
@@ -156,11 +157,11 @@ class Context:
         canonical = _rref([b.coords for b in basis], m)
         if len(canonical) != n:
             raise DimensionMismatch("basis points are linearly dependent")
-        self.modulus = m
-        self.n = n
-        self.basis = tuple(basis)
-        self.label = label
-        self.canonical_key = canonical
+        self.__dict__.update(modulus=m, n=n, basis=tuple(basis), label=label,
+                             canonical_key=canonical)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Context is read-only: cannot set {name!r}")
 
     @property
     def canonical_basis(self) -> tuple[PhasePoint, ...]:
@@ -247,14 +248,17 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
     return out
 
 
-def enumerate_contexts(m: Modulus, n: int) -> list[Context]:
+@functools.lru_cache(maxsize=None)
+def enumerate_contexts(m: Modulus, n: int) -> tuple[Context, ...]:
     """All maximal isotropic subspaces of Z_d^(2n), each exactly once, as
-    validated `Context`s over the rows of `context_rows` (same order)."""
-    return [Context([PhasePoint(m, n, tuple(row)) for row in basis])
-            for basis in context_rows(m, n).tolist()]
+    validated `Context`s over the rows of `context_rows` (same order), in
+    one tuple cached per (m, n)."""
+    return tuple(Context([PhasePoint(m, n, tuple(row)) for row in basis])
+                 for basis in context_rows(m, n).tolist())
 
 
-def table1_contexts(m: Modulus) -> list[Context]:
+@functools.lru_cache(maxsize=None)
+def table1_contexts(m: Modulus) -> tuple[Context, ...]:
     """The d(d+1) two-qudit context families I, II and III, as `Context`s
     whose `label` names the family and parameters (e.g. "I:alpha=0") and
     whose display basis is the defining generators.
@@ -265,15 +269,15 @@ def table1_contexts(m: Modulus) -> list[Context]:
         III_alpha,beta: (1,0,beta,0) and (0,1,alpha,-beta^{-1})
     Listed I by alpha, II by alpha, then III by alpha with beta innermost.
     Operator phases are taken to be zero throughout: relabelling outcomes by
-    a phase does not change which outcomes are possible.
-    """
+    a phase does not change which outcomes are possible.  One tuple, cached
+    per m."""
     d = m.d
     rows = ([(f"I:alpha={a}", (1, 0, 0, 0), (0, 0, a, 1)) for a in range(d)]
             + [(f"II:alpha={a}", (0, 0, 1, 0), (a, 1, 0, 0)) for a in range(d)]
             + [(f"III:alpha={a},beta={b}", (1, 0, b, 0), (0, 1, a, -inv(b, m)))
                for a in range(d) for b in range(1, d)])
-    return [Context([PhasePoint(m, 2, u), PhasePoint(m, 2, v)], label=label)
-            for label, u, v in rows]
+    return tuple(Context([PhasePoint(m, 2, u), PhasePoint(m, 2, v)],
+                         label=label) for label, u, v in rows)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import json
@@ -374,6 +375,36 @@ class TestEmpiricalModel:
         assert model.to_csv(out) is None
         assert out.getvalue() == text
 
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("family", ["table1", "full"])
+    def test_csv_matches_csv_writer(self, d, family):
+        """The rows joined from per-context prefixes equal the bytes
+        `csv.writer` writes cell by cell."""
+        m = Modulus(d)
+        contexts = table1_contexts(m) if family == "table1" \
+            else enumerate_contexts(m, 2)
+        model = build_empirical_model(state(d, "j^3 + 2*j*k^2 + j*k + k"),
+                                      contexts)
+        assert not model.possible.all()
+        assert model.to_csv() == csv_oracle(model)
+
+    def test_csv_quotes_labels_as_csv_writer(self):
+        """Labels are quoted by csv's own rules: a family-III label (it holds
+        a ","), and a library-built label with ",", '"' and a newline."""
+        m = Modulus(5)
+        odd = Context([PhasePoint(m, 2, (1, 0, 0, 0)),
+                       PhasePoint(m, 2, (0, 0, 1, 0))],
+                      label='p, "q"\nr')
+        contexts = (odd,) + table1_contexts(m)[9:11]
+        model = build_empirical_model(state(5, "j^2*k + j*k^2"), contexts)
+        text = model.to_csv()
+        assert text == csv_oracle(model)
+        assert text.startswith('context,outcome,possible,probability\n'
+                               '"p, ""q""\nr",0;0,')
+        assert '\nII:alpha=4,0;0,' in text
+        assert '\n"III:alpha=0,beta=1",0;0,' in text
+        assert list(csv.reader(io.StringIO(text)))[1][0] == odd.label
+
     def test_json_export_carries_witnesses(self):
         m = Modulus(3)
         st = state(3, "j^2*k")
@@ -416,6 +447,20 @@ class TestEmpiricalModel:
             for q in projs[i + 1:]:
                 assert np.allclose(p @ q, 0, atol=1e-9)
         assert np.allclose(sum(projs), np.eye(9), atol=1e-9)
+
+
+def csv_oracle(model):
+    """The model CSV as `csv.writer` writes it, one cell at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["context", "outcome", "possible", "probability"])
+    texts = [";".join(map(str, o)) for o in model.outcomes()]
+    for ctx, possible, probs in zip(model.contexts, model.possible,
+                                    model.probability):
+        writer.writerows((ctx.display_label, o, ("false", "true")[p],
+                          f"{q:.12f}") for o, p, q
+                         in zip(texts, possible.tolist(), probs.tolist()))
+    return buf.getvalue()
 
 
 def dense_probability(st, ctx, values):

@@ -18,6 +18,8 @@ CERT_DIGESTS = json.loads((DATA / "analyze_sha256.json").read_text())
 WRITER_DIGESTS = json.loads((DATA / "writer_sha256.json").read_text())
 CF_TABLE1_DIGESTS = json.loads((DATA / "cf_table1_sha256.json").read_text())
 D7_DIGESTS = json.loads((DATA / "d7_model_sha256.json").read_text())
+CSV_TABLE1_DIGESTS = json.loads(
+    (DATA / "model_csv_table1_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -234,6 +236,19 @@ class TestArtifactDigests:
         path = tmp_path / case
         code, _, _ = run(capsys, "cf", "--d", "5", "--phi", ref["phi"],
                          "--contexts", "table1", "--format", "json",
+                         "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
+
+    @pytest.mark.parametrize("case", sorted(CSV_TABLE1_DIGESTS))
+    def test_model_csv_table1_artifacts(self, capsys, tmp_path, case):
+        """Model CSV over the Table-1 contexts keeps the bytes recorded
+        while every cell went through `csv.writer`; the family-III labels
+        hold a "," and so are quoted."""
+        ref = CSV_TABLE1_DIGESTS[case]
+        path = tmp_path / case
+        code, _, _ = run(capsys, "model", "--d", "5", "--phi", ref["phi"],
+                         "--contexts", "table1", "--format", "csv",
                          "--output", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]

@@ -358,6 +358,35 @@ class TestContextualFraction:
         assert A.shape == expected.shape
         assert np.array_equal(A.toarray(), expected)
 
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_prescribed_cells_match_matmul_formula(self, d, n):
+        """The cells, built by outer sum over the two halves of lam, equal
+        d^(n-1..0) @ (keys @ lams.T % d) + d^n * (context index) over
+        every lam: for full and Table-1 contexts and a reversed subset."""
+        m = Modulus(d)
+        full = enumerate_contexts(m, n)
+        pools = [full, full[::-3]] + ([table1_contexts(m)] if n == 2 else [])
+        lams = np.array(list(itertools.product(range(d), repeat=2 * n)))
+        for contexts in pools:
+            keys = np.array([c.canonical_key for c in contexts])
+            expected = d ** np.arange(n - 1, -1, -1) @ (keys @ lams.T % d) \
+                + d ** n * np.arange(len(contexts))[:, None]
+            cells = hidden_vars._prescribed_cells(m, n, contexts)
+            assert cells.dtype == np.int32
+            assert np.array_equal(cells, expected)
+
+    def test_cell_dtype_widens_past_int32(self):
+        """Cell indices are int32 while the largest, (contexts * d^n) - 1,
+        fits, and int64 past 2^31 (checked without building the cells)."""
+        d, n = 11, 2
+        count = 2 ** 31 // d ** n + 1
+        assert (count - 1) * d ** n - 1 < 2 ** 31 <= count * d ** n - 1
+        assert hidden_vars._cell_dtype((count - 1) * d ** n) is np.int32
+        assert hidden_vars._cell_dtype(count * d ** n) is np.int64
+        assert hidden_vars._cell_dtype(2 ** 31) is np.int32
+        assert hidden_vars._cell_dtype(2 ** 31 + 1) is np.int64
+
     def test_infeasible_model_names_first_bad_context(self):
         m = Modulus(3)
         st = state(3, "j^2*k")

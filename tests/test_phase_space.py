@@ -275,6 +275,21 @@ class TestTable1Contexts:
             with pytest.raises(ValueError):
                 table[0] = 0
 
+    def test_catalogues_built_once_as_tuples(self):
+        """The `Context` catalogues are cached per argument and shared, so
+        they are tuples of read-only contexts: no caller can append to the
+        shared copy or relabel a context in it."""
+        for build in (lambda: enumerate_contexts(Modulus(5), 2),
+                      lambda: enumerate_contexts(Modulus(5), 1),
+                      lambda: table1_contexts(Modulus(5))):
+            first = build()
+            assert type(first) is tuple
+            assert build() is first
+        shared = table1_contexts(Modulus(5))[0]
+        with pytest.raises(AttributeError):
+            shared.label = "changed"
+        assert table1_contexts(Modulus(5))[0].label == "I:alpha=0"
+
 
 class TestPhasePoint:
     def test_integer_coordinates_reduced_mod_d(self):

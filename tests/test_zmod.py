@@ -356,11 +356,18 @@ OUT_OF_SCOPE = {
     "master_poly_modulus": (IncompatibleContext, lambda: master_polynomial(
         PhaseFunctionState(M5, 2, JK5), PhasePoint(M3, 2, (1, 0, 0, 0)),
         PhasePoint(M5, 2, (0, 0, 1, 0)), 0, 0, 0, 0)),
+    "master_poly_generator_qudits": (
+        IncompatibleContext, lambda: master_polynomial(
+            PhaseFunctionState(Modulus(5), 2, parse_poly("j*k", Modulus(5))),
+            PhasePoint(Modulus(5), 1, (1, 0)),
+            PhasePoint(Modulus(5), 1, (2, 0)), 0, 0, 0, 0)),
     "psi_route_one_qudit": (ScaleError, lambda: impossibility_by_psi(
         ONE_QUDIT, JointOutcome(unit_context(1), (0,)))),
     # hidden_vars
     "hidden_variable_length": (UnsupportedScale, lambda: HiddenVariable(
         M5, 2, (0, 0, 0))),
+    "hidden_variable_no_qudits": (DimensionMismatch, lambda: HiddenVariable(
+        Modulus(5), 0, ())),
     "prescribed_outcome_size": (UnsupportedScale, lambda: prescribed_outcome(
         HiddenVariable(M5, 1, (0, 0)), unit_context(2))),
     "decide_one_qudit": (UnsupportedScale, lambda:
