@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .zmod import Modulus, ZdPoly, parse_poly
 from .phase_space import Context, PhasePoint, WeylOperator
 from .states import PhaseFunctionState
-from .born import EmpiricalModel, JointOutcome, RootMultiset
+from .born import EmpiricalModel, JointOutcome
 from .hidden_vars import (
     HiddenVariable,
     StrongContextualityCertificate,
@@ -24,7 +24,6 @@ __all__ = [
     "PhaseFunctionState",
     "EmpiricalModel",
     "JointOutcome",
-    "RootMultiset",
     "HiddenVariable",
     "StrongContextualityCertificate",
     "contextual_fraction",

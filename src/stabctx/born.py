@@ -1,4 +1,4 @@
-"""Outcome possibility, root-of-unity multisets and empirical models.
+"""Outcome possibility and empirical models.
 
 Whether a joint outcome of commuting Weyl measurements can occur on a
 phase-function state is a zero-vs-nonzero question about a sum of d-th roots
@@ -6,8 +6,8 @@ of unity.  Expanding the joint eigenspace projector against the state gives,
 for every output basis ket, one root of unity per subspace element; since d
 is prime such a sum vanishes iff every root appears equally often.  All
 (im)possibility verdicts here are therefore decided by integer counting
-in `stabctx.kernel`: `outcome_possibility` wraps the per-ket oracle
-`kernel.residue_counts` as `RootMultiset`s and zero-sum witnesses.
+in `stabctx.kernel`: `outcome_possibility` asks the per-ket oracle
+`kernel.impossible`.
 Empirical models take the expectation instead and read
 `kernel.PointCounts`, as the lambda scan in `stabctx.hidden_vars` does:
 d^(2n) <psi|Pi|psi> is a sum of d^(2n) roots, counted from the state's
@@ -30,7 +30,7 @@ import io
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, TextIO
+from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -51,40 +51,6 @@ class NonCommuting(StabctxError):
 
 class ScaleError(StabctxError):
     """Tabulation requested beyond n = 2."""
-
-
-@dataclass(frozen=True, slots=True)
-class RootMultiset:
-    """Multiset of d-th roots of unity as a length-d count vector.
-
-    counts[t] is the multiplicity of omega^t.  Because d is prime, the
-    represented sum vanishes exactly when all counts are equal.
-    """
-
-    modulus: Modulus
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = _integers(self.counts, "root counts")
-        if len(counts) != self.modulus.d:
-            raise MalformedInput("need one count per d-th root")
-        if any(c < 0 for c in counts):
-            raise MalformedInput("counts must be nonnegative")
-        object.__setattr__(self, "counts", counts)
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def is_zero_sum(self) -> bool:
-        return len(set(self.counts)) == 1
-
-    def numeric_sum(self) -> complex:
-        w = np.exp(2j * np.pi / self.modulus.d)
-        return sum(c * w ** t for t, c in enumerate(self.counts))
-
-    def merge(self, other: "RootMultiset") -> "RootMultiset":
-        return RootMultiset(self.modulus,
-                            tuple(a + b for a, b in zip(self.counts, other.counts)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,12 +75,6 @@ class JointOutcome:
         return sum(c * o for c, o in zip(coeffs, self.values)) % d
 
 
-@dataclass(frozen=True, slots=True)
-class PossibilityResult:
-    possible: bool
-    per_ket: tuple[RootMultiset, ...]
-
-
 def _check_compatible(state: PhaseFunctionState, context: Context):
     if state.modulus != context.modulus or state.n != context.n:
         raise IncompatibleContext("state and context live on different systems")
@@ -123,21 +83,14 @@ def _check_compatible(state: PhaseFunctionState, context: Context):
 
 
 def outcome_possibility(state: PhaseFunctionState,
-                        outcome: JointOutcome) -> PossibilityResult:
-    """Expand the outcome projector against the state, exactly.
-
-    Returns the per-ket root multisets (kets in row-major order) and whether
-    any of them fails to vanish.  The outcome is impossible iff every ket's
-    multiset is a uniform orbit.
-    """
+                        outcome: JointOutcome) -> bool:
+    """Whether the outcome can occur on the state, decided exactly by the
+    per-ket oracle `kernel.impossible`: it is impossible iff every output
+    ket's d^n roots are a uniform orbit."""
     context = outcome.context
     _check_compatible(state, context)
-    counts = kernel.residue_counts(state.modulus.d, state.phi_table(),
-                                   [context.canonical_key], [outcome.values])
-    multis = tuple(RootMultiset(state.modulus, tuple(row))
-                   for row in counts[0].tolist())
-    possible = any(not rm.is_zero_sum() for rm in multis)
-    return PossibilityResult(possible, multis)
+    return not kernel.impossible(state.modulus.d, state.phi_table(),
+                                 [context.canonical_key], [outcome.values])[0]
 
 
 def master_polynomial(state: PhaseFunctionState, u: PhasePoint, v: PhasePoint,
@@ -373,13 +326,14 @@ class EmpiricalModel:
 
 
 def build_empirical_model(state: PhaseFunctionState,
-                          contexts: Sequence[Context]) -> EmpiricalModel:
+                          contexts: Iterable[Context]) -> EmpiricalModel:
     """Tabulate possibility and probability for every (context, outcome).
 
     From each cell's `kernel.PointCounts.weyl_counts` R[s], the roots whose
     sum is d^(2n) <psi|Pi|psi>: possible iff R is not uniform (exact, d
     prime), with probability d^(-2n) * sum_s R[s] cos(2 pi s / d), or 0.0.
     """
+    contexts = tuple(contexts)  # a one-shot iterable is read once
     for ctx in contexts:
         _check_compatible(state, ctx)
     d, n = state.modulus.d, state.n
@@ -391,5 +345,5 @@ def build_empirical_model(state: PhaseFunctionState,
             keys):
         possible[qs] = (counts != counts[..., :1]).any(axis=-1)
         probability[qs] = np.where(possible[qs], counts @ cos, 0.0)
-    return EmpiricalModel(state, tuple(contexts), possible,
+    return EmpiricalModel(state, contexts, possible,
                           probability / d ** (2 * n))

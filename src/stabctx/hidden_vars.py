@@ -27,7 +27,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, \
+    TextIO
 
 import numpy as np
 
@@ -517,6 +518,9 @@ def decide_strong_contextuality(state: PhaseFunctionState,
         raise UnsupportedScale("decision procedure supports n = 2")
     if strategy not in ("table1_first", "full_scan"):
         raise MalformedInput(f"unknown strategy {strategy!r}")
+    if not isinstance(normalize, (bool, np.bool_)):
+        raise MalformedInput(f"normalize must be a bool, not {normalize!r}")
+    normalize = bool(normalize)
     if normalize:
         work, rep, swapped = _normalize(state)
     else:
@@ -619,10 +623,11 @@ def _incidence(rows: np.ndarray, height: int) -> csr_matrix:
 
 
 def consistency_matrix(m: Modulus, n: int,
-                       contexts: Sequence[Context]) -> csr_matrix:
+                       contexts: Iterable[Context]) -> csr_matrix:
     """The LP's 0/1 matrix over every lam: entry (c * d^n + o, l) is 1 iff
     the l-th lam prescribes outcome o on contexts[c] (see
     `_prescribed_cells`)."""
+    contexts = tuple(contexts)  # a one-shot iterable is read once
     return _incidence(_prescribed_cells(m, n, contexts),
                       len(contexts) * m.d ** n)
 

@@ -16,10 +16,11 @@ at w = (P, Q).  Counted once per state as C_w, it gives the counts R[s] =
 sum_c C_(c.g)[s + c.a] of the roots of d^(2n) <psi|Pi|psi>, and since d is
 prime the outcome is impossible iff R is uniform.  Its readers serve
 empirical models (`weyl_counts`) and the hidden-variable scan (`impossible`).
-The per-ket route stays as an oracle: one ket's d^n roots sum to zero iff
-each residue appears d^(n-1) times, and the outcome is impossible iff that
-holds at every ket (`residue_counts` counts, `impossible` decides).  This
-module is the only place the exponent is written out.
+The per-ket route stays as the oracle that `born.outcome_possibility`,
+`selftest` and the tests ask: one ket's d^n roots sum to zero iff each
+residue appears d^(n-1) times, and the outcome is impossible iff that holds
+at every ket (`residue_counts` counts, `impossible` decides).  This module
+is the only place the exponent is written out.
 
 Every input must be integer and is reduced mod d on entry, so any integers
 that mean the same thing mod d give the same answer.  Exponents and gathers

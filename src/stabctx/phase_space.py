@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .zmod import Modulus, StabctxError, _integers, inv
+from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
 
 
 class DimensionMismatch(StabctxError):
@@ -144,6 +144,8 @@ class Context:
     def __init__(self, basis: Sequence[PhasePoint], label: Optional[str] = None):
         if not basis:
             raise DimensionMismatch("empty basis")
+        if not (label is None or isinstance(label, str)):
+            raise MalformedInput(f"context label must be a str, not {label!r}")
         m = basis[0].modulus
         n = basis[0].n
         for b in basis:

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from stabctx import dense
+from stabctx import dense, kernel
 from stabctx.born import (
     JointOutcome,
     build_empirical_model,
@@ -147,7 +147,7 @@ def test_criterion_05_negative_controls():
             hv = HiddenVariable(m, 2, cert.witness.lam)
             for ctx in contexts:
                 outcome = prescribed_outcome(hv, ctx)
-                ok = ok and outcome_possibility(st, outcome).possible
+                ok = ok and outcome_possibility(st, outcome)
             checked += 1
     ok = ok and checked == 8
     report(5, ok, time.perf_counter() - start,
@@ -155,8 +155,9 @@ def test_criterion_05_negative_controls():
 
 
 def test_criterion_06_oracle_equivalence():
-    """>= 1000 random (state, context, outcome) triples: the permutation
-    polynomial route, the counting route, and the dense projection agree."""
+    """>= 1000 random (state, context, outcome) triples: four routes agree,
+    the per-ket counting oracle, the production engine (`PointCounts`), the
+    permutation polynomial and the dense projection."""
     start = time.perf_counter()
     rng = random.Random(6)
     disagreements = 0
@@ -170,17 +171,20 @@ def test_criterion_06_oracle_equivalence():
             st = PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
             ctx = contexts[rng.randrange(len(contexts))]
             outcome = JointOutcome(ctx, (rng.randrange(d), rng.randrange(d)))
-            exact = outcome_possibility(st, outcome).possible
+            per_ket = outcome_possibility(st, outcome)
+            cell = not kernel.PointCounts(d, st.phi_table()).impossible(
+                [ctx.canonical_key], [outcome.values])[0]
             psi = not impossibility_by_psi(st, outcome)
             proj = dense.outcome_projector(ctx, outcome.values)
             vec = dense.phase_state_vector(m, st.phi)
             numeric = bool(np.linalg.norm(proj @ vec) > 1e-9)
             total += 1
-            if not (exact == psi == numeric):
+            if not (per_ket == cell == psi == numeric):
                 disagreements += 1
     ok = total >= 1000 and disagreements == 0
     report(6, ok, time.perf_counter() - start,
-           f"{total} random triples, {disagreements} route disagreements")
+           f"{total} random triples through 4 routes, "
+           f"{disagreements} route disagreements")
 
 
 def test_criterion_07_family_regression():

@@ -12,7 +12,6 @@ from stabctx.born import (
     IncompatibleContext,
     JointOutcome,
     NonCommuting,
-    RootMultiset,
     build_empirical_model,
     impossibility_by_psi,
     master_polynomial,
@@ -42,55 +41,32 @@ def random_state(m, rng, max_degree=3):
     return PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
 
 
-class TestRootMultiset:
-    def test_uniform_is_zero_sum(self):
-        m = Modulus(5)
-        rm = RootMultiset(m, (5, 5, 5, 5, 5))
-        assert rm.is_zero_sum()
-        assert abs(rm.numeric_sum()) < 1e-9
+def ket_counts(st, outcome):
+    """The per-ket oracle's counts[ket, t] for one outcome."""
+    return kernel.residue_counts(st.modulus.d, st.phi_table(),
+                                 [outcome.context.canonical_key],
+                                 [outcome.values])[0]
 
-    def test_nonuniform_is_not(self):
-        m = Modulus(5)
-        rm = RootMultiset(m, (6, 5, 5, 5, 4))
-        assert not rm.is_zero_sum()
-        assert abs(rm.numeric_sum()) > 1e-9
 
+class TestOutcomePossibility:
     def test_zero_sum_iff_numeric_vanishes_on_real_expansions(self):
-        # multisets produced by actual projector expansions at d=3,5
+        # per-ket counts of actual projector expansions at d=3,5: uniform
+        # iff the root sum vanishes numerically
         rng = random.Random(0)
         checked = 0
         for d in (3, 5):
             m = Modulus(d)
             contexts = enumerate_contexts(m, 2)
+            omega = np.exp(2j * np.pi * np.arange(d) / d)
             while checked < (500 if d == 3 else 1000):
                 st = random_state(m, rng)
                 ctx = contexts[rng.randrange(len(contexts))]
                 outcome = JointOutcome(ctx, (rng.randrange(d), rng.randrange(d)))
-                res = outcome_possibility(st, outcome)
-                for rm in res.per_ket:
-                    assert rm.is_zero_sum() == (abs(rm.numeric_sum()) < 1e-9)
+                for counts in ket_counts(st, outcome):
+                    uniform = bool((counts == counts[0]).all())
+                    assert uniform == (abs(counts @ omega) < 1e-9)
                     checked += 1
 
-    def test_merge(self):
-        m = Modulus(3)
-        a = RootMultiset(m, (1, 0, 2))
-        b = RootMultiset(m, (2, 3, 1))
-        assert a.merge(b).counts == (3, 3, 3)
-        assert a.merge(b).is_zero_sum()
-
-    def test_fractional_count_rejected(self):
-        # once stored as (1, 1, 1, 1, 1), a uniform orbit
-        with pytest.raises(MalformedInput):
-            RootMultiset(Modulus(5), (1, 1, 1, 1, 1.9))
-
-    def test_generator_counts_read_once(self):
-        m = Modulus(5)
-        rm = RootMultiset(m, (c for c in (6, 5, 5, 5, 4)))
-        assert rm.counts == (6, 5, 5, 5, 4)
-        assert rm == RootMultiset(m, np.array([6, 5, 5, 5, 4]))
-
-
-class TestOutcomePossibility:
     @pytest.mark.parametrize("values", [(1.5, 0), ("1", 0)])
     def test_non_integer_outcome_rejected(self, values):
         # (1.5, 0) was once read as (1, 0); ("1", 0) raised a bare TypeError
@@ -105,8 +81,7 @@ class TestOutcomePossibility:
         ctx = Context([PhasePoint(m, 2, (1, 0, 0, 0)),
                        PhasePoint(m, 2, (0, 0, 1, 0))])
         outcome = JointOutcome(ctx, (0, 0))
-        res = outcome_possibility(st, outcome)
-        assert res.possible
+        assert outcome_possibility(st, outcome) is True
         proj = dense.outcome_projector(ctx, (0, 0))
         vec = dense.phase_state_vector(m, st.phi)
         assert np.linalg.norm(proj @ vec) ** 2 == pytest.approx(1 / 9, abs=1e-9)
@@ -121,9 +96,8 @@ class TestOutcomePossibility:
                        PhasePoint(m, 2, (0, 1, 0, 2))],
                       label="III:alpha=0,beta=1")
         outcome = JointOutcome(ctx, (0, 0))
-        res = outcome_possibility(st, outcome)
-        assert not res.possible
-        assert all(rm.is_zero_sum() for rm in res.per_ket)
+        assert outcome_possibility(st, outcome) is False
+        assert (ket_counts(st, outcome) == 3).all()  # every ket uniform
         # dense cross-check
         proj = dense.outcome_projector(ctx, (0, 0))
         vec = dense.phase_state_vector(m, st.phi)
@@ -136,12 +110,12 @@ class TestOutcomePossibility:
         st = state(3, "j*k^2 + j")
         ctx = enumerate_contexts(m, 2)[7]
         outcome = JointOutcome(ctx, (1, 2))
-        res = outcome_possibility(st, outcome)
-        assert len(res.per_ket) == 9
-        assert all(rm.total() == 9 for rm in res.per_ket)
+        counts = ket_counts(st, outcome)
+        assert counts.shape == (9, 3)
+        assert (counts.sum(axis=1) == 9).all()
 
     def test_resolution_of_identity_counts(self):
-        # summing multisets over all joint outcomes: every root appears
+        # summing per-ket counts over all joint outcomes: every root appears
         # (d^n - 1) * d^(n-1) times, plus d^n extra at the state's own phase
         rng = random.Random(1)
         for d in (3, 5):
@@ -150,20 +124,15 @@ class TestOutcomePossibility:
             for _ in range(3):
                 st = random_state(m, rng)
                 ctx = contexts[rng.randrange(len(contexts))]
-                merged = None
-                for o in itertools.product(range(d), repeat=2):
-                    res = outcome_possibility(st, JointOutcome(ctx, o))
-                    if merged is None:
-                        merged = list(res.per_ket)
-                    else:
-                        merged = [a.merge(b) for a, b in zip(merged, res.per_ket)]
-                for ket_index, rm in enumerate(merged):
+                merged = sum(ket_counts(st, JointOutcome(ctx, o))
+                             for o in itertools.product(range(d), repeat=2))
+                for ket_index, counts in enumerate(merged.tolist()):
                     j, k = divmod(ket_index, d)
                     phase = st.phi.evaluate((j, k))
                     base = (d * d - 1) * d
-                    want = tuple(base + (d * d if t == phase else 0)
-                                 for t in range(d))
-                    assert rm.counts == want
+                    want = [base + (d * d if t == phase else 0)
+                            for t in range(d)]
+                    assert counts == want
 
     def test_incompatible_context(self):
         st = state(3, "j*k")
@@ -175,9 +144,11 @@ class TestOutcomePossibility:
         m = Modulus(5)
         st = PhaseFunctionState(m, 1, parse_poly("x^3", m, variables=("x",)))
         ctx = enumerate_contexts(m, 1)[0]
-        res = outcome_possibility(st, JointOutcome(ctx, (0,)))
-        assert len(res.per_ket) == 5
-        assert all(rm.total() == 5 for rm in res.per_ket)
+        outcome = JointOutcome(ctx, (0,))
+        assert isinstance(outcome_possibility(st, outcome), bool)
+        counts = ket_counts(st, outcome)
+        assert counts.shape == (5, 5)
+        assert (counts.sum(axis=1) == 5).all()
 
 
 class TestMasterPolynomial:
@@ -244,7 +215,7 @@ class TestPsiRouteAgreement:
             ctx = contexts[rng.randrange(len(contexts))]
             outcome = JointOutcome(ctx, (rng.randrange(d), rng.randrange(d)))
             assert impossibility_by_psi(st, outcome) == \
-                (not outcome_possibility(st, outcome).possible)
+                (not outcome_possibility(st, outcome))
 
     def test_flat_state_zero_outcome_possible(self):
         m = Modulus(3)
@@ -508,6 +479,18 @@ class TestBornFromCounts:
             single = build_empirical_model(st, [ctx])
             for o in model.outcomes():
                 assert model.rows[(ci, o)] == single.rows[(0, o)]
+
+    def test_one_shot_contexts_read_once(self):
+        # a generator was once used up by the compatibility check, leaving
+        # a model with no contexts
+        m = Modulus(5)
+        st = state(5, "j^2*k")
+        contexts = enumerate_contexts(m, 2)[:3]
+        model = build_empirical_model(st, (c for c in contexts))
+        assert model.contexts == contexts
+        assert model.possible.shape == (3, 25)
+        expected = build_empirical_model(st, contexts)
+        assert np.array_equal(model.probability, expected.probability)
 
     def test_empty_context_list(self):
         st = state(5, "j^2*k")

@@ -153,7 +153,7 @@ class TestDecide:
         hv = HiddenVariable(m, 2, cert.witness.lam)
         for ctx in enumerate_contexts(m, 2)[::13]:
             outcome = prescribed_outcome(hv, ctx)
-            assert outcome_possibility(st, outcome).possible
+            assert outcome_possibility(st, outcome)
 
     def test_strong_states_d5(self):
         for text in ("j^2*k", "j*k^2", "j^2*k + j*k^2", "2*j^2*k + 4*j*k^2"):
@@ -193,7 +193,7 @@ class TestDecide:
         for r in cert.refutations:
             ctx = Context([PhasePoint(m, 2, c) for c in r.context_basis])
             outcome = JointOutcome(ctx, r.outcome)
-            assert not outcome_possibility(st, outcome).possible
+            assert not outcome_possibility(st, outcome)
 
     def test_full_scan_strategy_same_verdicts(self):
         for text, want in (("j^2*k", True), ("j*k + 2*j", False)):
@@ -357,6 +357,14 @@ class TestContextualFraction:
         A = consistency_matrix(m, 2, contexts)
         assert A.shape == expected.shape
         assert np.array_equal(A.toarray(), expected)
+
+    def test_consistency_matrix_reads_one_shot_contexts(self):
+        # len() of a generator once raised a bare TypeError
+        m = Modulus(3)
+        contexts = table1_contexts(m)
+        A = consistency_matrix(m, 2, iter(contexts))
+        assert np.array_equal(A.toarray(),
+                              consistency_matrix(m, 2, contexts).toarray())
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     @pytest.mark.parametrize("n", [1, 2])

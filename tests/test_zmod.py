@@ -7,8 +7,8 @@ import pytest
 
 import stabctx.zmod
 from stabctx import kernel
-from stabctx.born import IncompatibleContext, JointOutcome, RootMultiset, \
-    ScaleError, build_empirical_model, impossibility_by_psi, \
+from stabctx.born import IncompatibleContext, JointOutcome, ScaleError, \
+    build_empirical_model, impossibility_by_psi, \
     master_polynomial, outcome_possibility, psi_type_I
 from stabctx.hidden_vars import HiddenVariable, decide_strong_contextuality, \
     prescribed_outcome
@@ -299,13 +299,21 @@ def unit_context(n):
 
 
 MALFORMED = {
-    "root_count_length": lambda: RootMultiset(M3, (1, 2)),
-    "root_count_negative": lambda: RootMultiset(M3, (1, -1, 0)),
     "outcome_value_count": lambda: JointOutcome(
         enumerate_contexts(M3, 2)[0], (1,)),
     "lambda_components": lambda: psi_type_I(M3, 1, 1, (0, 0, 0), 0, 0, 0),
     "unknown_strategy": lambda: decide_strong_contextuality(
         PhaseFunctionState(M3, 2, J3), strategy="fastest"),
+    # "no" once ran the normalising path and was written to the certificate
+    "string_normalize": lambda: decide_strong_contextuality(
+        PhaseFunctionState(M3, 2, J3), normalize="no"),
+    "int_normalize": lambda: decide_strong_contextuality(
+        PhaseFunctionState(M3, 2, J3), normalize=0),
+    # a label reaches the CSV and JSON artifacts as given
+    "int_context_label": lambda: Context(
+        [PhasePoint(M5, 2, KEY[0]), PhasePoint(M5, 2, KEY[1])], label=7),
+    "list_context_label": lambda: Context(
+        [PhasePoint(M5, 2, KEY[0]), PhasePoint(M5, 2, KEY[1])], label=["I"]),
     "hierarchy_level": lambda: verify_level_by_conjugation(J3, 0),
     "negative_power": lambda: J3 ** -1,
     "float_power": lambda: J3 ** 1.5,
@@ -411,6 +419,17 @@ def test_malformed_input_is_library_error(case):
         call()
     assert isinstance(info.value, StabctxError)
     assert isinstance(info.value, ValueError) == (error is MalformedInput)
+
+
+def test_numpy_bool_normalize_read_as_bool():
+    """A numpy bool means the same as a Python bool for `normalize`, and
+    the certificate stores a Python bool."""
+    st = PhaseFunctionState(M3, 2, J3 * J3 * ZdPoly.variable(M3, 1, 2))
+    for flag in (True, False):
+        cert = decide_strong_contextuality(st, normalize=np.bool_(flag))
+        assert cert.normalize is flag
+        assert cert.to_json_obj() == decide_strong_contextuality(
+            st, normalize=flag).to_json_obj()
 
 
 def test_numpy_integers_read_as_ints():
