@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, \
 import numpy as np
 
 from . import kernel
-from .born import EmpiricalModel, JointOutcome
+from .born import EmpiricalModel, IncompatibleContext, JointOutcome
 from .phase_space import Context, DimensionMismatch, UnsupportedScale, \
     context_rows, span_label, table1_rows
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
@@ -177,10 +177,10 @@ def violated_identity(m: Modulus, candidate: Mapping[tuple[int, ...], int]):
 @dataclass(frozen=True, slots=True)
 class Refutation:
     """Evidence that one hidden variable is inconsistent with the state: in
-    the named context, the outcome it prescribes is impossible (every one of
-    the d^2 kets' root multisets is uniform; the certificate writes d^2 as
-    "kets_checked").  Certificates keep columns and build these on request
-    (`StrongContextualityCertificate.refutations`)."""
+    the named context, the outcome it prescribes is impossible (the
+    outcome's root counts R are uniform; the certificate writes the d^2 kets
+    of its expansion as "kets_checked").  Certificates keep columns and
+    build these on request (`StrongContextualityCertificate.refutations`)."""
 
     lam: tuple[int, ...]
     stage: str  # "proof" | "table1" | "full"
@@ -363,6 +363,9 @@ def proof_stage_positions(m: Modulus, phi1: int, phi2: int,
              else:         alpha = 2/(phi2+1) * (l1*phi1*(phi2+2)
                                      + l3*(phi2^2 - 1)),    beta = (phi2+1)/phi1
     """
+    lams = np.asarray(lams)
+    if lams.ndim != 2 or lams.shape[1] != 4 or lams.dtype.kind not in "iu":
+        raise MalformedInput("lams must be an integer (N, 4) array")
     d = m.d
     phi1, phi2 = phi1 % d, phi2 % d
     l1, l3 = lams[:, 0] % d, lams[:, 2] % d
@@ -628,6 +631,8 @@ def consistency_matrix(m: Modulus, n: int,
     the l-th lam prescribes outcome o on contexts[c] (see
     `_prescribed_cells`)."""
     contexts = tuple(contexts)  # a one-shot iterable is read once
+    if any(c.modulus != m or c.n != n for c in contexts):
+        raise IncompatibleContext("contexts live on a different system")
     return _incidence(_prescribed_cells(m, n, contexts),
                       len(contexts) * m.d ** n)
 

@@ -164,6 +164,7 @@ def verify_level_by_conjugation(phi: ZdPoly, claimed_level: int) -> bool:
     n = phi.num_vars
     if m.d not in (3, 5) or n > 2:
         raise OracleScaleExceeded("oracle supports d in {3,5}, n <= 2")
+    claimed_level = _integers((claimed_level,), "hierarchy levels")[0]
     if claimed_level < 1:
         raise MalformedInput("hierarchy levels start at 1")
     return _in_level(dense.diagonal_gate(m, phi), claimed_level, m, n)

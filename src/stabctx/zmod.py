@@ -313,90 +313,65 @@ def parse_poly(text: str, m: Modulus,
         >>> str(parse_poly("x^3 - x", Modulus(5), variables=("x",)))
         'x^3 + 4*x'
     """
+    if not isinstance(text, str):
+        raise MalformedInput(f"polynomial text must be a str, got {text!r}")
     tokens = []
-    pos = 0
-    while pos < len(text):
+    pos, end = 0, len(text.rstrip())  # a blank tail holds no token
+    while pos < end:
         match = _TOKEN.match(text, pos)
         if match is None:
-            if text[pos:].strip() == "":
-                break
             raise PolyParseError(f"unexpected character at {text[pos:]!r}")
         tokens.append(match)
         pos = match.end()
 
     if variables is None:
-        seen = [t.group(2) for t in tokens if t.group(2)]
-        for candidate in (("j", "k"), ("x", "y"), ("x",)):
-            if seen and set(seen) <= set(candidate):
-                variables = candidate
-                break
-        else:
-            if seen:
-                raise PolyParseError(f"unknown variables {sorted(set(seen))}; "
-                                     "expected j,k or x,y")
-            variables = ("j", "k")
+        seen = {t.group(2) for t in tokens if t.group(2)}
+        variables = next((c for c in (("j", "k"), ("x",), ("x", "y"))
+                          if seen <= set(c)), None)
+        if variables is None:
+            raise PolyParseError(f"unknown variables {sorted(seen)}; "
+                                 "expected j,k or x,y")
     var_index = {name: i for i, name in enumerate(variables)}
-    nv = len(variables)
 
-    poly = ZdPoly.zero(m, nv)
-    i = 0
+    coeffs: dict[tuple[int, ...], int] = {}
     n = len(tokens)
-
-    def term_at(i: int) -> tuple[ZdPoly, int]:
+    i, sign = (1, -1) if n and tokens[0].group(6) else (0, 1)
+    while True:  # poly: one signed term per pass
         if i == n:
             raise PolyParseError(
                 f"term expected after {tokens[i - 1].group(0).strip()!r}"
                 if i else "empty polynomial")
-        coeff = 1
-        exps = [0] * nv
-        expect_factor = True
-        while i < n:
+        coeff, exps = sign, [0] * len(variables)
+        while True:  # term: one factor per pass, then '*' or its end
             t = tokens[i]
-            if expect_factor:
-                if t.group(1):
-                    coeff = coeff * int(t.group(1))
-                elif t.group(2):
-                    name = t.group(2)
-                    if name not in var_index:
-                        raise PolyParseError(f"unknown variable {name!r}")
-                    e = 1
-                    if i + 1 < n and tokens[i + 1].group(3):
-                        if i + 2 >= n or not tokens[i + 2].group(1):
-                            raise PolyParseError("exponent expected after '^'")
-                        e = int(tokens[i + 2].group(1))
-                        i += 2
-                    exps[var_index[name]] += e
-                else:
-                    raise PolyParseError(f"factor expected near {t.group(0)!r}")
-                expect_factor = False
-                i += 1
-            elif t.group(4):
-                expect_factor = True
-                i += 1
+            name = t.group(2)
+            if t.group(1):
+                coeff *= int(t.group(1))
+            elif name is None:
+                raise PolyParseError(f"factor expected near {t.group(0)!r}")
+            elif name not in var_index:
+                raise PolyParseError(f"unknown variable {name!r}")
+            elif i + 1 < n and tokens[i + 1].group(3):
+                if i + 2 == n or not tokens[i + 2].group(1):
+                    raise PolyParseError("exponent expected after '^'")
+                exps[var_index[name]] += int(tokens[i + 2].group(1))
+                i += 2
             else:
+                exps[var_index[name]] += 1
+            i += 1
+            if i == n or not tokens[i].group(4):
                 break
-        if expect_factor:
-            raise PolyParseError("dangling '*'")
-        return ZdPoly.monomial(m, coeff, exps), i
-
-    sign = 1
-    if i < n and tokens[i].group(6):
-        sign = -1
+            i += 1
+            if i == n:
+                raise PolyParseError("dangling '*'")
+        coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + coeff
+        if i == n:
+            return ZdPoly(m, len(variables), coeffs)
+        if not (tokens[i].group(5) or tokens[i].group(6)):
+            raise PolyParseError(
+                f"'+' or '-' expected near {tokens[i].group(0)!r}")
+        sign = 1 if tokens[i].group(5) else -1
         i += 1
-    term, i = term_at(i)
-    poly = poly + term * sign
-    while i < n:
-        t = tokens[i]
-        if t.group(5):
-            sign = 1
-        elif t.group(6):
-            sign = -1
-        else:
-            raise PolyParseError(f"'+' or '-' expected near {t.group(0)!r}")
-        i += 1
-        term, i = term_at(i)
-        poly = poly + term * sign
-    return poly
 
 
 def is_permutation_polynomial(p: ZdPoly) -> bool:

@@ -4,14 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import stabctx.zmod
 from stabctx import kernel
 from stabctx.born import IncompatibleContext, JointOutcome, ScaleError, \
     build_empirical_model, impossibility_by_psi, \
     master_polynomial, outcome_possibility, psi_type_I
-from stabctx.hidden_vars import HiddenVariable, decide_strong_contextuality, \
-    prescribed_outcome
+from stabctx.hidden_vars import HiddenVariable, consistency_matrix, \
+    decide_strong_contextuality, prescribed_outcome, proof_stage_positions
 from stabctx.phase_space import Context, DimensionMismatch, PhasePoint, \
     UnsupportedScale, WeylOperator, enumerate_contexts, table1_contexts
 from stabctx.states import OracleScaleExceeded, PhaseFunctionState, \
@@ -166,6 +167,50 @@ class TestTextForm:
             with pytest.raises(PolyParseError, match=message):
                 parse_poly(bad, m)
 
+    @pytest.mark.parametrize("text, variables, message", [
+        ("j^2*k $ ", None, "unexpected character at ' $ '"),
+        ("j*q + y", None, "unknown variables ['j', 'q', 'y']; "
+                          "expected j,k or x,y"),
+        ("", None, "empty polynomial"),
+        ("j +  ", None, "term expected after '+'"),
+        (" - ", None, "term expected after '-'"),
+        ("j*q^2", ("j", "k"), "unknown variable 'q'"),
+        ("j^ k", None, "exponent expected after '^'"),
+        ("j + *k", None, "factor expected near ' *'"),
+        ("2*j *", None, "dangling '*'"),
+        ("j  k", None, "'+' or '-' expected near '  k'"),
+    ])
+    def test_parse_error_messages(self, text, variables, message):
+        """Each PolyParseError message, with the text it quotes."""
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text, Modulus(5), variables)
+        assert str(info.value) == message
+
+    def test_x_alone_is_one_variable(self):
+        """Text naming only x is single-variable, as the README says, and
+        the Dickson classifier takes it."""
+        m = Modulus(5)
+        p = parse_poly("x^3 + 1", m)
+        assert p == poly1(m, (3, 1), (0, 1)) and str(p) == "x^3 + 1"
+        assert dickson_classify(p) == DicksonClassification(
+            True, (1, "x^3", 0, 1))
+        assert parse_poly("x*y + y", m).coeffs == {(1, 1): 1, (0, 1): 1}
+        assert parse_poly("y", m).num_vars == 2
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(st.data(), st.sampled_from((3, 5, 7)), st.sampled_from((1, 2)))
+    def test_parse_inverts_str(self, data, d, num_vars):
+        """parse_poly(str(p)) == p; text naming no variable is a constant,
+        read as two-variable unless the names are given."""
+        m = Modulus(d)
+        exps = st.tuples(*[st.integers(0, 2 * d)] * num_vars)
+        p = ZdPoly(m, num_vars, data.draw(
+            st.dictionaries(exps, st.integers(-d, 3 * d), max_size=6)))
+        names = ("x",) if num_vars == 1 else ("j", "k")
+        assert parse_poly(str(p), m, names) == p
+        if num_vars == 2 or p.degree() > 0:
+            assert parse_poly(str(p), m) == p
+
     def test_parse_random_round_trip(self):
         rng = random.Random(1)
         m = Modulus(7)
@@ -315,6 +360,16 @@ MALFORMED = {
     "list_context_label": lambda: Context(
         [PhasePoint(M5, 2, KEY[0]), PhasePoint(M5, 2, KEY[1])], label=["I"]),
     "hierarchy_level": lambda: verify_level_by_conjugation(J3, 0),
+    # 2.5 once recursed until RecursionError, "2" raised a bare TypeError
+    "float_hierarchy_level": lambda: verify_level_by_conjugation(J3, 2.5),
+    "string_hierarchy_level": lambda: verify_level_by_conjugation(J3, "2"),
+    "int_poly_text": lambda: parse_poly(5, M5),
+    "bytes_poly_text": lambda: parse_poly(b"j", M5),
+    # float lams once gave float positions; a 3-column array was read
+    "float_proof_stage_lams": lambda: proof_stage_positions(
+        M5, 1, 2, np.zeros((3, 4))),
+    "proof_stage_lams_width": lambda: proof_stage_positions(
+        M5, 1, 2, np.zeros((3, 3), dtype=int)),
     "negative_power": lambda: J3 ** -1,
     "float_power": lambda: J3 ** 1.5,
     "float_modulus": lambda: Modulus(5.0),
@@ -380,6 +435,13 @@ OUT_OF_SCOPE = {
         HiddenVariable(M5, 1, (0, 0)), unit_context(2))),
     "decide_one_qudit": (UnsupportedScale, lambda:
                          decide_strong_contextuality(ONE_QUDIT)),
+    # d=5 contexts reduced mod 3 once gave a 1404 x 81 matrix
+    "consistency_matrix_modulus": (IncompatibleContext, lambda:
+                                   consistency_matrix(M3, 2, enumerate_contexts(
+                                       M5, 2))),
+    "consistency_matrix_qudits": (IncompatibleContext, lambda:
+                                  consistency_matrix(M3, 1, enumerate_contexts(
+                                      M3, 2))),
     # phase_space
     "phase_point_coordinates": (DimensionMismatch, lambda: PhasePoint(
         M5, 2, (1, 0, 0))),
