@@ -29,7 +29,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -203,6 +203,19 @@ def psi_type_III(m: Modulus, phi1: int, phi2: int, lam: Sequence[int],
 
 # -- empirical models --------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _element_values(d: int, n: int) -> np.ndarray:
+    """table[o, e, v] = 1.0 iff a context's element e (the combination
+    `Context.element_coeffs[e]` of its canonical basis) takes value v on
+    joint outcome o, i.e. o . e = v mod d; o and e are row-major over
+    Z_d^n, and the table is the same for every context.  Cached per (d, n),
+    so read-only."""
+    grid = np.indices((d,) * n).reshape(n, -1).T
+    table = ((grid @ grid.T % d)[..., None] == np.arange(d)).astype(float)
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True, slots=True)
 class EmpiricalRow:
     """One (context, joint outcome) cell of an empirical model."""
@@ -256,26 +269,36 @@ class EmpiricalModel:
                                      "context indices and outcome values")
         if not 0 <= ctx_index < len(self.contexts):
             raise MalformedInput(f"no context {ctx_index} in model")
+        if not isinstance(point, PhasePoint):
+            raise MalformedInput("marginals are taken at a PhasePoint, "
+                                 f"not {point!r}")
         ctx = self.contexts[ctx_index]
-        d = self.state.modulus.d
-        if (point.modulus != self.state.modulus or point.n != self.state.n
+        d, n = self.state.modulus.d, self.state.n
+        if (point.modulus != self.state.modulus or point.n != n
                 or point.coords not in ctx.elements):
             raise IncompatibleContext(f"{point} not in context {ctx_index}")
-        coeffs = ctx.element_coeffs[ctx.elements.index(point.coords)]
-        values = np.array(self.outcomes()) @ coeffs % d
-        return float(self.probability[ctx_index, values == value % d].sum())
+        element = ctx.elements.index(point.coords)
+        return float(self.probability[ctx_index]
+                     @ _element_values(d, n)[:, element, value % d])
 
     def nonsignalling_defect(self) -> float:
-        """Largest marginal disagreement across context overlaps."""
-        m, n = self.state.modulus, self.state.n
-        dists: dict[tuple[int, ...], list[list[float]]] = {}
-        for ci, ctx in enumerate(self.contexts):
-            for coords in ctx.elements:
-                pt = PhasePoint(m, n, coords)
-                dists.setdefault(coords, []).append(
-                    [self.marginal(ci, pt, v) for v in range(m.d)])
-        return max((float(np.ptp(rows, axis=0).max())
-                    for rows in dists.values()), default=0.0)
+        """Largest marginal disagreement across context overlaps: every
+        (context, element, value) marginal comes from one product with
+        `_element_values`, and each point's marginals are compared over
+        the contexts that hold it."""
+        if not self.contexts:
+            return 0.0
+        d, n = self.state.modulus.d, self.state.n
+        marginals = (self.probability
+                     @ _element_values(d, n).reshape(d ** n, d ** n * d))
+        keys = np.array([ctx.canonical_key for ctx in self.contexts])
+        coords = np.indices((d,) * n).reshape(n, -1).T @ keys % d
+        points = (coords @ d ** np.arange(2 * n)[::-1]).ravel()
+        order = np.argsort(points, kind="stable")
+        starts = np.flatnonzero(np.diff(points[order], prepend=-1))
+        rows = marginals.reshape(-1, d)[order]
+        return float((np.maximum.reduceat(rows, starts)
+                      - np.minimum.reduceat(rows, starts)).max())
 
     # -- exports ----------------------------------------------------------
 

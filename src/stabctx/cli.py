@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import random
@@ -27,7 +28,7 @@ from .born import build_empirical_model
 from .hidden_vars import contextual_fraction, decide_strong_contextuality, \
     write_certificate
 from .phase_space import enumerate_contexts, table1_contexts
-from .states import PhaseFunctionState
+from .states import PhaseFunctionState, strongness
 from .zmod import Modulus, StabctxError, ZdPoly, dickson_classify, \
     is_permutation_polynomial, parse_poly
 
@@ -85,9 +86,18 @@ def cmd_analyze(args) -> int:
     return 0 if cert.strongly_contextual else 2
 
 
-def _certify(state: PhaseFunctionState) -> tuple[bool, list[str]]:
+def _certify(state: PhaseFunctionState) -> dict:
+    """One verify-theorem1 run record, from the state and its certificate."""
+    rep = strongness(state)
     cert = decide_strong_contextuality(state)
-    return cert.strongly_contextual, sorted(cert.stages_used)
+    return {
+        "phi": str(state.phi),
+        "phi1": rep.phi1,
+        "phi2": rep.phi2,
+        "quadratic": not rep.quadratic_part.is_zero(),
+        "strongly_contextual": cert.strongly_contextual,
+        "stages": sorted(cert.stages_used),
+    }
 
 
 def cmd_verify_theorem1(args) -> int:
@@ -98,57 +108,40 @@ def cmd_verify_theorem1(args) -> int:
                            "requires d != 1 mod 3")
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    cases = []
-    for phi1 in range(d):
-        for phi2 in range(d):
-            if phi1 == 0 and phi2 == 0:
-                continue
-            quadratics = [ZdPoly.zero(m, 2)]
-            if args.include_quadratics:
-                for _ in range(args.quadratics_per_state):
-                    coeffs = {}
-                    for exps in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
-                        coeffs[exps] = rng.randrange(d)
-                    quadratics.append(ZdPoly(m, 2, coeffs))
-            for q in quadratics:
-                phi = ZdPoly.monomial(m, phi1, (2, 1)) \
-                    + ZdPoly.monomial(m, phi2, (1, 2)) + q
-                cases.append((phi1, phi2, q, PhaseFunctionState(m, 2, phi)))
-    states = [state for *_, state in cases]
+    states = []
+    for phi1, phi2 in itertools.product(range(d), repeat=2):
+        cubic = ZdPoly(m, 2, {(2, 1): phi1, (1, 2): phi2})
+        if cubic.is_zero():
+            continue
+        quadratics = [ZdPoly(m, 2, {exps: rng.randrange(d) for exps in (
+            (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))})
+            for _ in range(args.include_quadratics * args.quadratics_per_state)]
+        states += [PhaseFunctionState(m, 2, cubic + q)
+                   for q in [ZdPoly.zero(m, 2), *quadratics]]
     if args.jobs > 1:  # whole states are independent
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=args.jobs,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            verdicts = list(pool.map(_certify, states))
+            runs = list(pool.map(_certify, states))
     else:
-        verdicts = [_certify(state) for state in states]
-    runs = [{
-        "phi": str(state.phi),
-        "phi1": phi1,
-        "phi2": phi2,
-        "quadratic": not q.is_zero(),
-        "strongly_contextual": strongly_contextual,
-        "stages": stages,
-    } for (phi1, phi2, q, state), (strongly_contextual, stages)
-        in zip(cases, verdicts)]
-    passed = sum(1 for r in runs if r["strongly_contextual"])
-    summary = {
+        runs = [_certify(state) for state in states]
+    failures = [r for r in runs if not r["strongly_contextual"]]
+    passed = len(runs) - len(failures)
+    _emit(_json_text({
         "schema": "1",
         "modulus": d,
         "seed": args.seed,
         "include_quadratics": bool(args.include_quadratics),
         "total": len(runs),
         "strongly_contextual": passed,
-        "failures": [r for r in runs if not r["strongly_contextual"]],
+        "failures": failures,
         "runs": runs,
-    }
-    _emit(_json_text(summary), args.output)
-    elapsed = time.perf_counter() - start
+    }), args.output)
     print(f"{passed}/{len(runs)} states strongly contextual "
-          f"({elapsed:.1f}s)", file=sys.stderr)
-    return 0 if passed == len(runs) else 3
+          f"({time.perf_counter() - start:.1f}s)", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def cmd_model(args) -> int:

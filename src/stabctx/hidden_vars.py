@@ -129,20 +129,18 @@ def proof_chain_identities(m: Modulus):
             yield ("ray", [prev, v], cur)
     for k in range(d):
         h = i2 * k % d
-        yield ("chain-1a", [(1, k, 0, -h % d), (0, 0, 0, h)], (1, k, 0, 0))
-        yield ("chain-1b", [(1, h, 1, -h % d), (0, h, d - 1, 0)],
-               (1, k, 0, -h % d))
-        yield ("chain-1c",
-               [(1, 0, 0, 0), (0, h, 0, 0), (0, 0, 1, 0), (0, 0, 0, -h % d)],
-               (1, h, 1, -h % d))
-        yield ("chain-1", [(1, 0, 0, 0), (0, k, 0, 0)], (1, k, 0, 0))
-        yield ("chain-2a", [(0, -h % d, 1, k), (0, h, 0, 0)], (0, 0, 1, k))
-        yield ("chain-2b", [(1, -h % d, 1, h), (-1 % d, 0, 0, h)],
-               (0, -h % d, 1, k))
-        yield ("chain-2c",
-               [(1, 0, 0, 0), (0, -h % d, 0, 0), (0, 0, 1, 0), (0, 0, 0, h)],
-               (1, -h % d, 1, h))
-        yield ("chain-2", [(0, 0, 1, 0), (0, 0, 0, k)], (0, 0, 1, k))
+        chain = [
+            ("a", [(1, k, 0, -h % d), (0, 0, 0, h)], (1, k, 0, 0)),
+            ("b", [(1, h, 1, -h % d), (0, h, d - 1, 0)], (1, k, 0, -h % d)),
+            ("c", [(1, 0, 0, 0), (0, h, 0, 0), (0, 0, 1, 0), (0, 0, 0, -h % d)],
+             (1, h, 1, -h % d)),
+            ("", [(1, 0, 0, 0), (0, k, 0, 0)], (1, k, 0, 0)),
+        ]
+        for step, parts, total in chain:
+            yield (f"chain-1{step}", parts, total)
+        for step, parts, total in chain:  # the qudits' (p, q) pairs swapped
+            yield (f"chain-2{step}", [p[2:] + p[:2] for p in parts],
+                   total[2:] + total[:2])
 
 
 def check_linearity_forcing(m: Modulus,
@@ -395,11 +393,11 @@ QUERY_BATCH = 64
 class _Scanner:
     """The hidden-variable scan of one state.
 
-    Each lam walks its stream of contexts (proof, then table1, then full
-    stage, as the strategy allows) until its prescribed outcome is
-    impossible in one.  A subspace is named by its row in `context_rows`:
-    the table1 stage is the Table-1 families' rows, `table1_rows`, and the
-    full stage is every row.  lam are processed as arrays.
+    Each lam walks its stream of contexts, stage by stage through `stages`
+    (proof, table1 and full, or a tail of them), until its prescribed
+    outcome is impossible in one; lam are processed as arrays.  A subspace
+    is named by its row in `context_rows`: the table1 stage is the Table-1
+    families' rows, `table1_rows`, and the full stage is every row.
     `counts`, the state's `kernel.PointCounts`, is built here, and every
     distinct (subspace, a, b) cell goes to its `impossible` at most once
     per state: `known` holds one int8 per cell at (sid*d + a)*d + b, -1
@@ -408,7 +406,7 @@ class _Scanner:
     """
 
     def __init__(self, work_state: PhaseFunctionState, rep: StrongnessReport,
-                 strategy: str, use_proof: bool):
+                 stages: tuple[str, ...]):
         self.m = work_state.modulus
         self.d = self.m.d
         self.counts = kernel.PointCounts(self.d, work_state.phi_table())
@@ -416,8 +414,7 @@ class _Scanner:
         self.rows = context_rows(self.m, 2)  # (subspaces, 2, 4)
         self.known = np.full(len(self.rows) * self.d ** 2, -1, dtype=np.int8)
         self.table1, self.labels = table1_rows(self.m)
-        self.stages = (("proof",) if use_proof else ()) \
-            + (("table1",) if strategy == "table1_first" else ()) + ("full",)
+        self.stages = stages
 
     def context(self, stage: int, sid: int) -> tuple[str, tuple]:
         """A subspace's certificate label and basis (its canonical generator
@@ -488,17 +485,6 @@ class _Scanner:
                                                impossible.tolist()))))
 
 
-def _normalize(state: PhaseFunctionState):
-    work = strip_quadratic(state)
-    rep = strongness(work)
-    swapped = False
-    if rep.phi1 == 0 and rep.phi2 != 0:
-        work = swap_qudits(work)
-        swapped = True
-        rep = strongness(work)
-    return work, rep, swapped
-
-
 def decide_strong_contextuality(state: PhaseFunctionState,
                                 strategy: str = "table1_first",
                                 normalize: bool = True) -> StrongContextualityCertificate:
@@ -508,9 +494,10 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     part, swapping qudits if needed so that the j^2*k coefficient is nonzero
     when possible; the verdict is unchanged by these reductions and the
     certificate refers to the reduced state.  strategy "table1_first" tries
-    the per-candidate three-context shortcut, then the labelled family
-    catalogue, then complete enumeration; "full_scan" goes straight to the
-    enumeration.  A candidate surviving every enumerated context yields a
+    the per-candidate three-context shortcut (on a normalised strong state,
+    whose j^2*k coefficient is nonzero), then the labelled family catalogue,
+    then complete enumeration; "full_scan" goes straight to the enumeration.
+    A candidate surviving every enumerated context yields a
     not_strongly_contextual verdict with its full consistency table.
 
     Candidates are scanned in lexicographic blocks of 1, 2, 4, ... lam, and
@@ -524,13 +511,16 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     if not isinstance(normalize, (bool, np.bool_)):
         raise MalformedInput(f"normalize must be a bool, not {normalize!r}")
     normalize = bool(normalize)
-    if normalize:
-        work, rep, swapped = _normalize(state)
-    else:
-        work, swapped = state, False
-        rep = strongness(strip_quadratic(state))
-    use_proof = (strategy == "table1_first" and normalize
-                 and rep.is_strong and rep.phi1 != 0)
+    cubic = strip_quadratic(state)
+    rep = strongness(cubic)
+    swapped = normalize and rep.phi1 == 0 and rep.phi2 != 0
+    if swapped:
+        cubic = swap_qudits(cubic)
+        rep = strongness(cubic)
+    work = cubic if normalize else state
+    stages = ("full",) if strategy == "full_scan" \
+        else ("proof", "table1", "full") if normalize and rep.is_strong \
+        else ("table1", "full")
     d = state.modulus.d
     lams = _lam_array(d, 2)
     # the certificate's columns, filled block by block; allocated after
@@ -538,7 +528,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     stage = np.empty(len(lams), dtype=np.int64)
     row = np.empty(len(lams), dtype=np.int64)
     outcome = np.empty((len(lams), 2), dtype=np.int64)
-    scanner = _Scanner(work, rep, strategy, use_proof)
+    scanner = _Scanner(work, rep, stages)
 
     base = dict(
         modulus=d, n=2, phi=str(state.phi),
@@ -558,7 +548,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
         start, size = start + size, 2 * size
 
     return StrongContextualityCertificate(
-        **base, verdict="strongly_contextual", stages=scanner.stages,
+        **base, verdict="strongly_contextual", stages=stages,
         stage=stage, row=row, outcome=outcome,
         contexts={pair: scanner.context(*pair)
                   for pair in set(zip(stage.tolist(), row.tolist()))})
@@ -630,6 +620,7 @@ def consistency_matrix(m: Modulus, n: int,
     """The LP's 0/1 matrix over every lam: entry (c * d^n + o, l) is 1 iff
     the l-th lam prescribes outcome o on contexts[c] (see
     `_prescribed_cells`)."""
+    n = _integers((n,), "qudit counts")[0]
     contexts = tuple(contexts)  # a one-shot iterable is read once
     if any(c.modulus != m or c.n != n for c in contexts):
         raise IncompatibleContext("contexts live on a different system")

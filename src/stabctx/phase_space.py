@@ -142,6 +142,8 @@ class Context:
     """
 
     def __init__(self, basis: Sequence[PhasePoint], label: Optional[str] = None):
+        if not all(isinstance(b, PhasePoint) for b in basis):
+            raise MalformedInput("a context basis is a sequence of PhasePoints")
         if not basis:
             raise DimensionMismatch("empty basis")
         if not (label is None or isinstance(label, str)):
@@ -216,7 +218,7 @@ def span_label(rows: Sequence[Sequence[int]]) -> str:
     return "span:" + "|".join(",".join(str(c) for c in row) for row in rows)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def context_rows(m: Modulus, n: int) -> np.ndarray:
     """Canonical generator rows of every maximal isotropic subspace of
     Z_d^(2n): an int64 array of shape (count, n, 2n), one reduced-echelon
@@ -226,8 +228,10 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
     `itertools.combinations` order, the free entries of each pattern
     lexicographically) and the non-isotropic ones dropped.  A subspace's
     row index is a stable name for it.  Supported for n in {1, 2}; counts
-    are d+1 and (d^2+1)(d+1).  Cached per (m, n), so read-only.
+    are d+1 and (d^2+1)(d+1).  Cached per (m, n), so read-only; the key
+    holds n's type, so that n = 2.0 is rejected, not served as 2.
     """
+    n = _integers((n,), "qudit counts")[0]
     if n not in (1, 2):
         raise UnsupportedScale(f"context enumeration supports n in {{1,2}}, got {n}")
     d, ncols = m.d, 2 * n
@@ -250,11 +254,11 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def enumerate_contexts(m: Modulus, n: int) -> tuple[Context, ...]:
     """All maximal isotropic subspaces of Z_d^(2n), each exactly once, as
     validated `Context`s over the rows of `context_rows` (same order), in
-    one tuple cached per (m, n)."""
+    one tuple cached per (m, n), keyed as `context_rows` is."""
     return tuple(Context([PhasePoint(m, n, tuple(row)) for row in basis])
                  for basis in context_rows(m, n).tolist())
 

@@ -331,6 +331,11 @@ def parse_poly(text: str, m: Modulus,
         if variables is None:
             raise PolyParseError(f"unknown variables {sorted(seen)}; "
                                  "expected j,k or x,y")
+    elif not (isinstance(variables, (tuple, list))
+              and all(isinstance(v, str) for v in variables)
+              and len(set(variables)) == len(variables)):
+        raise MalformedInput("variables must be distinct str names, "
+                             f"not {variables!r}")
     var_index = {name: i for i, name in enumerate(variables)}
 
     coeffs: dict[tuple[int, ...], int] = {}

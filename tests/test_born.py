@@ -246,6 +246,29 @@ class TestEmpiricalModel:
         model = build_empirical_model(st, enumerate_contexts(m, 2))
         assert model.nonsignalling_defect() < 1e-9
 
+    def test_non_flat_state_nonsignalling_over_all_contexts_d5(self):
+        model = build_empirical_model(state(5, "j^3 + j^2*k + 3*j*k^2 + k"),
+                                      enumerate_contexts(Modulus(5), 2))
+        assert model.nonsignalling_defect() < 1e-9
+
+    def test_nonsignalling_defect_matches_marginal_loop(self):
+        """The defect from one marginal table equals the largest spread,
+        over the contexts holding a point, of `marginal` at that point."""
+        m = Modulus(3)
+        model = build_empirical_model(state(3, "j^3 + j^2*k + 2*k"),
+                                      enumerate_contexts(m, 2))
+        dists = {}
+        for ci, ctx in enumerate(model.contexts):
+            for coords in ctx.elements:
+                pt = PhasePoint(m, 2, coords)
+                dists.setdefault(coords, []).append(
+                    [model.marginal(ci, pt, v) for v in range(3)])
+        loop = max(float(np.ptp(rows, axis=0).max())
+                   for rows in dists.values())
+        assert model.nonsignalling_defect() == pytest.approx(loop, abs=1e-15)
+        assert build_empirical_model(
+            state(3, "j"), []).nonsignalling_defect() == 0.0
+
     def test_strong_state_has_impossible_outcome_in_table1(self):
         m = Modulus(5)
         st = state(5, "j^2*k + 2*j*k^2")

@@ -1,4 +1,6 @@
 import hashlib
+import io
+import itertools
 import json
 import os
 import pathlib
@@ -8,7 +10,8 @@ import sys
 import pytest
 
 from stabctx.cli import main
-from stabctx.hidden_vars import decide_strong_contextuality
+from stabctx.hidden_vars import decide_strong_contextuality, \
+    write_certificate
 from stabctx.states import PhaseFunctionState
 from stabctx.zmod import Modulus, parse_poly
 
@@ -20,6 +23,7 @@ CF_TABLE1_DIGESTS = json.loads((DATA / "cf_table1_sha256.json").read_text())
 D7_DIGESTS = json.loads((DATA / "d7_model_sha256.json").read_text())
 CSV_TABLE1_DIGESTS = json.loads(
     (DATA / "model_csv_table1_sha256.json").read_text())
+CERTIFY_DIGESTS = json.loads((DATA / "certify_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -284,6 +288,37 @@ class TestArtifactDigests:
         code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
+
+    @pytest.mark.parametrize("case", sorted(CERTIFY_DIGESTS["verify_theorem1"]))
+    def test_verify_theorem1_artifacts(self, capsys, tmp_path, case):
+        """`verify-theorem1` keeps the bytes recorded while its workers
+        returned a bare (verdict, stages) pair and the command kept each
+        state's coefficients beside the state."""
+        ref = CERTIFY_DIGESTS["verify_theorem1"][case]
+        path = tmp_path / case
+        code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
+
+    @pytest.mark.parametrize("case, strategy, normalize", list(
+        itertools.product(sorted(CERTIFY_DIGESTS["certificates"]),
+                          ("table1_first", "full_scan"), (True, False))))
+    def test_certificates_with_and_without_normalize(self, case, strategy,
+                                                     normalize):
+        """Certificates at d=5 keep the bytes recorded while
+        `decide_strong_contextuality` normalised on two branches: `swap`
+        swaps its qudits when normalised, `strong` carries a quadratic
+        part, and `not_strong` has a local cube.  Without normalisation
+        the state is scanned as given and the proof stage is skipped."""
+        ref = CERTIFY_DIGESTS["certificates"][case]
+        m = Modulus(ref["d"])
+        cert = decide_strong_contextuality(
+            PhaseFunctionState(m, 2, parse_poly(ref["phi"], m)),
+            strategy=strategy, normalize=normalize)
+        out = io.StringIO()
+        write_certificate(cert, out)
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() \
+            == ref[strategy][str(normalize).lower()]
 
 
 class TestCertificateWriter:

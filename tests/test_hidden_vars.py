@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import numpy as np
@@ -87,6 +89,40 @@ class TestLinearityForcing:
             for p in parts:
                 acc = [(a + b) % 5 for a, b in zip(acc, p)]
             assert tuple(acc) == tuple(c % 5 for c in total), name
+
+    @pytest.mark.parametrize("d, digest", [
+        (5, "1ac5cfd289cd2b4238aa36ca614d1cc6def5633cf668ec73b6400df4e27d860b"),
+        (7, "2090536352f465b6ff3deb45ea17a58baf8a6453b354f730c7584a2cb7749ba1"),
+    ], ids=["d5", "d7"])
+    def test_identities_digest(self, d, digest):
+        """The identities keep the names, order, totals and parts (up to
+        order) recorded while each mirrored chain identity (chain-2a, 2b,
+        2c, 2) was still written out by hand."""
+        rows = [[name, sorted(parts), total]
+                for name, parts, total in proof_chain_identities(Modulus(d))]
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+    def test_chain_identities_mirror_per_k(self):
+        """Per k the chain runs 1a, 1b, 1c, 1 and then the same four with
+        the two qudits' (p, q) pairs swapped."""
+        m = Modulus(7)
+        chain = [(name, parts, total)
+                 for name, parts, total in proof_chain_identities(m)
+                 if name.startswith("chain")]
+        assert len(chain) == 8 * 7
+        def swap(v):
+            return (v[2], v[3], v[0], v[1])
+
+        for k in range(7):
+            block = chain[8 * k: 8 * k + 8]
+            assert [name for name, _, _ in block] == [
+                f"chain-{side}{step}" for side in "12"
+                for step in ("a", "b", "c", "")]
+            assert block[0][2] == (1, k, 0, 0)
+            for (_, parts, total), (_, mparts, mtotal) in zip(block[:4],
+                                                              block[4:]):
+                assert mtotal == swap(total)
+                assert mparts == [swap(p) for p in parts]
 
     def test_random_perturbations_violate(self):
         m = Modulus(5)

@@ -14,7 +14,8 @@ from stabctx.born import IncompatibleContext, JointOutcome, ScaleError, \
 from stabctx.hidden_vars import HiddenVariable, consistency_matrix, \
     decide_strong_contextuality, prescribed_outcome, proof_stage_positions
 from stabctx.phase_space import Context, DimensionMismatch, PhasePoint, \
-    UnsupportedScale, WeylOperator, enumerate_contexts, table1_contexts
+    UnsupportedScale, WeylOperator, context_rows, enumerate_contexts, \
+    table1_contexts
 from stabctx.states import OracleScaleExceeded, PhaseFunctionState, \
     strip_quadratic, strongness, swap_qudits, verify_level_by_conjugation
 from stabctx.zmod import (
@@ -401,6 +402,21 @@ MALFORMED = {
         5.0, np.zeros((5, 5), int)),
     "string_kernel_modulus": lambda: kernel.PointCounts(
         "5", np.zeros((5, 5), int)),
+    # ("x", "x") once read "x + 2" as a two-variable polynomial, "k + 2"
+    "repeated_poly_variables": lambda: parse_poly("x + 2", M5, ("x", "x")),
+    "int_poly_variable": lambda: parse_poly("j", M5, ("j", 2)),
+    # a float n once raised a bare TypeError, or was served the cached int n
+    "float_context_rows_qudit_count": lambda: context_rows(M5, 2.0),
+    "float_enumerate_contexts_qudit_count": lambda: enumerate_contexts(
+        M5, 2.0),
+    "float_consistency_matrix_qudit_count": lambda: consistency_matrix(
+        M3, 1.0, enumerate_contexts(M3, 1)),
+    # coordinate tuples for PhasePoints once raised AttributeError
+    "tuple_marginal_point": lambda: model3().marginal(0, (1, 0, 0, 0), 0),
+    "tuple_context_basis": lambda: Context([(1, 0, 0, 0), (0, 0, 1, 0)]),
+    # an array basis once raised numpy's ambiguous-truth ValueError
+    "array_context_basis": lambda: Context(np.array([(1, 0, 0, 0),
+                                                     (0, 0, 1, 0)])),
 }
 # Arguments outside a function's scope: each case raises the StabctxError
 # subclass that the function documents.
