@@ -35,7 +35,7 @@ import numpy as np
 from . import kernel
 from .born import EmpiricalModel, IncompatibleContext, JointOutcome
 from .phase_space import Context, DimensionMismatch, UnsupportedScale, \
-    context_rows, span_label, table1_rows
+    context_rows, span_labels, table1_rows
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
 from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
@@ -195,10 +195,26 @@ class ConsistencyRow:
     possible: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Witness:
+    """A lam that survived the scan's full stage, which visits every
+    subspace, so its outcome is possible in each: its consistency table is,
+    per row of `context_rows`, the span label and outcome row @ lam % d,
+    possible.  `rows` builds that table on first use."""
+
+    modulus: Modulus
     lam: tuple[int, ...]
-    rows: tuple[ConsistencyRow, ...]
+
+    def _table(self) -> Iterable[tuple[str, list, list]]:
+        """(span label, basis rows, outcome) per subspace, in row order."""
+        keys = context_rows(self.modulus, 2)
+        return zip(span_labels(self.modulus, 2), keys.tolist(),
+                   (keys @ self.lam % self.modulus.d).tolist())
+
+    @cached_property
+    def rows(self) -> tuple[ConsistencyRow, ...]:
+        return tuple(ConsistencyRow(label, tuple(map(tuple, key)), tuple(o),
+                                    True) for label, key, o in self._table())
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,10 +227,9 @@ class StrongContextualityCertificate:
     outcome (a, b) lam prescribes there.  `contexts` gives each distinct
     (stage, row) pair's label and basis.  The columns are read-only;
     `refutations` and `stages_used` derive from them.
-    not_strongly_contextual: `witness` names a hidden variable whose
-    prescribed outcome is possible in every enumerated context, with the
-    full consistency table.  `write_certificate` writes
-    the JSON; `to_json_obj` is its test oracle.
+    not_strongly_contextual: `witness` holds only the lam whose outcome
+    is possible in every context; its table derives from lam.
+    `write_certificate` writes the JSON; `to_json_obj` is its test oracle.
     """
 
     modulus: int
@@ -301,10 +316,10 @@ def write_certificate(cert: StrongContextualityCertificate,
     """Write `cert` to `out` as schema "1" JSON: exactly
     json.dumps(cert.to_json_obj(), indent=2, sort_keys=True) + "\n".
 
-    The refutations (or the witness's consistency table) are streamed in
-    batches.  Each item is joined from text built once per distinct
-    context, outcome and stage (or possible flag); only a refutation's
-    lambda is formatted per item.
+    The refutations (or the witness's table, derived from its lam) are
+    streamed in batches.  Each item is joined from text built once per
+    distinct context, outcome and stage; only a refutation's lambda is
+    formatted per item.
     """
     d, width = cert.modulus, 2 * cert.n
     doc, depth = cert._head(), 2 if cert.strongly_contextual else 3
@@ -317,8 +332,8 @@ def write_certificate(cert: StrongContextualityCertificate,
     inner = depth + 1  # the items' keys, in sorted order below
     basis = _field("basis", [[_SLOT] * width] * cert.n, inner)
 
-    def opening(label: str, rows: tuple) -> str:
-        return "  " * depth + "{\n" + basis % sum(rows, ()) + ",\n" \
+    def opening(label: str, entries: tuple) -> str:
+        return "  " * depth + "{\n" + basis % entries + ",\n" \
             + _field("context", label, inner) + ",\n"
 
     outcomes = [_field("outcome", ab, inner) + ",\n"
@@ -327,8 +342,8 @@ def write_certificate(cert: StrongContextualityCertificate,
     if cert.strongly_contextual:
         ns = len(cert.stages)
         kets = _field("kets_checked", d * d, inner) + ",\n"
-        openings = {r * ns + s: opening(*named) + kets
-                    for (s, r), named in cert.contexts.items()}
+        openings = {r * ns + s: opening(label, sum(rows, ())) + kets
+                    for (s, r), (label, rows) in cert.contexts.items()}
         lam_line = _field("lambda", [_SLOT] * width, inner) + ",\n"
         stages = [_field("stage", name, inner) + end for name in cert.stages]
         items = (openings[c] + lam_line % lam + outcomes[o] + stages[s]
@@ -337,10 +352,9 @@ def write_certificate(cert: StrongContextualityCertificate,
                      (cert.row * ns + cert.stage).tolist(),
                      (cert.outcome @ (d, 1)).tolist(), cert.stage.tolist()))
     else:
-        possible = [_field("possible", p, inner) + end for p in (False, True)]
-        items = (opening(r.context_label, r.context_basis)
-                 + outcomes[r.outcome[0] * d + r.outcome[1]]
-                 + possible[r.possible] for r in cert.witness.rows)
+        possible = _field("possible", True, inner) + end
+        items = (opening(label, (*u, *v)) + outcomes[a * d + b] + possible
+                 for label, (u, v), (a, b) in cert.witness._table())
     out.write(head + "[\n")
     sep = ""
     while batch := list(itertools.islice(items, WRITE_BATCH)):
@@ -365,7 +379,7 @@ def proof_stage_positions(m: Modulus, phi1: int, phi2: int,
     if lams.ndim != 2 or lams.shape[1] != 4 or lams.dtype.kind not in "iu":
         raise MalformedInput("lams must be an integer (N, 4) array")
     d = m.d
-    phi1, phi2 = phi1 % d, phi2 % d
+    phi1, phi2 = (c % d for c in _integers((phi1, phi2), "phi1 and phi2"))
     l1, l3 = lams[:, 0] % d, lams[:, 2] % d
     alpha_i = 2 * l1 * phi2 % d
     alpha_ii = 2 * l3 * phi1 % d
@@ -420,10 +434,9 @@ class _Scanner:
         """A subspace's certificate label and basis (its canonical generator
         rows): the family label in the proof and table1 stages, else the
         span label."""
-        rows = self.rows[sid].tolist()
-        label = span_label(rows) if self.stages[stage] == "full" \
+        label = span_labels(self.m, 2)[sid] if self.stages[stage] == "full" \
             else self.labels[np.argmax(self.table1 == sid)]
-        return label, tuple(map(tuple, rows))
+        return label, tuple(map(tuple, self.rows[sid].tolist()))
 
     def _impossible(self, sid: np.ndarray, ab: np.ndarray) -> np.ndarray:
         """Answers, from `known`, for arrays of (subspace, (a, b)) queries;
@@ -475,15 +488,6 @@ class _Scanner:
             if not alive.size:
                 break
 
-    def witness(self, lam: np.ndarray) -> Witness:
-        """lam with its consistency table over every subspace."""
-        ab = self.rows @ lam % self.d
-        impossible = self._impossible(np.arange(len(self.rows)), ab)
-        return Witness(tuple(lam.tolist()), tuple(
-            ConsistencyRow(*self.context(-1, sid), tuple(o), not imp)
-            for sid, (o, imp) in enumerate(zip(ab.tolist(),
-                                               impossible.tolist()))))
-
 
 def decide_strong_contextuality(state: PhaseFunctionState,
                                 strategy: str = "table1_first",
@@ -498,7 +502,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     whose j^2*k coefficient is nonzero), then the labelled family catalogue,
     then complete enumeration; "full_scan" goes straight to the enumeration.
     A candidate surviving every enumerated context yields a
-    not_strongly_contextual verdict with its full consistency table.
+    not_strongly_contextual verdict whose `Witness` holds only that lam.
 
     Candidates are scanned in lexicographic blocks of 1, 2, 4, ... lam, and
     the scan stops after the first block holding a survivor, whose lowest
@@ -544,7 +548,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
             lam = lams[start + np.argmax(stage[block] < 0)]
             return StrongContextualityCertificate(
                 **base, verdict="not_strongly_contextual",
-                witness=scanner.witness(lam))
+                witness=Witness(state.modulus, tuple(lam.tolist())))
         start, size = start + size, 2 * size
 
     return StrongContextualityCertificate(

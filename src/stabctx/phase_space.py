@@ -146,8 +146,8 @@ class Context:
             raise MalformedInput("a context basis is a sequence of PhasePoints")
         if not basis:
             raise DimensionMismatch("empty basis")
-        if not (label is None or isinstance(label, str)):
-            raise MalformedInput(f"context label must be a str, not {label!r}")
+        if not (label is None or isinstance(label, str) and label):
+            raise MalformedInput(f"context label {label!r} is not a non-empty str")
         m = basis[0].modulus
         n = basis[0].n
         for b in basis:
@@ -252,6 +252,12 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
     out = np.concatenate(blocks)
     out.flags.writeable = False
     return out
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def span_labels(m: Modulus, n: int) -> tuple[str, ...]:
+    """`span_label` of each `context_rows(m, n)` row, cached likewise."""
+    return tuple(map(span_label, context_rows(m, n).tolist()))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

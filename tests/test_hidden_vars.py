@@ -183,13 +183,25 @@ class TestDecide:
         assert all(row.possible for row in cert.witness.rows)
 
     def test_witness_reverified_by_projector_route(self):
-        m = Modulus(5)
-        st = PhaseFunctionState(m, 2, ZdPoly.zero(m, 2))
-        cert = decide_strong_contextuality(st)
-        hv = HiddenVariable(m, 2, cert.witness.lam)
-        for ctx in enumerate_contexts(m, 2)[::13]:
-            outcome = prescribed_outcome(hv, ctx)
-            assert outcome_possibility(st, outcome)
+        """The decision derives a witness's table from lam alone, without
+        asking the state again, so every row is re-checked here: each
+        subspace's outcome is lam's prescribed outcome, and the per-ket
+        oracle finds it possible on the certified (reduced) state.  Inputs:
+        the flat d=5 state and the d=7 witness cubic of
+        tests/data/analyze_sha256.json."""
+        for d, text in ((5, "0"), (7, "j^3 + 2*j^2*k + 3*k^3 + j")):
+            m = Modulus(d)
+            cert = decide_strong_contextuality(state(d, text))
+            st = state(d, cert.normalized_phi)
+            hv = HiddenVariable(m, 2, cert.witness.lam)
+            contexts = enumerate_contexts(m, 2)
+            assert len(cert.witness.rows) == len(contexts)
+            for row, ctx in zip(cert.witness.rows, contexts):
+                outcome = prescribed_outcome(hv, ctx)
+                assert (row.context_label, row.context_basis, row.outcome,
+                        row.possible) == (ctx.display_label, ctx.canonical_key,
+                                          outcome.values, True)
+                assert outcome_possibility(st, outcome), (d, row)
 
     def test_strong_states_d5(self):
         for text in ("j^2*k", "j*k^2", "j^2*k + j*k^2", "2*j^2*k + 4*j*k^2"):

@@ -18,6 +18,7 @@ from stabctx.phase_space import (
     compose,
     context_rows,
     enumerate_contexts,
+    span_labels,
     symplectic_product,
     table1_contexts,
     table1_rows,
@@ -285,6 +286,13 @@ class TestTable1Contexts:
             first = build()
             assert type(first) is tuple
             assert build() is first
+        # the scan's and the witness's span labels: one tuple per (d, n)
+        for d, n in itertools.product((3, 5, 7), (1, 2)):
+            labels = span_labels(Modulus(d), n)
+            assert type(labels) is tuple
+            assert labels == tuple(
+                c.display_label for c in enumerate_contexts(Modulus(d), n))
+            assert span_labels(Modulus(d), n) is labels
         shared = table1_contexts(Modulus(5))[0]
         with pytest.raises(AttributeError):
             shared.label = "changed"

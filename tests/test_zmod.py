@@ -360,6 +360,9 @@ MALFORMED = {
         [PhasePoint(M5, 2, KEY[0]), PhasePoint(M5, 2, KEY[1])], label=7),
     "list_context_label": lambda: Context(
         [PhasePoint(M5, 2, KEY[0]), PhasePoint(M5, 2, KEY[1])], label=["I"]),
+    # "" was kept: display_label fell back to the span label, record() wrote ""
+    "empty_context_label": lambda: Context(
+        [PhasePoint(M5, 2, KEY[0]), PhasePoint(M5, 2, KEY[1])], label=""),
     "hierarchy_level": lambda: verify_level_by_conjugation(J3, 0),
     # 2.5 once recursed until RecursionError, "2" raised a bare TypeError
     "float_hierarchy_level": lambda: verify_level_by_conjugation(J3, 2.5),
@@ -371,6 +374,12 @@ MALFORMED = {
         M5, 1, 2, np.zeros((3, 4))),
     "proof_stage_lams_width": lambda: proof_stage_positions(
         M5, 1, 2, np.zeros((3, 3), dtype=int)),
+    # a float phi2 once gave float positions; a float phi1 was reported
+    # as a non-integer inverted value
+    "float_proof_stage_phi2": lambda: proof_stage_positions(
+        M5, 1, 4.0, np.zeros((3, 4), dtype=int)),
+    "float_proof_stage_phi1": lambda: proof_stage_positions(
+        M5, 1.0, 2, np.zeros((3, 4), dtype=int)),
     "negative_power": lambda: J3 ** -1,
     "float_power": lambda: J3 ** 1.5,
     "float_modulus": lambda: Modulus(5.0),
