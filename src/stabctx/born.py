@@ -228,19 +228,22 @@ class EmpiricalRow:
 class EmpiricalModel:
     """Conditional outcome data for a state over a list of contexts.
 
-    Two read-only (context, outcome) arrays, outcomes row-major over Z_d^n
-    as `outcomes()` lists them: `possible` is exact (integer counting), and
-    `probability` holds floats from the same counts, advisory.
-    `rows` keys the cells by (context index, outcome), built on first use.
+    Three read-only arrays: `keys` stacks the contexts' `canonical_key`s,
+    (contexts, n, 2n), for the engine, the LP and the nonsignalling defect;
+    `possible` (exact) and `probability` (advisory floats from the same
+    counts) are (context, outcome) tables, outcomes as `outcomes()` lists
+    them.  `rows` keys the cells by (context index, outcome), on first use.
     """
 
     state: PhaseFunctionState
     contexts: tuple[Context, ...]
+    keys: np.ndarray  # (contexts, n, 2n) int64
     possible: np.ndarray  # (contexts, d^n) bool
     probability: np.ndarray  # (contexts, d^n) float64
 
     def __post_init__(self):
-        self.possible.flags.writeable = self.probability.flags.writeable = False
+        for table in (self.keys, self.possible, self.probability):
+            table.flags.writeable = False
 
     @cached_property
     def rows(self) -> dict[tuple[int, tuple[int, ...]], EmpiricalRow]:
@@ -285,14 +288,13 @@ class EmpiricalModel:
         """Largest marginal disagreement across context overlaps: every
         (context, element, value) marginal comes from one product with
         `_element_values`, and each point's marginals are compared over
-        the contexts that hold it."""
+        the contexts that hold it, the points read from `keys`."""
         if not self.contexts:
             return 0.0
         d, n = self.state.modulus.d, self.state.n
         marginals = (self.probability
                      @ _element_values(d, n).reshape(d ** n, d ** n * d))
-        keys = np.array([ctx.canonical_key for ctx in self.contexts])
-        coords = np.indices((d,) * n).reshape(n, -1).T @ keys % d
+        coords = np.indices((d,) * n).reshape(n, -1).T @ self.keys % d
         points = (coords @ d ** np.arange(2 * n)[::-1]).ravel()
         order = np.argsort(points, kind="stable")
         starts = np.flatnonzero(np.diff(points[order], prepend=-1))
@@ -360,7 +362,8 @@ def build_empirical_model(state: PhaseFunctionState,
     for ctx in contexts:
         _check_compatible(state, ctx)
     d, n = state.modulus.d, state.n
-    keys = np.reshape([ctx.canonical_key for ctx in contexts], (-1, n, 2 * n))
+    keys = np.array([ctx.canonical_key for ctx in contexts],
+                    dtype=np.int64).reshape(-1, n, 2 * n)
     cos = np.cos(2 * np.pi * np.arange(d) / d)
     possible = np.empty((len(keys), d ** n), dtype=bool)
     probability = np.empty((len(keys), d ** n))
@@ -368,5 +371,5 @@ def build_empirical_model(state: PhaseFunctionState,
             keys):
         possible[qs] = (counts != counts[..., :1]).any(axis=-1)
         probability[qs] = np.where(possible[qs], counts @ cos, 0.0)
-    return EmpiricalModel(state, contexts, possible,
+    return EmpiricalModel(state, contexts, keys, possible,
                           probability / d ** (2 * n))

@@ -24,7 +24,7 @@ import sys
 import time
 
 from . import kernel
-from .born import build_empirical_model
+from .born import EmpiricalModel, build_empirical_model
 from .hidden_vars import contextual_fraction, decide_strong_contextuality, \
     write_certificate
 from .phase_space import enumerate_contexts, table1_contexts
@@ -71,10 +71,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _contexts_for(args, m: Modulus):
-    if args.contexts == "table1":
-        return table1_contexts(m)
-    return enumerate_contexts(m, 2)
+def _model(args) -> EmpiricalModel:
+    m = _modulus(args)
+    contexts = table1_contexts(m) if args.contexts == "table1" \
+        else enumerate_contexts(m, 2)
+    return build_empirical_model(_state(args, m), contexts)
 
 
 def cmd_analyze(args) -> int:
@@ -145,10 +146,7 @@ def cmd_verify_theorem1(args) -> int:
 
 
 def cmd_model(args) -> int:
-    m = _modulus(args)
-    state = _state(args, m)
-    contexts = _contexts_for(args, m)
-    model = build_empirical_model(state, contexts)
+    model = _model(args)
     with _output(args.output) as out:
         if args.format == "csv":
             model.to_csv(out)
@@ -173,17 +171,15 @@ def cmd_contexts(args) -> int:
 
 
 def cmd_cf(args) -> int:
-    m = _modulus(args)
-    state = _state(args, m)
-    contexts = _contexts_for(args, m)
-    model = build_empirical_model(state, contexts)
+    model = _model(args)
     result = contextual_fraction(model)
     if args.format == "json":
         weights = {",".join(map(str, lam)): round(w, 9)
                    for lam, w in sorted(result.weights.items())}
-        _emit(_json_text({"schema": "1", "modulus": m.d, "phi": str(state.phi),
-                          "contexts": args.contexts, "cf": round(result.cf, 9),
-                          "weights": weights}), args.output)
+        doc = {"schema": "1", "modulus": model.state.modulus.d,
+               "phi": str(model.state.phi), "contexts": args.contexts,
+               "cf": round(result.cf, 9), "weights": weights}
+        _emit(_json_text(doc), args.output)
     else:
         _emit(f"{result.cf:.6f}\n", args.output)
     return 0

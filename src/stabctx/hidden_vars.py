@@ -62,13 +62,12 @@ class HiddenVariable:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integers((self.n,), "qudit counts")[0])
+        lam = _integers(self.lam, "hidden-variable components")
         if self.n < 1:
             raise DimensionMismatch(f"hidden variable on n={self.n} qudits")
-        if len(self.lam) != 2 * self.n:
-            raise UnsupportedScale(f"{len(self.lam)} components for n={self.n}")
-        d = self.modulus.d
-        object.__setattr__(self, "lam", tuple(
-            c % d for c in _integers(self.lam, "hidden-variable components")))
+        if len(lam) != 2 * self.n:
+            raise UnsupportedScale(f"{len(lam)} components for n={self.n}")
+        object.__setattr__(self, "lam", tuple(c % self.modulus.d for c in lam))
 
     def outcome(self, coords: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(self.lam, coords)) % self.modulus.d
@@ -576,15 +575,14 @@ def _cell_dtype(cells: int) -> type:
     return np.int32 if cells <= 2 ** 31 else np.int64
 
 
-def _prescribed_cells(m: Modulus, n: int,
-                      contexts: Sequence[Context]) -> np.ndarray:
+def _prescribed_cells(d: int, keys: np.ndarray) -> np.ndarray:
     """cells[c, l] = c * d^n + o, where o (row-major over Z_d^n, the column
-    order of `EmpiricalModel`'s arrays) is the outcome the l-th lam,
-    lexicographically (as `enumerate_linear_hv`), prescribes on the
-    canonical basis of contexts[c].  With lam = (hi, lo), key . lam is
-    key[:n] . hi + key[n:] . lo: one outer sum over the d^n halves."""
-    d, count = m.d, len(contexts)
-    keys = np.array([c.canonical_key for c in contexts]).reshape(-1, n, 2, n)
+    order of `EmpiricalModel`'s arrays) is the outcome the l-th lam, in
+    `enumerate_linear_hv` order, prescribes on the basis keys[c] of a
+    (contexts, n, 2n) key array such as `EmpiricalModel.keys`.  With lam =
+    (hi, lo), key . lam is key[:n] . hi + key[n:] . lo: one outer sum."""
+    count, n = keys.shape[:2]
+    keys = keys.reshape(count, n, 2, n)
     halves = (keys @ np.indices((d,) * n).reshape(n, -1) % d).astype(
         np.min_scalar_type(2 * d))  # (context, element, hi or lo, half index)
     cells = np.repeat(np.arange(count, dtype=_cell_dtype(count * d ** n)),
@@ -623,13 +621,14 @@ def consistency_matrix(m: Modulus, n: int,
                        contexts: Iterable[Context]) -> csr_matrix:
     """The LP's 0/1 matrix over every lam: entry (c * d^n + o, l) is 1 iff
     the l-th lam prescribes outcome o on contexts[c] (see
-    `_prescribed_cells`)."""
+    `_prescribed_cells`, which reads the contexts' key array built here)."""
     n = _integers((n,), "qudit counts")[0]
     contexts = tuple(contexts)  # a one-shot iterable is read once
     if any(c.modulus != m or c.n != n for c in contexts):
         raise IncompatibleContext("contexts live on a different system")
-    return _incidence(_prescribed_cells(m, n, contexts),
-                      len(contexts) * m.d ** n)
+    keys = np.array([c.canonical_key for c in contexts],
+                    dtype=np.int64).reshape(-1, n, 2 * n)
+    return _incidence(_prescribed_cells(m.d, keys), len(keys) * m.d ** n)
 
 
 def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
@@ -662,7 +661,7 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     if bad.size:
         raise InfeasibleModel(
             f"context {bad[0]} probabilities sum to {sums[bad[0]]:.8f}")
-    cells = _prescribed_cells(m, n, model.contexts)
+    cells = _prescribed_cells(m.d, model.keys)
     keep = np.flatnonzero(model.possible.ravel()[cells].all(axis=0))
     if not keep.size:
         return ContextualFraction(1.0, {})

@@ -37,12 +37,12 @@ class PhasePoint:
 
     def __post_init__(self):
         n = _integers((self.n,), "qudit counts")[0]
-        if n < 1 or len(self.coords) != 2 * n:
-            raise DimensionMismatch(f"{len(self.coords)} coordinates for n={n}")
+        coords = _integers(self.coords, "phase-space coordinates")
+        if n < 1 or len(coords) != 2 * n:
+            raise DimensionMismatch(f"{len(coords)} coordinates for n={n}")
         object.__setattr__(self, "n", n)
         d = self.modulus.d
-        object.__setattr__(self, "coords", tuple(
-            c % d for c in _integers(self.coords, "phase-space coordinates")))
+        object.__setattr__(self, "coords", tuple(c % d for c in coords))
 
     def __add__(self, other: "PhasePoint") -> "PhasePoint":
         _check_same_space(self, other)
@@ -68,6 +68,8 @@ class WeylOperator:
     phase_exp: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.point, PhasePoint):
+            raise MalformedInput(f"{self.point!r} is not a PhasePoint")
         object.__setattr__(self, "phase_exp", _integers(
             (self.phase_exp,), "phase exponents")[0] % self.point.modulus.d)
 
@@ -142,7 +144,8 @@ class Context:
     """
 
     def __init__(self, basis: Sequence[PhasePoint], label: Optional[str] = None):
-        if not all(isinstance(b, PhasePoint) for b in basis):
+        if not (isinstance(basis, Sequence)
+                and all(isinstance(b, PhasePoint) for b in basis)):
             raise MalformedInput("a context basis is a sequence of PhasePoints")
         if not basis:
             raise DimensionMismatch("empty basis")
@@ -206,7 +209,7 @@ class Context:
             "label": self.label,
         }
 
-    @property
+    @functools.cached_property
     def display_label(self) -> str:
         """The family label when set, else the canonical basis rows."""
         return self.label or span_label(self.canonical_key)

@@ -41,6 +41,8 @@ class PhaseFunctionState:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _integers((self.n,), "qudit counts")[0])
+        if not isinstance(self.phi, ZdPoly):
+            raise MalformedInput(f"phi must be a ZdPoly, not {self.phi!r}")
         if self.phi.modulus != self.modulus:
             raise ArityMismatch("phi modulus differs from state modulus")
         if self.phi.num_vars != self.n:
@@ -84,9 +86,7 @@ def diagonal_gate_level(phi: ZdPoly) -> int:
     if deg == 3 and phi.modulus.d == 3:
         raise OutsideCharacterization(
             "degree-3 rule requires d > 3; use verify_level_by_conjugation")
-    if deg <= 1:
-        return 1
-    return deg
+    return max(deg, 1)
 
 
 def _weyl_points(m: Modulus, n: int):
@@ -178,8 +178,7 @@ def strongness(state: PhaseFunctionState) -> StrongnessReport:
     if phi.degree() > 3:
         raise ArityMismatch(f"degree {phi.degree()} exceeds 3")
     m = state.modulus
-    phi1 = phi.coeff((2, 1))
-    phi2 = phi.coeff((1, 2))
+    phi1, phi2 = phi.coeff((2, 1)), phi.coeff((1, 2))
     local = {e: c for e, c in phi.coeffs.items() if e in ((3, 0), (0, 3))}
     quad = {e: c for e, c in phi.coeffs.items() if sum(e) <= 2}
     return StrongnessReport(

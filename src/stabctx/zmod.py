@@ -117,6 +117,8 @@ class ZdPoly:
         if num_vars < 1:
             raise ArityMismatch("num_vars must be >= 1")
         object.__setattr__(self, "num_vars", num_vars)
+        if not isinstance(self.coeffs, Mapping):
+            raise MalformedInput(f"coefficients {self.coeffs!r} are not a mapping")
         d = self.modulus.d
         clean = {}
         for exps, c in self.coeffs.items():
@@ -422,10 +424,7 @@ def dickson_classify(p: ZdPoly) -> DicksonClassification:
     if p.degree() > 3:
         raise ArityMismatch(f"degree {p.degree()} exceeds 3")
 
-    e3 = p.coeff((3,))
-    e2 = p.coeff((2,))
-    e1 = p.coeff((1,))
-    e0 = p.coeff((0,))
+    e3, e2, e1, e0 = (p.coeff((i,)) for i in (3, 2, 1, 0))
 
     if d == 3:
         # x^3 acts as x; classify the reduced functional form, no normal form.

@@ -20,8 +20,8 @@ from stabctx.born import (
     psi_type_II,
     psi_type_III,
 )
-from stabctx.phase_space import Context, PhasePoint, enumerate_contexts, \
-    table1_contexts
+from stabctx.phase_space import Context, PhasePoint, context_rows, \
+    enumerate_contexts, table1_contexts, table1_rows
 from stabctx.states import PhaseFunctionState
 from stabctx.zmod import MalformedInput, Modulus, ZdPoly, inv, parse_poly
 
@@ -252,22 +252,47 @@ class TestEmpiricalModel:
         assert model.nonsignalling_defect() < 1e-9
 
     def test_nonsignalling_defect_matches_marginal_loop(self):
-        """The defect from one marginal table equals the largest spread,
-        over the contexts holding a point, of `marginal` at that point."""
-        m = Modulus(3)
-        model = build_empirical_model(state(3, "j^3 + j^2*k + 2*k"),
-                                      enumerate_contexts(m, 2))
-        dists = {}
-        for ci, ctx in enumerate(model.contexts):
-            for coords in ctx.elements:
-                pt = PhasePoint(m, 2, coords)
-                dists.setdefault(coords, []).append(
-                    [model.marginal(ci, pt, v) for v in range(3)])
-        loop = max(float(np.ptp(rows, axis=0).max())
-                   for rows in dists.values())
-        assert model.nonsignalling_defect() == pytest.approx(loop, abs=1e-15)
+        """The defect, read from the model's key array and one marginal
+        table, equals the largest spread, over the contexts holding a point,
+        of `marginal` at that point: over every context at d=3, the Table-1
+        families at d=5 (display basis not the canonical one) and the
+        single-qudit contexts at d=5."""
+        m3, m5 = Modulus(3), Modulus(5)
+        for m, n, text, contexts in [
+                (m3, 2, "j^3 + j^2*k + 2*k", enumerate_contexts(m3, 2)),
+                (m5, 2, "j^2*k + 3*j*k^2", table1_contexts(m5)),
+                (m5, 1, "j^3 + 2*j", enumerate_contexts(m5, 1))]:
+            st = PhaseFunctionState(m, n, parse_poly(text, m, ("j", "k")[:n]))
+            model = build_empirical_model(st, contexts)
+            dists = {}
+            for ci, ctx in enumerate(model.contexts):
+                for coords in ctx.elements:
+                    pt = PhasePoint(m, n, coords)
+                    dists.setdefault(coords, []).append(
+                        [model.marginal(ci, pt, v) for v in range(m.d)])
+            loop = max(float(np.ptp(rows, axis=0).max())
+                       for rows in dists.values())
+            assert model.nonsignalling_defect() == pytest.approx(loop,
+                                                                 abs=1e-15)
         assert build_empirical_model(
             state(3, "j"), []).nonsignalling_defect() == 0.0
+
+    def test_keys_are_the_contexts_canonical_rows(self):
+        """`keys` is read-only and holds each context's canonical generator
+        rows: `context_rows` for the full catalogue, its Table-1 rows for
+        the Table-1 families, and a (0, n, 2n) array for no contexts."""
+        m = Modulus(5)
+        st = state(5, "j^2*k + 3*j*k^2")
+        ids, _labels = table1_rows(m)
+        for contexts, expected in [
+                (enumerate_contexts(m, 2), context_rows(m, 2)),
+                (table1_contexts(m), context_rows(m, 2)[ids]),
+                ((), np.empty((0, 2, 4), dtype=np.int64))]:
+            keys = build_empirical_model(st, contexts).keys
+            assert keys.shape == expected.shape and keys.dtype == np.int64
+            assert np.array_equal(keys, expected)
+            with pytest.raises(ValueError):
+                keys[...] = 0
 
     def test_strong_state_has_impossible_outcome_in_table1(self):
         m = Modulus(5)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -8,8 +9,8 @@ import pytest
 from scipy.optimize import linprog
 
 from stabctx import hidden_vars, phase_space
-from stabctx.born import EmpiricalModel, JointOutcome, \
-    build_empirical_model, outcome_possibility
+from stabctx.born import JointOutcome, build_empirical_model, \
+    outcome_possibility
 from stabctx.hidden_vars import (
     HiddenVariable,
     IncompleteProbe,
@@ -428,7 +429,7 @@ class TestContextualFraction:
             keys = np.array([c.canonical_key for c in contexts])
             expected = d ** np.arange(n - 1, -1, -1) @ (keys @ lams.T % d) \
                 + d ** n * np.arange(len(contexts))[:, None]
-            cells = hidden_vars._prescribed_cells(m, n, contexts)
+            cells = hidden_vars._prescribed_cells(d, keys)
             assert cells.dtype == np.int32
             assert np.array_equal(cells, expected)
 
@@ -451,8 +452,8 @@ class TestContextualFraction:
         probability[[4, 7], 0] += 0.5  # outcome (0, 0)
         with pytest.raises(InfeasibleModel, match=r"context 4 probabilities "
                                                   r"sum to 1\.5"):
-            contextual_fraction(EmpiricalModel(st, model.contexts,
-                                               model.possible, probability))
+            contextual_fraction(dataclasses.replace(model,
+                                                    probability=probability))
 
     @pytest.mark.parametrize("d, text, family", [
         (3, "j*k^2 + j*k", "full"), (3, "j*k + 2*j", "full"),

@@ -426,6 +426,14 @@ MALFORMED = {
     # an array basis once raised numpy's ambiguous-truth ValueError
     "array_context_basis": lambda: Context(np.array([(1, 0, 0, 0),
                                                      (0, 0, 1, 0)])),
+    # a scalar or a foreign type where a sequence, mapping or library
+    # object belongs once raised a bare TypeError or AttributeError
+    "int_hidden_variable_components": lambda: HiddenVariable(M5, 2, 5),
+    "int_phase_point_coords": lambda: PhasePoint(M5, 2, 7),
+    "int_context_basis": lambda: Context(3),
+    "list_poly_coefficients": lambda: ZdPoly(M5, 2, [1, 2]),
+    "string_state_phi": lambda: PhaseFunctionState(M5, 2, "j*k"),
+    "int_weyl_point": lambda: WeylOperator(3),
 }
 # Arguments outside a function's scope: each case raises the StabctxError
 # subclass that the function documents.
