@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
-import os
 import random
 import sys
 import time
@@ -256,7 +256,10 @@ def cmd_selftest(args) -> int:
     return 3 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it holds no per-call state, and
+    `main` finds each subcommand's `cmd_` function when it runs."""
     parser = argparse.ArgumentParser(
         prog="stabctx",
         description="Exact strong-contextuality certificates for two-qudit "
@@ -268,13 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
         if phi:
             p.add_argument("--phi", required=True,
                            help="phase polynomial in j,k, e.g. 'j^2*k + 2*j*k^2'")
-        p.add_argument("--jobs", type=_positive_int,
-                       default=os.environ.get("STABCTX_JOBS") or "1",
-                       help="worker processes for verify-theorem1; starting "
-                            "them costs about 0.3 s, so they pay off only when "
-                            "the states take longer (timings in the README); "
-                            "the other subcommands run in one process "
-                            "(default: STABCTX_JOBS or 1)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for verify-theorem1, which pay "
+                            "off only at large d (see the README); the other "
+                            "subcommands run in one process")
         p.add_argument("--output", help="write the artifact to this path")
         p.add_argument("--unsafe-scale", action="store_true",
                        help=f"allow d beyond the desk guard ({MAX_DESK_D})")
@@ -283,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--strategy", choices=("table1_first", "full_scan"),
                    default="table1_first")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify-theorem1",
                        help="certify every strong normal-form state at one d")
@@ -292,13 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also certify random quadratic variants of each state")
     p.add_argument("--quadratics-per-state", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_theorem1)
 
     p = sub.add_parser("model", help="tabulate an empirical model")
     common(p)
     p.add_argument("--contexts", choices=("table1", "full"), default="table1")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("contexts", help="enumerate measurement contexts")
     common(p, phi=False)
@@ -306,36 +303,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table1", action="store_true",
                    help="restrict to the labelled two-qudit families")
     p.add_argument("--count", action="store_true", help="print only the count")
-    p.set_defaults(func=cmd_contexts)
 
     p = sub.add_parser("cf", help="contextual fraction by linear programming")
     common(p)
     p.add_argument("--contexts", choices=("table1", "full"), default="table1")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_cf)
 
     p = sub.add_parser("dickson",
                        help="classify a degree-<=3 single-variable polynomial")
     common(p, phi=False)
     p.add_argument("--poly", required=True, help="polynomial in x, e.g. 'x^3+1'")
-    p.set_defaults(func=cmd_dickson)
 
     p = sub.add_parser("selftest", help="run the condensed cross-check battery")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; remap to the documented code 1
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (StabctxError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

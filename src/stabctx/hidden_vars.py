@@ -374,12 +374,12 @@ def proof_stage_positions(m: Modulus, phi1: int, phi2: int,
              else:         alpha = 2/(phi2+1) * (l1*phi1*(phi2+2)
                                      + l3*(phi2^2 - 1)),    beta = (phi2+1)/phi1
     """
-    lams = np.asarray(lams)
-    if lams.ndim != 2 or lams.shape[1] != 4 or lams.dtype.kind not in "iu":
-        raise MalformedInput("lams must be an integer (N, 4) array")
     d = m.d
+    lams = kernel._reduce(lams, d)
+    if lams.ndim != 2 or lams.shape[1] != 4:
+        raise MalformedInput("lams must be an integer (N, 4) array")
     phi1, phi2 = (c % d for c in _integers((phi1, phi2), "phi1 and phi2"))
-    l1, l3 = lams[:, 0] % d, lams[:, 2] % d
+    l1, l3 = lams[:, 0], lams[:, 2]
     alpha_i = 2 * l1 * phi2 % d
     alpha_ii = 2 * l3 * phi1 % d
     if phi2 == d - 1:

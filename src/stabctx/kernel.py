@@ -30,6 +30,7 @@ come in chunks of at most CHUNK, so working memory stays bounded at any d.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -47,9 +48,14 @@ class MalformedQuery(MalformedInput):
 
 
 def _reduce(array, d):
+    """`array` as int64 residues mod d; integers beyond int64, which numpy
+    holds as objects, are reduced one by one."""
     try:
         array = np.asarray(array)
-    except ValueError:  # ragged rows
+        if array.dtype == object:
+            array = np.vectorize(lambda x: operator.index(x) % d,
+                                 otypes=[np.int64])(array)
+    except (ValueError, TypeError):  # ragged rows, or objects not integers
         raise MalformedQuery("expected rectangular integer arrays") from None
     if array.size and not np.issubdtype(array.dtype, np.integer):
         raise MalformedQuery(f"expected integers, got {array.dtype} entries")

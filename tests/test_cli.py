@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from stabctx import cli
 from stabctx.cli import main
 from stabctx.hidden_vars import decide_strong_contextuality, \
     write_certificate
@@ -360,13 +361,40 @@ class TestCertificateWriter:
             assert out.encode() == oracle.encode(), strategy
 
 
-class TestJobsEnvironment:
-    def test_malformed_stabctx_jobs_is_usage_error(self, capsys, monkeypatch):
-        for value in ("abc", "0"):
-            monkeypatch.setenv("STABCTX_JOBS", value)
-            code, out, err = run(capsys, "contexts", "--d", "3", "--count")
-            assert code == 1
-            assert "--jobs" in err and out == ""
+class TestCachedParser:
+    """The parser is built once per process and reused by every call."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_gives_first_results(self, capsys):
+        count = ("contexts", "--d", "5", "--count")
+        calls = [(*count, "--jobs", "0"), count,
+                 ("cf", "--d", "5", "--phi", "j^2*k + j*k", "--contexts",
+                  "full", "--format", "json"), (*count, "--jobs", "abc"), count]
+        first = [run(capsys, *argv) for argv in calls]
+        assert [code for code, _, _ in first] == [1, 0, 0, 1, 0]
+        assert "--jobs" in first[0][2] and "--jobs" in first[3][2]
+        assert first[1] == first[4] == (0, "156\n", "")
+        assert json.loads(first[2][1])["contexts"] == "full"
+        assert [run(capsys, *argv) for argv in calls] == first
+
+    def test_command_looked_up_per_call(self, capsys, monkeypatch):
+        cli.build_parser()
+        seen = []
+
+        def fake(args):
+            seen.append(args.d)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_contexts", fake)
+        assert main(["contexts", "--d", "3", "--count"]) == 7
+        assert seen == [3]
+
+    def test_stabctx_jobs_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("STABCTX_JOBS", "abc")
+        assert run(capsys, "contexts", "--d", "3", "--count") == (0, "40\n",
+                                                                   "")
 
 
 def test_selftest(capsys):

@@ -91,6 +91,36 @@ def test_inputs_reduced_mod_d():
                 weyl(d, tab, gens[:d]))
 
 
+BIG = 5 * 10 ** 30  # a multiple of d = 5 beyond int64: numpy holds objects
+
+
+def big(array):
+    return np.asarray(array).astype(object) + BIG
+
+
+def test_integers_beyond_int64_reduced_mod_d():
+    """Every entry point gives the same answer with its generators,
+    outcomes, phi table or lams shifted by BIG as without the shift."""
+    d, m = 5, Modulus(5)
+    st = PhaseFunctionState(m, 2, ZdPoly(m, 2, {(2, 1): 1, (1, 2): 2}))
+    tab = st.phi_table()
+    gens = context_rows(m, 2)[::7]
+    outcomes = np.indices((d, d)).reshape(2, -1).T[:len(gens)]
+    want = kernel.impossible(d, tab, gens, outcomes)
+    assert want.any() and not want.all()
+    for args in ((big(tab), gens, outcomes), (tab, big(gens), outcomes),
+                 (tab, gens, big(outcomes))):
+        assert np.array_equal(kernel.impossible(d, *args), want)
+        assert np.array_equal(kernel.residue_counts(d, *args),
+                              kernel.residue_counts(d, tab, gens, outcomes))
+        assert np.array_equal(
+            kernel.PointCounts(d, args[0]).impossible(*args[1:]), want)
+    assert np.array_equal(weyl(d, big(tab), big(gens)), weyl(d, tab, gens))
+    lams = np.indices((d,) * 4).reshape(4, -1).T[::7]
+    assert np.array_equal(proof_stage_positions(m, 1, 2, big(lams)),
+                          proof_stage_positions(m, 1, 2, lams))
+
+
 def test_proof_stage_contexts_refute_every_lambda():
     """On every strong normal form, at least one of the three Table-1
     contexts `proof_stage_positions` names for a lam (not necessarily each)
@@ -144,6 +174,10 @@ KEY = ((1, 0, 0, 0), (0, 0, 1, 0))
     # ragged generators, ragged outcomes
     (np.zeros((5, 5), dtype=int), [((1, 0, 0, 0), (0, 0, 1))], [(0, 0)]),
     (np.zeros((5, 5), dtype=int), [KEY] * 2, [(0, 0), (0,)]),
+    # object arrays, as integers beyond int64 make, holding a float or a str
+    (np.zeros((5, 5), dtype=int), [((BIG, 1.5, 0, 0), (0, 0, 1, 0))],
+     [(0, 0)]),
+    (np.zeros((5, 5), dtype=int), [KEY], [(BIG, "1")]),
 ])
 def test_malformed_queries_rejected(phi_table, gens, values):
     """Every engine entry raises MalformedQuery, which is a MalformedInput

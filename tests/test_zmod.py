@@ -374,6 +374,9 @@ MALFORMED = {
         M5, 1, 2, np.zeros((3, 4))),
     "proof_stage_lams_width": lambda: proof_stage_positions(
         M5, 1, 2, np.zeros((3, 3), dtype=int)),
+    # an object array, as integers beyond int64 make, holding a float
+    "object_proof_stage_lams": lambda: proof_stage_positions(
+        M5, 1, 2, [[5 * 10 ** 30, 1.5, 0, 0]]),
     # a float phi2 once gave float positions; a float phi1 was reported
     # as a non-integer inverted value
     "float_proof_stage_phi2": lambda: proof_stage_positions(
