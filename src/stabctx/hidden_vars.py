@@ -204,16 +204,14 @@ class Witness:
     modulus: Modulus
     lam: tuple[int, ...]
 
-    def _table(self) -> Iterable[tuple[str, list, list]]:
-        """(span label, basis rows, outcome) per subspace, in row order."""
-        keys = context_rows(self.modulus, 2)
-        return zip(span_labels(self.modulus, 2), keys.tolist(),
-                   (keys @ self.lam % self.modulus.d).tolist())
-
     @cached_property
     def rows(self) -> tuple[ConsistencyRow, ...]:
-        return tuple(ConsistencyRow(label, tuple(map(tuple, key)), tuple(o),
-                                    True) for label, key, o in self._table())
+        m = self.modulus
+        keys = context_rows(m, 2)
+        return tuple(
+            ConsistencyRow(label, tuple(map(tuple, key)), tuple(o), True)
+            for label, key, o in zip(span_labels(m, 2), keys.tolist(),
+                                     (keys @ self.lam % m.d).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +226,8 @@ class StrongContextualityCertificate:
     `refutations` and `stages_used` derive from them.
     not_strongly_contextual: `witness` holds only the lam whose outcome
     is possible in every context; its table derives from lam.
-    `write_certificate` writes the JSON; `to_json_obj` is its test oracle.
+    `write_certificate` writes the JSON, using the columns as indices into
+    per-certificate tables of text; `to_json_obj` is its byte oracle.
     """
 
     modulus: int
@@ -295,19 +294,19 @@ class StrongContextualityCertificate:
         return out
 
 
-# Stands in for the list the writer streams: json.dumps writes it as
+# Stands in for what the writer fills in per item: json.dumps writes it as
 # "\u0000", which no other string of a certificate contains.
 _SLOT = "\0"
-WRITE_BATCH = 4096  # list items joined per write
+WRITE_BATCH = 4096  # items gathered and joined per write: bounds memory
 
 
 def _field(key: str, value, depth: int) -> str:
     """The text `"key": value` of an object whose keys sit `depth` levels
     deep, laid out as json.dumps(..., indent=2) lays it out there; each
-    _SLOT in `value` becomes a %d to format an integer into."""
+    _SLOT in `value` becomes a %s to format a value's JSON text into."""
     pad = "  " * depth
     return (f"{pad}{json.dumps(key)}: " + json.dumps(value, indent=2)
-            .replace("\n", "\n" + pad).replace(json.dumps(_SLOT), "%d"))
+            .replace("\n", "\n" + pad).replace(json.dumps(_SLOT), "%s"))
 
 
 def write_certificate(cert: StrongContextualityCertificate,
@@ -315,10 +314,13 @@ def write_certificate(cert: StrongContextualityCertificate,
     """Write `cert` to `out` as schema "1" JSON: exactly
     json.dumps(cert.to_json_obj(), indent=2, sort_keys=True) + "\n".
 
-    The refutations (or the witness's table, derived from its lam) are
-    streamed in batches.  Each item is joined from text built once per
-    distinct context, outcome and stage; only a refutation's lambda is
-    formatted per item.
+    Every item (a refutation, or a row of the witness's table, derived
+    from its lam) is a row of texts, each picked by an integer index from
+    a small table built once per certificate: a refutation's opening per
+    distinct (stage, subspace), one text per digit of lam and position,
+    its outcome and its stage; a witness row's basis entries, context
+    label and outcome.  `WRITE_BATCH` rows at a time are gathered from
+    the columns and joined into one write.
     """
     d, width = cert.modulus, 2 * cert.n
     doc, depth = cert._head(), 2 if cert.strongly_contextual else 3
@@ -328,37 +330,59 @@ def write_certificate(cert: StrongContextualityCertificate,
         doc["witness"] = {"consistency": _SLOT, "lambda": cert.witness.lam}
     head, tail = json.dumps(doc, indent=2, sort_keys=True) \
         .split(json.dumps(_SLOT))
-    inner = depth + 1  # the items' keys, in sorted order below
-    basis = _field("basis", [[_SLOT] * width] * cert.n, inner)
+    inner, pad = depth + 1, "  " * depth  # the items' keys, sorted below
+    end = "\n" + pad + "},\n"
 
-    def opening(label: str, entries: tuple) -> str:
-        return "  " * depth + "{\n" + basis % entries + ",\n" \
-            + _field("context", label, inner) + ",\n"
+    def slots(key: str, value) -> tuple[str, list[list[str]]]:
+        """`key`'s field up to its first slot, and per slot the text of
+        each v in Z_d there, through to the next slot or the field's end."""
+        first, *rest = (_field(key, value, inner) + ",\n").split("%s")
+        return first, [[str(v) + part for v in range(d)] for part in rest]
 
-    outcomes = [_field("outcome", ab, inner) + ",\n"
-                for ab in itertools.product(range(d), repeat=2)]
-    end = "\n" + "  " * depth + "}"
+    context = _field("context", _SLOT, inner) + ",\n"
+    first, (a, b) = slots("outcome", [_SLOT, _SLOT])
+    outcomes = [first + x + y for x in a for y in b]
     if cert.strongly_contextual:
-        ns = len(cert.stages)
-        kets = _field("kets_checked", d * d, inner) + ",\n"
-        openings = {r * ns + s: opening(label, sum(rows, ())) + kets
-                    for (s, r), (label, rows) in cert.contexts.items()}
-        lam_line = _field("lambda", [_SLOT] * width, inner) + ",\n"
-        stages = [_field("stage", name, inner) + end for name in cert.stages]
-        items = (openings[c] + lam_line % lam + outcomes[o] + stages[s]
-                 for lam, c, o, s in zip(
-                     itertools.product(range(d), repeat=width),
-                     (cert.row * ns + cert.stage).tolist(),
-                     (cert.outcome @ (d, 1)).tolist(), cert.stage.tolist()))
+        ns, count = len(cert.stages), d ** width
+        codes, opening_of = np.unique(cert.row * ns + cert.stage,
+                                      return_inverse=True)
+        opening = pad + "{\n" + _field(
+            "basis", [[_SLOT] * width] * cert.n, inner) + ",\n" + context \
+            + _field("kets_checked", d * d, inner) + ",\n"
+        lam, digits = slots("lambda", [_SLOT] * width)
+        tables = [[opening % (*sum(rows, ()), json.dumps(label)) + lam
+                   for label, rows in (cert.contexts[c % ns, c // ns]
+                                       for c in codes.tolist())],
+                  *digits, outcomes,
+                  [_field("stage", name, inner) + end for name in cert.stages]]
+        place, outcome = d ** np.arange(width - 1, -1, -1), cert.outcome
+
+        def columns(i: np.ndarray) -> tuple:
+            return opening_of[i], i[:, None] // place % d, \
+                outcome[i] @ (d, 1), cert.stage[i]
     else:
+        m = cert.witness.modulus
+        keys = context_rows(m, cert.n)
+        basis, entries = slots("basis", [[_SLOT] * width] * cert.n)
+        entries[0] = [pad + "{\n" + basis + text for text in entries[0]]
         possible = _field("possible", True, inner) + end
-        items = (opening(label, (*u, *v)) + outcomes[a * d + b] + possible
-                 for label, (u, v), (a, b) in cert.witness._table())
+        tables = [*entries, [context % json.dumps(label)
+                             for label in span_labels(m, cert.n)],
+                  [text + possible for text in outcomes]]
+        count, outcome = len(keys), keys @ cert.witness.lam % d @ (d, 1)
+        keys = keys.reshape(count, -1)
+
+        def columns(i: np.ndarray) -> tuple:
+            return keys[i], i, outcome[i]
+    pieces = np.array([text for table in tables for text in table],
+                      dtype=object)
+    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
     out.write(head + "[\n")
-    sep = ""
-    while batch := list(itertools.islice(items, WRITE_BATCH)):
-        out.write(sep + ",\n".join(batch))
-        sep = ",\n"
+    for start in range(0, count, WRITE_BATCH):
+        i = np.arange(start, min(start + WRITE_BATCH, count))
+        text = "".join(pieces[np.column_stack(columns(i)) + offsets]
+                       .ravel().tolist())
+        out.write(text if i[-1] + 1 < count else text[:-2])  # no last ",\n"
     out.write("\n" + "  " * (depth - 1) + "]" + tail + "\n")
 
 

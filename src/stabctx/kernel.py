@@ -47,14 +47,24 @@ class MalformedQuery(MalformedInput):
     """Table, generators or outcomes are not integer arrays that fit d."""
 
 
+def _residue(x, d):
+    """One entry of an object array mod d.  A bool is rejected, as a bool
+    array is, though Python reads True as the integer 1."""
+    if isinstance(x, (bool, np.bool_)):
+        raise MalformedQuery("expected integers, got bool entries")
+    return operator.index(x) % d
+
+
 def _reduce(array, d):
     """`array` as int64 residues mod d; integers beyond int64, which numpy
     holds as objects, are reduced one by one."""
     try:
         array = np.asarray(array)
         if array.dtype == object:
-            array = np.vectorize(lambda x: operator.index(x) % d,
+            array = np.vectorize(lambda x: _residue(x, d),
                                  otypes=[np.int64])(array)
+    except MalformedQuery:
+        raise
     except (ValueError, TypeError):  # ragged rows, or objects not integers
         raise MalformedQuery("expected rectangular integer arrays") from None
     if array.size and not np.issubdtype(array.dtype, np.integer):

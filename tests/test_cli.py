@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from stabctx import cli
+from stabctx import cli, hidden_vars
 from stabctx.cli import main
 from stabctx.hidden_vars import decide_strong_contextuality, \
     write_certificate
@@ -320,6 +320,8 @@ class TestArtifactDigests:
         write_certificate(cert, out)
         assert hashlib.sha256(out.getvalue().encode()).hexdigest() \
             == ref[strategy][str(normalize).lower()]
+        assert out.getvalue() == json.dumps(cert.to_json_obj(), indent=2,
+                                            sort_keys=True) + "\n"
 
 
 class TestCertificateWriter:
@@ -336,9 +338,12 @@ class TestCertificateWriter:
          ["full", "table1"]),
         (7, "j^3 + 2*j^2*k + 3*k^3 + j", ("table1_first", "full_scan"), []),
         (11, "j^2*k + 3*j*k^2 + 2*j", ("table1_first",), ["proof"]),
+        (11, "j^2*k + 3*j*k^2 + 2*j", ("full_scan",), ["proof"]),
         (11, "j^3", ("table1_first",), []),
+        (13, "j^2*k + 3*j*k^2 + 2*j", ("table1_first",), []),
     ], ids=["d3-proof", "d3-witness", "d5-proof", "d5-table1",
-            "d7-table1-full", "d7-witness", "d11-proof", "d11-witness"])
+            "d7-table1-full", "d7-witness", "d11-proof", "d11-full",
+            "d11-witness", "d13-witness"])
     def test_writer_matches_oracle(self, capsys, tmp_path, d, phi,
                                    strategies, stages):
         m = Modulus(d)
@@ -359,6 +364,25 @@ class TestCertificateWriter:
                                "--strategy", strategy)
             assert code == (0 if stages else 2)
             assert out.encode() == oracle.encode(), strategy
+
+    @pytest.mark.parametrize("phi, items", [("j^2*k", 81), ("0", 40)],
+                             ids=["refutations", "witness"])
+    def test_batch_boundaries(self, monkeypatch, phi, items):
+        """Batches of one item, of a few, and ending on or one short of
+        the last item: the ",\n" after the last item is dropped once."""
+        m = Modulus(3)
+        cert = decide_strong_contextuality(
+            PhaseFunctionState(m, 2, parse_poly(phi, m)))
+        oracle = json.dumps(cert.to_json_obj(), indent=2,
+                            sort_keys=True) + "\n"
+        doc = json.loads(oracle)
+        assert len(doc.get("refutations")
+                   or doc["witness"]["consistency"]) == items
+        for batch in (1, 7, items - 1, items):
+            monkeypatch.setattr(hidden_vars, "WRITE_BATCH", batch)
+            out = io.StringIO()
+            write_certificate(cert, out)
+            assert out.getvalue() == oracle, batch
 
 
 class TestCachedParser:

@@ -17,7 +17,7 @@ from stabctx.hidden_vars import HiddenVariable, prescribed_outcome, \
 from stabctx.phase_space import context_rows, enumerate_contexts, \
     table1_contexts, table1_rows
 from stabctx.states import PhaseFunctionState
-from stabctx.zmod import Modulus, ZdPoly
+from stabctx.zmod import MalformedInput, Modulus, ZdPoly
 
 
 def random_state(rng, d):
@@ -178,11 +178,19 @@ KEY = ((1, 0, 0, 0), (0, 0, 1, 0))
     (np.zeros((5, 5), dtype=int), [((BIG, 1.5, 0, 0), (0, 0, 1, 0))],
      [(0, 0)]),
     (np.zeros((5, 5), dtype=int), [KEY], [(BIG, "1")]),
+    # object arrays holding a bool, which Python would read as 0 or 1
+    (np.zeros((5, 5), dtype=int), [KEY], [(BIG, True)]),
+    (np.zeros((5, 5), dtype=int), [KEY], [(BIG, np.False_)]),
+    (np.zeros((5, 5), dtype=int), [((BIG, True, 0, 0), (0, 0, 1, 0))],
+     [(0, 0)]),
 ])
 def test_malformed_queries_rejected(phi_table, gens, values):
     """Every engine entry raises MalformedQuery, which is a MalformedInput
-    and so also a ValueError."""
-    for engine in (kernel.impossible, kernel.residue_counts):
+    and so also a ValueError.  Generators other than KEY's are at fault,
+    and their rows, read as lams, are rejected by the proof stage too."""
+    for engine in (kernel.impossible, kernel.residue_counts,
+                   lambda d, tab, *query:
+                   kernel.PointCounts(d, tab).impossible(*query)):
         with pytest.raises(kernel.MalformedQuery) as info:
             engine(5, phi_table, gens, values)
         assert isinstance(info.value, ValueError)
@@ -190,6 +198,10 @@ def test_malformed_queries_rejected(phi_table, gens, values):
         with pytest.raises(kernel.MalformedQuery) as info:
             weyl(5, phi_table, gens)
         assert isinstance(info.value, ValueError)
+    if gens != [KEY] * len(gens):
+        with pytest.raises(MalformedInput):
+            proof_stage_positions(Modulus(5), 1, 2,
+                                  [row for gen in gens for row in gen])
 
 
 def test_multi_chunk_batch_equals_single_queries(monkeypatch):
