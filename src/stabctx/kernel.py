@@ -16,11 +16,17 @@ at w = (P, Q).  Counted once per state as C_w, it gives the counts R[s] =
 sum_c C_(c.g)[s + c.a] of the roots of d^(2n) <psi|Pi|psi>, and since d is
 prime the outcome is impossible iff R is uniform.  Its readers serve
 empirical models (`weyl_counts`) and the hidden-variable scan (`impossible`).
-The per-ket route stays as the oracle that `born.outcome_possibility`,
-`selftest` and the tests ask: one ket's d^n roots sum to zero iff each
-residue appears d^(n-1) times, and the outcome is impossible iff that holds
-at every ket (`residue_counts` counts, `impossible` decides).  This module
-is the only place the exponent is written out.
+For two qudits and deg Phi <= 3, E_w is a quadratic in J, and
+`_closed_form` builds C from six values of each difference Phi(J - Q) -
+Phi(J) and the classical count of a quadratic's values; for any other
+table `_point_counts` enumerates the exponents, and it is also the closed
+form's oracle.  The per-ket route stays as the oracle that
+`born.outcome_possibility`, `selftest` and the tests ask: one ket's d^n
+roots sum to zero iff each residue appears d^(n-1) times, and the outcome is
+impossible iff that holds at every ket (`residue_counts` counts,
+`impossible` decides).  This module is the only place the exponent is
+written out: by the per-ket route, by `_point_counts`, and in closed form
+by `_closed_form`.
 
 Every input must be integer and is reduced mod d on entry, so any integers
 that mean the same thing mod d give the same answer.  Exponents and gathers
@@ -29,6 +35,7 @@ come in chunks of at most CHUNK, so working memory stays bounded at any d.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Iterator
@@ -93,12 +100,15 @@ def _table(d, phi_table):
     return d, phi.ravel(), phi.ndim
 
 
+@functools.lru_cache
 def _grid(d, n):
     """Z_d^n row-major (element coefficients, kets, points and outcomes) and
-    the place values that give a point's row-major index."""
+    the place values that give a point's row-major index, read-only."""
     grid = np.array(list(itertools.product(range(d), repeat=n)),
                     dtype=np.int32)
-    return grid, d ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    place = d ** np.arange(n - 1, -1, -1, dtype=np.int32)
+    grid.flags.writeable = place.flags.writeable = False
+    return grid, place
 
 
 def _ket_tables(d, phi, grid, place, kets):
@@ -196,27 +206,150 @@ def _point_counts(d, phi, grid, place):
     return out
 
 
+# The closed form's point classes (n = 2, deg Phi <= 3), by the count
+# pattern of C_w over u = (t - shift) mod d: rank 2 with eta(-det) = +1 and
+# -1, rank 1 with eta(lambda) = +1 and -1, uniform, constant.
+RANK2, RANK1, UNIFORM, CONSTANT = 0, 2, 4, 5
+# Six kets (j, k) at which a quadratic's values fix its six coefficients
+SIX = ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2), (1, 1))
+
+
+@functools.lru_cache
+def _quadratics(d):
+    """Per-d constants of the closed form: Z_d^2 row-major as columns j and
+    k; the monomials j^2, jk, k^2, j, k, 1 at each point (d^2, 6); the basis
+    (6, d^2) of the quadratics through SIX; the weights (6, 6) that take
+    values at SIX to coefficients in monomial order; the Legendre symbol
+    and the inverses (both 0 at 0); and the class table (d, 6d), column
+    k*d + h holding class k's counts at t, shifted by h.
+
+    The monomials and the basis are floats, for BLAS products that stay
+    exact: every sum below is of six products of a monomial (< d^2) and a
+    residue, and float32 holds every integer below 2^24."""
+    h = (d + 1) // 2
+    j, k = _grid(d, 2)[0].T
+    exact = np.float32 if 6 * d ** 3 < 1 << 24 else np.float64
+    mono = np.array([j * j, j * k, k * k, j, k, np.ones_like(j)])
+    # rows: the values at SIX; columns: A, B, C, l1, l2, g00
+    weights = np.array([[h, 1, h, -1 - h, -1 - h, 1],
+                        [-1, -1, 0, 2, 0, 0],
+                        [0, -1, -1, 0, 2, 0],
+                        [h, 0, 0, -h, 0, 0],
+                        [0, 0, h, 0, -h, 0],
+                        [0, 1, 0, 0, 0, 0]]) % d
+    basis = (weights @ mono % d).astype(exact)
+    eta = np.array([0] + [1 if pow(x, (d - 1) // 2, d) == 1 else -1
+                          for x in range(1, d)])
+    inverse = np.array([pow(x, d - 2, d) for x in range(d)])
+    zero = np.arange(d) == 0
+    classes = np.array([d - 1 + d * zero, d + 1 - d * zero,
+                        d * (1 + eta), d * (1 - eta),
+                        np.full(d, d), d * d * zero])  # (class, u)
+    u = np.subtract.outer(range(d), range(d)) % d  # (t, h)
+    table = classes[:, u].transpose(1, 0, 2).reshape(d, 6 * d)
+    table = table.astype(np.min_scalar_type(d * d))
+    constants = (j, k, mono.T.astype(exact), basis, weights, eta, inverse,
+                 table)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
+def _closed_form(d, phi):
+    """(class table, key) for a two-qudit phi whose differences G_Q(J) =
+    Phi(J - Q) - Phi(J) are all quadratic in J, else None.
+
+    Each G_Q is interpolated from its values at SIX, and the interpolant
+    checked against G_Q at every J.  E_w(J) = G_Q(J) + J.P - inv2 * P.Q is
+    then J^T M J + b.J + F with M = [[A, B/2], [B/2, C]], b = P + l(Q) and
+    F = g00(Q) - inv2 * P.Q, and its value counts C_w depend on w only
+    through a class and a shift (Lidl & Niederreiter, Finite Fields, 6.2):
+    with D = 4 det M, rank 2 (D != 0) counts d - eta(-D), plus d * eta(-D)
+    at u = 0, shift F - b^T adj(M) b / D; rank 1 with b in M's column space
+    counts d * (1 + eta(lam) * eta(u)), shift F - beta^2 / (4 lam), lam
+    and beta being A and b1 if A != 0, else C and b2; M = 0 and b = 0 is
+    constant, d^2 at u = 0, shift F; anything else is uniform.  key[w] =
+    class * d + shift, w = (P, Q) row-major with P major."""
+    j, k, mono, basis, weights, eta, inverse, table = _quadratics(d)
+    phi = phi.reshape(d, d)
+    # g[Q, J] = Phi(J - Q) - Phi(J), Phi(J - Q) read from the doubled table
+    # as a view whose Q strides run backwards from (d, d)
+    ext = np.tile(phi, (2, 2))
+    row, col = ext.strides
+    g = np.ndarray((d,) * 4, ext.dtype, ext, d * (row + col),
+                   (-row, -col, row, col)) - phi
+    g = g.reshape(d * d, d * d)
+    g %= d
+    six = g[:, [a * d + b for a, b in SIX]]
+    fit = (six.astype(basis.dtype) @ basis).astype(np.int32)
+    fit %= d
+    if (fit != g).any():
+        return None
+    del g, fit
+    A, B, C, l1, l2, g00 = (six @ weights % d).T
+    h = (d + 1) // 2
+    D = (4 * A * C - B * B) % d
+    rank2, a = D != 0, A != 0
+    lam = np.where(a, A, C)  # rank 1 (D = 0, lam != 0) or M = 0 (lam = 0)
+    # the shift is a quadratic in P, F - (P + l)^T N (P + l): N = adj(M) / D
+    # at rank 2, b1^2 or b2^2 over 4 lam at rank 1, and 0 for M = 0
+    x, y = inverse[D], inverse[4 * lam % d] * ~rank2
+    c11, c12, c22 = C * x + a * y, -B * x, A * x + ~a * y
+    lin1, lin2 = 2 * c11 * l1 + c12 * l2, c12 * l1 + 2 * c22 * l2
+    coef = np.array([-c11, -c12, -c22, -lin1 - h * j, -lin2 - h * k,
+                     g00 - h * (lin1 * l1 + lin2 * l2)]) % d
+    key = (mono @ coef.astype(mono.dtype)).astype(np.int32)
+    key %= d
+    cls = np.where(rank2, RANK2, np.where(lam != 0, RANK1, UNIFORM)) + (
+        np.where(rank2, eta[-D % d], eta[lam]) < 0)
+    key += (cls * d).astype(np.int32)
+    # rank 1 is uniform where b = P + l leaves M's column space, i.e. where
+    # b.v != 0, v = (B, -2A) if A != 0, else (1, 0)
+    r1 = np.flatnonzero(~rank2 & (lam != 0))
+    if len(r1):
+        v1, v2 = np.where(a[r1], B[r1], 1), -2 * A[r1]
+        off = (j[:, None] * v1 + k[:, None] * v2
+               + l1[r1] * v1 + l2[r1] * v2) % d != 0
+        key[:, r1] += off * ((UNIFORM - cls[r1]) * d).astype(np.int32)
+    # M = 0 is constant at the one P with b = 0, uniform elsewhere
+    r0 = np.flatnonzero(~rank2 & (lam == 0))
+    key[(-l1[r0] % d) * d + (-l2[r0] % d), r0] += (CONSTANT - UNIFORM) * d
+    return table, key.ravel()
+
+
 class PointCounts:
-    """One state's point counts C, built once for two readers that gather a
+    """One state's point counts, built once for two readers that gather a
     cell's R[s] = sum_c C_(c.g)[(s + c.a) mod d], CHUNK counts at a time.
-    C is d^(2n+1) counts of one or two bytes: 161 KB at d = 11."""
+
+    The counts live in `table` (d, K), and C_w[t] = table[t, key[w]], one
+    int32 key per phase point.  For n = 2 and deg Phi <= 3 `_closed_form`
+    builds them: K = 6d columns shared by every state of that d, and d^4
+    keys (59 KB at d = 11).  Otherwise `_point_counts` enumerates C itself,
+    K = d^(2n) and key = arange: d^(2n+1) counts of one or two bytes
+    (161 KB at d = 11)."""
 
     def __init__(self, d: int, phi_table):
         d, phi, self.n = _table(d, phi_table)
         self.d, (self.grid, self.place) = d, _grid(d, self.n)
-        self.table = _point_counts(d, phi, self.grid, self.place)
-        # [s, shift]: the offset in C of row (s + shift) mod d
-        self.rot = np.add.outer(range(d), range(d)) % d * d ** (2 * self.n)
+        built = _closed_form(d, phi) if self.n == 2 else None
+        if built is None:
+            self.table = _point_counts(d, phi, self.grid, self.place)
+            self.key = np.arange(self.table.shape[1], dtype=np.int32)
+        else:
+            self.table, self.key = built
+        # [s, shift]: the offset in the table of row (s + shift) mod d
+        self.rot = np.add.outer(range(d), range(d)) % d * self.table.shape[1]
 
     def _points(self, gens):
-        """w[q, c]: the row-major index of subspace q's element c.g."""
+        """key[w[q, c]]: the key of subspace q's element c.g, w its
+        row-major point index."""
         coords = self.grid @ gens % self.d  # (subspace, element, coordinate)
-        return coords[..., 0::2] @ self.place * len(self.grid) \
-            + coords[..., 1::2] @ self.place
+        return self.key[coords[..., 0::2] @ self.place * len(self.grid)
+                        + coords[..., 1::2] @ self.place]
 
     def _gather(self, rows, w):
-        """R[s, ...] = sum_c C[(s + shift) mod d, w[..., c]]: `rows` are
-        rot.take(shifts, axis=1), broadcast against the points w."""
+        """R[s, ...] = sum_c table[(s + shift) mod d, w[..., c]]: `rows`
+        are rot.take(shifts, axis=1), broadcast against the keys w."""
         return self.table.ravel()[rows + w].sum(axis=-1)
 
     def weyl_counts(self, gens) -> Iterator[tuple[slice, np.ndarray]]:

@@ -1,7 +1,8 @@
 """The possibility engine against oracles that share no code with it: the
-master-polynomial route and the dense projector norm.  Also the proof
-stage's three contexts per hidden variable, checked to refute it by the
-engine and, on a sample, by the master-polynomial route."""
+master-polynomial route and the dense projector norm.  Its closed-form
+point counts against their enumeration.  Also the proof stage's three
+contexts per hidden variable, checked to refute it by the engine and, on a
+sample, by the master-polynomial route."""
 
 import itertools
 import random
@@ -319,19 +320,36 @@ def test_weyl_counts_split_equals_unsplit(monkeypatch, chunk):
     assert np.array_equal(split, whole)
 
 
-def test_one_subspace_memory_bounded_at_d13():
-    d = 13
-    tab = np.arange(d * d).reshape(d, d) ** 3 % d
+D13 = 13
+# k^3, whose differences are quadratic (the closed form), and j^4 * k + k^3,
+# whose are not (enumeration), as tables over Z_13^2
+CUBIC_D13 = np.arange(D13 * D13).reshape(D13, D13) ** 3 % D13
+QUARTIC_D13 = (np.outer(np.arange(D13) ** 4, np.arange(D13)) + CUBIC_D13) % D13
+
+
+def one_subspace_memory(tab, width):
+    """Peak traced memory of building a d = 13 state's PointCounts and
+    reading one subspace's weyl_counts, checked to build a table `width`
+    columns wide."""
     tracemalloc.start()
     try:
-        blocks = list(kernel.PointCounts(d, tab).weyl_counts(
-            [((1, 0, 0, 0), (0, 0, 0, 1))]))
+        counts = kernel.PointCounts(D13, tab)
+        blocks = list(counts.weyl_counts([((1, 0, 0, 0), (0, 0, 0, 1))]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # d^6 = 4,826,809 point exponents in bincounts of CHUNK or fewer, then
-    # gathers of CHUNK or fewer counts
+    assert counts.table.shape == (D13, width)
+    # enumeration: d^6 = 4,826,809 point exponents in bincounts of CHUNK or
+    # fewer; both: gathers of CHUNK or fewer counts
     assert peak < sum(b.nbytes for _, b in blocks) + 48 * kernel.CHUNK
+
+
+def test_one_subspace_memory_bounded_at_d13():
+    one_subspace_memory(CUBIC_D13, 6 * D13)
+
+
+def test_one_subspace_memory_bounded_at_d13_enumerated():
+    one_subspace_memory(QUARTIC_D13, D13 ** 4)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
@@ -354,9 +372,11 @@ def test_point_counts_impossible_equals_per_ket_impossible(d):
     assert verdicts == {True, False}
 
 
-def test_cell_gathers_memory_bounded_at_d13():
-    d = 13
-    tab = np.arange(d * d).reshape(d, d) ** 3 % d
+def cell_gathers_memory(tab, width):
+    """Peak traced memory of building a d = 13 state's PointCounts and
+    reading every outcome of one subspace through `impossible`, checked to
+    build a table `width` columns wide."""
+    d = D13
     gens, outcomes = every_cell(d, 2, [((1, 0, 0, 0), (0, 0, 0, 1))])
     tracemalloc.start()
     try:
@@ -365,7 +385,79 @@ def test_cell_gathers_memory_bounded_at_d13():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the table (5.7 CHUNK), then d^3 = 2,197 counts per cell in gathers
-    # of CHUNK or fewer, six for these 169 cells: measured 21 CHUNK more
+    assert counts.table.shape == (d, width)
+    # the table (enumerated: 5.7 CHUNK), then d^3 = 2,197 counts per cell in
+    # gathers of CHUNK or fewer, six for these 169 cells: measured 21 CHUNK
+    # more
     assert len(gens) * d ** 3 > 5 * kernel.CHUNK
     assert peak < counts.table.nbytes + 48 * kernel.CHUNK
+
+
+def test_cell_gathers_memory_bounded_at_d13():
+    cell_gathers_memory(CUBIC_D13, 6 * D13)
+
+
+def test_cell_gathers_memory_bounded_at_d13_enumerated():
+    cell_gathers_memory(QUARTIC_D13, D13 ** 4)
+
+
+def test_closed_form_build_memory_per_point_at_d31():
+    """The closed form holds no d^(2n+1) array: at d = 31 (923,521 phase
+    points) its build peaks at a fixed number of bytes per point."""
+    d = 31
+    tab = np.arange(d * d).reshape(d, d) ** 3 % d
+    kernel._quadratics(d)  # per-d constants, built once per process
+    tracemalloc.start()
+    try:
+        counts = kernel.PointCounts(d, tab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.table.shape == (d, 6 * d)
+    # measured 20 bytes per point: the int32 differences and their fit,
+    # then the key and its float product
+    assert peak < 24 * d ** 4
+
+
+def strong_normal_forms(d):
+    m = Modulus(d)
+    for phi1, phi2 in itertools.product(range(1, d), range(d)):
+        yield PhaseFunctionState(m, 2, ZdPoly(m, 2, {(2, 1): phi1,
+                                                     (1, 2): phi2}))
+
+
+def full_cubic(rng, d):
+    """All ten coefficients of degree <= 3 drawn, a quadratic (zero cubic
+    part) one time in three."""
+    m = Modulus(d)
+    top = 3 if rng.randrange(3) else 2
+    return PhaseFunctionState(m, 2, ZdPoly(m, 2, {
+        (a, b): rng.randrange(d) for a in range(top + 1)
+        for b in range(top + 1 - a)}))
+
+
+def enumerated(d, phi_table):
+    """The point counts C[t, w] by enumeration, the closed form's oracle."""
+    d, phi, n = kernel._table(d, phi_table)
+    return kernel._point_counts(d, phi, *kernel._grid(d, n))
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_closed_form_equals_enumeration(d):
+    """Expanded through its key, the closed form's table is the enumerated
+    C: on every strong normal form up to d = 11 and a seeded sample at
+    d = 13, and on seeded cubics and quadratics with every coefficient
+    drawn (rank-1 and M = 0 points beyond Q = 0), plus j*k and 0."""
+    rng = random.Random(40 + d)
+    m = Modulus(d)
+    states = list(strong_normal_forms(d))
+    if d == 13:
+        states = rng.sample(states, 6)
+    states += [full_cubic(rng, d) for _ in range(6)]
+    states += [PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
+               for coeffs in ({(1, 1): 1}, {})]
+    for st in states:
+        counts = kernel.PointCounts(d, st.phi_table())
+        assert counts.table.shape == (d, 6 * d), st.phi
+        assert np.array_equal(counts.table[:, counts.key],
+                              enumerated(d, st.phi_table())), st.phi

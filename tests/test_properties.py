@@ -12,7 +12,11 @@ refute as many lam in each stage: in the table1 and full stages because
 those stages walk the families and all subspaces, and in the proof stage
 because on every strong normal form at d = 3, 5 and 7 the three-context
 shortcut refutes each lam that some Table-1 family refutes (the table1
-stage refutes none there)."""
+stage refutes none there).
+
+The engine builds its point counts in closed form when every difference
+G_Q(J) = Phi(J - Q) - Phi(J) is quadratic in J, and by enumeration
+otherwise; either way its verdicts are the per-ket route's."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -25,6 +29,7 @@ from stabctx.zmod import Modulus, ZdPoly, inv, parse_poly
 
 MONOMIALS = [(e1, e2) for e1 in range(4) for e2 in range(4)
              if 2 <= e1 + e2 <= 3]
+QUARTIC = [(e1, e2) for e1 in range(5) for e2 in range(5 - e1)]
 SWAP = np.eye(4, dtype=np.int64)[[2, 3, 0, 1]]
 
 
@@ -90,3 +95,55 @@ def test_local_maps_carry_certificates(case):
     else:
         lam = L @ cert.witness.lam % d
         assert not counts.impossible(rows, rows @ lam % d).any()
+
+
+def degree(d, coeffs):
+    """The total degree of Phi as a function on Z_d^2: x^e equals
+    x^(e - (d - 1)) there for e >= d, so exponents are first reduced below
+    d and like terms merged."""
+    reduced = {}
+    for exps, c in coeffs.items():
+        exps = tuple(e if e < d else (e - 1) % (d - 1) + 1 for e in exps)
+        reduced[exps] = (reduced.get(exps, 0) + c) % d
+    return max((sum(exps) for exps, c in reduced.items() if c), default=0)
+
+
+@st.composite
+def builder_cases(draw):
+    """A state of degree <= 4 at d = 3 to 13, its quartic terms dropped half
+    the time, and one subspace, a row of `context_rows`."""
+    m = Modulus(draw(st.sampled_from((3, 5, 7, 11, 13))))
+    top = draw(st.sampled_from((3, 4)))
+    coeffs = {e: draw(st.integers(0, m.d - 1)) for e in QUARTIC
+              if sum(e) <= top}
+    return m, coeffs, draw(st.integers(0, len(context_rows(m, 2)) - 1))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(builder_cases())
+def test_point_count_builders_agree_with_per_ket_route(case):
+    """The closed form (a table 6d wide) is built exactly when every G_Q is
+    quadratic.  For any Phi of reduced total degree D >= 1 the degree D - 1
+    part of G_Q is -Q . grad of Phi's top part, which is nonzero for Q a
+    unit vector since no exponent reaches d; so that is when Phi has
+    degree <= 3.  Either way every outcome of the drawn subspace gets the
+    per-ket route's verdict."""
+    m, coeffs, row = case
+    d = m.d
+    tab = PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs)).phi_table()
+    counts = kernel.PointCounts(d, tab)
+    assert (counts.table.shape[1] == 6 * d) == (degree(d, coeffs) <= 3)
+    gens = np.repeat(context_rows(m, 2)[row:row + 1], d * d, axis=0)
+    outcomes = np.indices((d, d)).reshape(2, -1).T
+    assert np.array_equal(counts.impossible(gens, outcomes),
+                          kernel.impossible(d, tab, gens, outcomes))
+
+
+def test_quartic_takes_enumeration():
+    """j^4 * k has cubic differences at every d >= 5."""
+    for d in (5, 7, 11, 13):
+        m = Modulus(d)
+        counts = kernel.PointCounts(d, PhaseFunctionState(
+            m, 2, parse_poly("j^4*k", m)).phi_table())
+        assert counts.table.shape == (d, d ** 4)
+        assert np.array_equal(counts.key, np.arange(d ** 4))
