@@ -18,7 +18,7 @@ its contexts in order over the lam not yet refuted, and every distinct
 (subspace, outcome) query is answered once, from the state's point-count
 table (`kernel.PointCounts`, built once per state), and kept in one int8
 table over (subspace, a, b) cells.  Each block of lam fills its own slice
-of the certificate's columns.
+of the certificate's columns; where Theorem 1 holds, one block takes all.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def enumerate_linear_hv(m: Modulus, n: int) -> list[HiddenVariable]:
 
 
 def _lam_array(d: int, n: int) -> np.ndarray:
-    """The d^(2n) lam as rows of one int array, lexicographic, zero first."""
-    return np.indices((d,) * (2 * n)).reshape(2 * n, -1).T
+    """All d^(2n) lam as rows of one int32 array, in lexicographic order."""
+    return np.indices((d,) * (2 * n), dtype=np.int32).reshape(2 * n, -1).T
 
 
 def prescribed_outcome(hv: HiddenVariable, c: Context) -> JointOutcome:
@@ -436,10 +436,10 @@ class _Scanner:
     is named by its row in `context_rows`: the table1 stage is the Table-1
     families' rows, `table1_rows`, and the full stage is every row.
     `counts`, the state's `kernel.PointCounts`, is built here, and every
-    distinct (subspace, a, b) cell goes to its `impossible` at most once
-    per state: `known` holds one int8 per cell at (sid*d + a)*d + b, -1
-    until asked, then 0 (possible) or 1 (impossible).  That is
-    (d^2+1)(d+1)d^2 bytes: 19,600 at d = 7, 177,144 at d = 11.
+    distinct (subspace, a, b) cell goes to its `uniform` at most once per
+    state: `known` holds one int8 per cell at (sid*d + a)*d + b, -1 until
+    asked, then 0 (possible) or 1 (impossible).  That is (d^2+1)(d+1)d^2
+    bytes: 19,600 at d = 7, 177,144 at d = 11.
     """
 
     def __init__(self, work_state: PhaseFunctionState, rep: StrongnessReport,
@@ -448,9 +448,12 @@ class _Scanner:
         self.d = self.m.d
         self.counts = kernel.PointCounts(self.d, work_state.phi_table())
         self.rep = rep
-        self.rows = context_rows(self.m, 2)  # (subspaces, 2, 4)
+        # int32 like lam: a proof step gathers a row per lam
+        self.rows = context_rows(self.m, 2).astype(np.int32)  # (rows, 2, 4)
         self.known = np.full(len(self.rows) * self.d ** 2, -1, dtype=np.int8)
-        self.table1, self.labels = table1_rows(self.m)
+        table1, labels = table1_rows(self.m)
+        self.table1 = table1.astype(np.int32)
+        self.family = dict(zip(table1.tolist(), labels))
         self.stages = stages
 
     def context(self, stage: int, sid: int) -> tuple[str, tuple]:
@@ -458,7 +461,7 @@ class _Scanner:
         rows): the family label in the proof and table1 stages, else the
         span label."""
         label = span_labels(self.m, 2)[sid] if self.stages[stage] == "full" \
-            else self.labels[np.argmax(self.table1 == sid)]
+            else self.family[sid]
         return label, tuple(map(tuple, self.rows[sid].tolist()))
 
     def _impossible(self, sid: np.ndarray, ab: np.ndarray) -> np.ndarray:
@@ -466,12 +469,12 @@ class _Scanner:
         cells not asked yet (a query's answer depends only on its cell) go
         to `counts` in one call."""
         d = self.d
-        qid = (sid * d + ab[..., 0]) * d + ab[..., 1]
+        qid = (sid.astype(np.int64) * d + ab[..., 0]) * d + ab[..., 1]
         new = self.known[qid] < 0
         if new.any():
             todo, first = np.unique(qid[new], return_index=True)
-            self.known[todo] = self.counts.impossible(
-                self.rows[sid[new][first]], ab[new][first])
+            self.known[todo] = self.counts.uniform(
+                kernel.row_points(d, sid[new][first]), ab[new][first])
         return self.known[qid] == 1
 
     def scan(self, lams: np.ndarray, stage: np.ndarray, where: np.ndarray,
@@ -484,7 +487,7 @@ class _Scanner:
         """
         n, d = len(lams), self.d
         stage[:] = -1
-        alive = np.arange(n)
+        alive = np.arange(n, dtype=np.int32)
         for s, name in enumerate(self.stages):
             if name == "proof":
                 order = self.table1[proof_stage_positions(
@@ -529,7 +532,9 @@ def decide_strong_contextuality(state: PhaseFunctionState,
 
     Candidates are scanned in lexicographic blocks of 1, 2, 4, ... lam, and
     the scan stops after the first block holding a survivor, whose lowest
-    survivor is the witness: witnesses mostly sit at small lam.
+    survivor is the witness: witnesses mostly sit at small lam.  Where
+    Theorem 1 refutes every lam in the proof stage (strong normal forms at
+    d != 1 mod 3), one block holds all d^4 lam: three array steps.
     """
     if state.n != 2:
         raise UnsupportedScale("decision procedure supports n = 2")
@@ -552,9 +557,9 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     lams = _lam_array(d, 2)
     # the certificate's columns, filled block by block; allocated after
     # the scanner, they raised the peak RSS at d = 23 by 9 MiB
-    stage = np.empty(len(lams), dtype=np.int64)
-    row = np.empty(len(lams), dtype=np.int64)
-    outcome = np.empty((len(lams), 2), dtype=np.int64)
+    stage = np.empty(len(lams), dtype=np.int8)
+    row = np.empty(len(lams), dtype=np.int32)
+    outcome = np.empty((len(lams), 2), dtype=np.int32)
     scanner = _Scanner(work, rep, stages)
 
     base = dict(
@@ -563,7 +568,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
         strong=rep.is_strong, phi1=rep.phi1, phi2=rep.phi2,
         strategy=strategy, normalize=normalize,
     )
-    start, size = 0, 1
+    start, size = 0, len(lams) if stages[0] == "proof" and d % 3 != 1 else 1
     while start < len(lams):
         block = slice(start, start + size)
         scanner.scan(lams[block], stage[block], row[block], outcome[block])
@@ -574,11 +579,13 @@ def decide_strong_contextuality(state: PhaseFunctionState,
                 witness=Witness(state.modulus, tuple(lam.tolist())))
         start, size = start + size, 2 * size
 
+    ns = len(stages)  # each distinct (stage, row) once, from its code
+    codes = np.flatnonzero(np.bincount(row * ns + stage)).tolist()
     return StrongContextualityCertificate(
         **base, verdict="strongly_contextual", stages=stages,
         stage=stage, row=row, outcome=outcome,
-        contexts={pair: scanner.context(*pair)
-                  for pair in set(zip(stage.tolist(), row.tolist()))})
+        contexts={(c % ns, c // ns): scanner.context(c % ns, c // ns)
+                  for c in codes})
 
 
 # -- contextual fraction -------------------------------------------------------

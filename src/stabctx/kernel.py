@@ -15,7 +15,8 @@ omega^E_w(J) = d^n <psi|W(w)|psi> is the state's characteristic function
 at w = (P, Q).  Counted once per state as C_w, it gives the counts R[s] =
 sum_c C_(c.g)[s + c.a] of the roots of d^(2n) <psi|Pi|psi>, and since d is
 prime the outcome is impossible iff R is uniform.  Its readers serve
-empirical models (`weyl_counts`) and the hidden-variable scan (`impossible`).
+empirical models (`weyl_counts`) and the hidden-variable scan (`uniform`) at
+a subspace's element points, cached per `context_rows` row (`row_points`).
 For two qudits and deg Phi <= 3, E_w is a quadratic in J, and
 `_closed_form` builds C from six values of each difference Phi(J - Q) -
 Phi(J) and the classical count of a quadratic's values; for any other
@@ -29,8 +30,9 @@ written out: by the per-ket route, by `_point_counts`, and in closed form
 by `_closed_form`.
 
 Every input must be integer and is reduced mod d on entry, so any integers
-that mean the same thing mod d give the same answer.  Exponents and gathers
-come in chunks of at most CHUNK, so working memory stays bounded at any d.
+that mean the same thing mod d give the same answer (`uniform` takes them
+reduced, from `impossible` and the scan).  Exponents and gathers come in
+chunks of at most CHUNK, so working memory stays bounded at any d.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from .phase_space import context_rows
 from .zmod import MalformedInput, Modulus
 
 # Exponents evaluated per np.bincount.  Working memory is about 24 bytes per
@@ -184,6 +187,35 @@ def impossible(d: int, phi_table, gens, values) -> np.ndarray:
     for qs, _ks, counts in _chunks(d, phi, n, gens, values):
         out[qs] &= (counts == d ** (n - 1)).all(axis=(1, 2))
     return out
+
+
+def _points(d, n, gens):
+    """(Q, d^n) int32: the row-major index w of each element c.g of each
+    subspace, gens reduced mod d.  The one place the formula is written."""
+    grid, place = _grid(d, n)
+    weights = np.ravel([place * len(grid), place], order="F")  # P major
+    out = np.empty((len(gens), len(grid)), dtype=np.int32)
+    step = max(1, CHUNK // len(grid))
+    for q0 in range(0, len(gens), step):  # coordinates mod d, then w
+        out[q0:q0 + step] = grid @ gens[q0:q0 + step] % d @ weights
+    return out
+
+
+@functools.lru_cache
+def _row_cache(d):
+    """The two-qudit `context_rows` at d, and `_points` per row so far."""
+    return context_rows(Modulus(d), 2), {}
+
+
+def row_points(d: int, sids: np.ndarray) -> np.ndarray:
+    """`_points` of rows `sids` of `context_rows(Modulus(d), 2)`, each computed
+    once per d, when first asked; kept one by one, as rows scattered over one
+    array would each pull in a whole huge page."""
+    rows, cache = _row_cache(d)
+    sids = sids.tolist()
+    new = sorted(set(sids).difference(cache))
+    cache.update(zip(new, _points(d, 2, rows[new])))
+    return np.array([cache[s] for s in sids], dtype=np.int32)
 
 
 def _point_counts(d, phi, grid, place):
@@ -340,13 +372,6 @@ class PointCounts:
         # [s, shift]: the offset in the table of row (s + shift) mod d
         self.rot = np.add.outer(range(d), range(d)) % d * self.table.shape[1]
 
-    def _points(self, gens):
-        """key[w[q, c]]: the key of subspace q's element c.g, w its
-        row-major point index."""
-        coords = self.grid @ gens % self.d  # (subspace, element, coordinate)
-        return self.key[coords[..., 0::2] @ self.place * len(self.grid)
-                        + coords[..., 1::2] @ self.place]
-
     def _gather(self, rows, w):
         """R[s, ...] = sum_c table[(s + shift) mod d, w[..., c]]: `rows`
         are rot.take(shifts, axis=1), broadcast against the keys w."""
@@ -364,7 +389,7 @@ class PointCounts:
         q_step = max(1, CHUNK // (size * size * d))  # 1 unless o_step == size
         block = max(1, CHUNK // (size * d))  # subspaces per yielded block
         for b0 in range(0, len(gens), block):
-            w = self._points(gens[b0:b0 + block])
+            w = self.key[_points(d, self.n, gens[b0:b0 + block])]
             out = np.empty((len(w), size, d), dtype=np.int64)
             for o0 in range(0, size, o_step):
                 rows = self.rot.take(shifts[o0:o0 + o_step, None], axis=1)
@@ -373,15 +398,19 @@ class PointCounts:
                         rows, w[q0:q0 + q_step]).transpose(2, 1, 0)
             yield slice(b0, b0 + len(w)), out
 
-    def impossible(self, gens, values) -> np.ndarray:
-        """Boolean per cell: whether R is uniform, i.e. <psi|Pi|psi> = 0.
-        The per-ket `impossible`'s verdicts and arguments, less the table."""
-        gens, values = _queries(self.d, self.n, gens, values)
+    def uniform(self, points, values) -> np.ndarray:
+        """Boolean per cell: whether R is uniform, i.e. <psi|Pi|psi> = 0, at
+        the subspace with element points points[q] and outcome values[q]."""
         step = max(1, CHUNK // (len(self.grid) * self.d))
-        out = np.empty(len(gens), dtype=bool)
-        for q0 in range(0, len(gens), step):
+        out = np.empty(len(points), dtype=bool)
+        for q0 in range(0, len(points), step):
             qs = slice(q0, q0 + step)
             rows = self.rot.take(values[qs] @ self.grid.T % self.d, axis=1)
-            counts = self._gather(rows, self._points(gens[qs]))
+            counts = self._gather(rows, self.key[points[qs]])
             out[qs] = (counts == counts[:1]).all(axis=0)
         return out
+
+    def impossible(self, gens, values) -> np.ndarray:
+        """`uniform`, from the per-ket `impossible`'s arguments."""
+        gens, values = _queries(self.d, self.n, gens, values)
+        return self.uniform(_points(self.d, self.n, gens), values)

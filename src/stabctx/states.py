@@ -54,9 +54,13 @@ class PhaseFunctionState:
         if self.n not in (1, 2):
             raise OracleScaleExceeded("phi tables support n <= 2")
         d = self.modulus.d
-        points = itertools.product(range(d), repeat=self.n)
-        return np.array([self.phi.evaluate(point) for point in points],
-                        dtype=np.intc).reshape((d,) * self.n)
+        table = np.zeros((d,) * self.n, dtype=np.int64)
+        for exps, c in self.phi.coeffs.items():
+            # per variable x, a table of v^e mod d: any exponent e works
+            for x, e in zip(np.indices(table.shape, sparse=True), exps):
+                c = c * np.array([pow(v, e, d) for v in range(d)])[x] % d
+            table += c
+        return (table % d).astype(np.intc)
 
 
 @dataclass(frozen=True, slots=True)

@@ -22,6 +22,7 @@ from stabctx.hidden_vars import (
     enumerate_linear_hv,
     prescribed_outcome,
     proof_chain_identities,
+    proof_stage_positions,
     violated_identity,
 )
 from stabctx.phase_space import Context, PhasePoint, enumerate_contexts, \
@@ -210,6 +211,46 @@ class TestDecide:
             assert cert.strongly_contextual, text
             assert cert.stages_used == {"proof"}
 
+    @pytest.mark.parametrize("d, sample", [(3, None), (5, None), (11, 3)])
+    def test_proof_stage_refutes_at_first_impossible_context(self, d, sample):
+        """Each lam's (stage, row, outcome) is the first of its three
+        `proof_stage_positions` contexts whose cell is impossible, each
+        lam's cells asked on its own of the per-ket route: every strong
+        normal form at d = 3 and 5, and a seeded sample (forms and lam) at
+        d = 11."""
+        m = Modulus(d)
+        rng = random.Random(d)
+        forms = list(itertools.product(range(1, d), range(d)))
+        lams = np.indices((d,) * 4).reshape(4, -1).T
+        picked = range(len(lams))
+        if sample:
+            forms = rng.sample(forms, sample)
+            picked = rng.sample(picked, 100)
+        rows = phase_space.context_rows(m, 2)
+        table1 = phase_space.table1_rows(m)[0]
+        for phi1, phi2 in forms:
+            st = PhaseFunctionState(m, 2, ZdPoly(m, 2, {(2, 1): phi1,
+                                                        (1, 2): phi2}))
+            cert = decide_strong_contextuality(st)
+            tab = st.phi_table()
+            sids = table1[proof_stage_positions(m, phi1, phi2, lams)]
+            for i in picked:
+                values = rows[sids[i]] @ lams[i] % d
+                imp = hidden_vars.kernel.impossible(d, tab, rows[sids[i]],
+                                                    values)
+                first = int(np.argmax(imp))
+                assert imp[first], (phi1, phi2, i)
+                assert (cert.stages[cert.stage[i]], cert.row[i],
+                        tuple(cert.outcome[i])) == (
+                    "proof", sids[i, first], tuple(values[first]))
+
+    def test_witness_below_theorem1_keeps_its_lambda(self):
+        """At d = 1 (mod 3) a normal form's lam stay on the block schedule:
+        the lowest survivor is still the witness."""
+        cert = decide_strong_contextuality(state(7, "2*j^2*k + j*k^2"))
+        assert cert.verdict == "not_strongly_contextual"
+        assert cert.witness.lam == (0, 0, 0, 0)
+
     def test_certificate_covers_all_hidden_variables(self):
         cert = decide_strong_contextuality(state(3, "j^2*k"))
         lams = [r.lam for r in cert.refutations]
@@ -285,16 +326,15 @@ class TestDecide:
     ])
     def test_engine_asked_each_cell_once(self, monkeypatch, d, text,
                                          strategy):
-        engine = hidden_vars.kernel.PointCounts.impossible
+        engine = hidden_vars.kernel.PointCounts.uniform
         asked = []
 
-        def record(counts, gens, values):
-            cells = np.concatenate(
-                [np.reshape(gens, (len(gens), -1)), values], axis=1)
+        def record(counts, points, values):
+            cells = np.concatenate([points, values], axis=1)
             asked.extend(map(tuple, cells.tolist()))
-            return engine(counts, gens, values)
+            return engine(counts, points, values)
 
-        monkeypatch.setattr(hidden_vars.kernel.PointCounts, "impossible",
+        monkeypatch.setattr(hidden_vars.kernel.PointCounts, "uniform",
                             record)
         decide_strong_contextuality(state(d, text), strategy=strategy)
         assert asked

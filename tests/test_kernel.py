@@ -461,3 +461,22 @@ def test_closed_form_equals_enumeration(d):
         assert counts.table.shape == (d, 6 * d), st.phi
         assert np.array_equal(counts.table[:, counts.key],
                               enumerated(d, st.phi_table())), st.phi
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_row_points_cache_every_row_and_only_rows_asked(d):
+    """`row_points` equals the point formula written out per element, on
+    every row of `context_rows`, and computes only the rows asked for."""
+    rows = context_rows(Modulus(d), 2)
+    want = np.empty((len(rows), d * d), dtype=np.int64)
+    for sid, (g1, g2) in enumerate(rows.tolist()):
+        for e, (c1, c2) in enumerate(itertools.product(range(d), repeat=2)):
+            p1, q1, p2, q2 = ((c1 * a + c2 * b) % d for a, b in zip(g1, g2))
+            want[sid, e] = ((p1 * d + p2) * d + q1) * d + q2
+    kernel._row_cache.cache_clear()
+    asked = np.array(random.Random(d).choices(range(len(rows)), k=d))
+    got = kernel.row_points(d, asked)
+    assert got.dtype == np.int32 and np.array_equal(got, want[asked])
+    assert set(kernel._row_cache(d)[1]) == set(asked.tolist())
+    every = np.arange(len(rows))
+    assert np.array_equal(kernel.row_points(d, every), want)

@@ -238,3 +238,23 @@ class TestReductions:
                 rep = strongness(work)
             assert rep.phi1 != 0
             assert set(work.phi.coeffs) <= {(2, 1), (1, 2)}
+
+
+class TestPhiTable:
+    @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+    @pytest.mark.parametrize("n, texts", [
+        (1, ["0", "j^2 + 3*j + 1", "j^100", "2*j^3 + j^{d}"]),
+        (2, ["j^2*k + 2*j*k^2", "j^100*k^7", "k^{d}", "j^{d}*k^{e} + j + 4",
+             "3*j^4*k + k^2"]),
+    ])
+    def test_matches_evaluate(self, d, n, texts):
+        """The power-table table equals ZdPoly.evaluate at every point,
+        exponents beyond d included."""
+        m = Modulus(d)
+        for text in texts:
+            phi = parse_poly(text.format(d=d, e=d + 1), m,
+                             variables=("j", "k")[:n])
+            table = PhaseFunctionState(m, n, phi).phi_table()
+            assert table.shape == (d,) * n and table.dtype == np.intc
+            for point in itertools.product(range(d), repeat=n):
+                assert table[point] == phi.evaluate(point), (text, point)
