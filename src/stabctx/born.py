@@ -2,19 +2,17 @@
 
 Whether a joint outcome of commuting Weyl measurements can occur on a
 phase-function state is a zero-vs-nonzero question about a sum of d-th roots
-of unity.  Expanding the joint eigenspace projector against the state gives,
-for every output basis ket, one root of unity per subspace element; since d
-is prime such a sum vanishes iff every root appears equally often.  All
-(im)possibility verdicts here are therefore decided by integer counting
-in `stabctx.kernel`: `outcome_possibility` asks the per-ket oracle
-`kernel.impossible`.
-Empirical models take the expectation instead and read
-`kernel.PointCounts`, as the lambda scan in `stabctx.hidden_vars` does:
-d^(2n) <psi|Pi|psi> is a sum of d^(2n) roots, counted from the state's
-characteristic function.  The outcome is possible iff those
-counts R[s] are not uniform, and its Born probability is
-d^(-2n) * sum_s R[s] cos(2 pi s / d).  Probabilities are floats and
-advisory only, cross-checked against `stabctx.dense`.
+of unity.  The outcome's projector Pi annihilates the state iff
+<psi|Pi|psi> = 0, and d^(2n) <psi|Pi|psi> is a sum of d^(2n) roots, counted
+from the state's characteristic function; since d is prime it vanishes iff
+those counts R[s] are uniform.  All (im)possibility verdicts here are
+therefore decided by integer counting in `stabctx.kernel`:
+`outcome_possibility` asks `kernel.impossible`, which enumerates the
+exponents at the subspace's own points, and empirical models read
+`kernel.PointCounts`, as the lambda scan in `stabctx.hidden_vars` does.  A
+possible outcome's Born probability is d^(-2n) * sum_s R[s] cos(2 pi s / d).
+Probabilities are floats and advisory only, cross-checked against
+`stabctx.dense`.
 
 The same expansion read as a polynomial in the subspace coordinates (x, y)
 yields the master polynomial: an outcome is impossible iff that polynomial
@@ -64,6 +62,8 @@ class JointOutcome:
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.context, Context):
+            raise MalformedInput(f"expected a Context, not {self.context!r}")
         values = _integers(self.values, "outcome values")
         if len(values) != self.context.n:
             raise MalformedInput("one outcome value per basis vector")
@@ -76,6 +76,11 @@ class JointOutcome:
 
 
 def _check_compatible(state: PhaseFunctionState, context: Context):
+    """Raise unless `state` and `context` are a state and a context on the
+    same system that the engine supports."""
+    for value, kind in ((state, PhaseFunctionState), (context, Context)):
+        if not isinstance(value, kind):
+            raise MalformedInput(f"expected a {kind.__name__}, not {value!r}")
     if state.modulus != context.modulus or state.n != context.n:
         raise IncompatibleContext("state and context live on different systems")
     if state.n > 2:
@@ -84,9 +89,12 @@ def _check_compatible(state: PhaseFunctionState, context: Context):
 
 def outcome_possibility(state: PhaseFunctionState,
                         outcome: JointOutcome) -> bool:
-    """Whether the outcome can occur on the state, decided exactly by the
-    per-ket oracle `kernel.impossible`: it is impossible iff every output
-    ket's d^n roots are a uniform orbit."""
+    """Whether the outcome can occur on the state, decided exactly by
+    `kernel.impossible`: it is impossible iff the root counts R of
+    d^(2n) <psi|Pi|psi>, enumerated at the subspace's points, are
+    uniform."""
+    if not isinstance(outcome, JointOutcome):
+        raise MalformedInput(f"expected a JointOutcome, not {outcome!r}")
     context = outcome.context
     _check_compatible(state, context)
     return not kernel.impossible(state.modulus.d, state.phi_table(),

@@ -236,7 +236,7 @@ def cmd_selftest(args) -> int:
         st = PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
         ctx = contexts[rng.randrange(len(contexts))]
         outcome = JointOutcome(ctx, (rng.randrange(3), rng.randrange(3)))
-        per_ket = outcome_possibility(st, outcome)
+        enumerated = outcome_possibility(st, outcome)
         cell = not kernel.PointCounts(3, st.phi_table()).impossible(
             [ctx.canonical_key], [outcome.values])[0]
         psi = not impossibility_by_psi(st, outcome)
@@ -244,7 +244,7 @@ def cmd_selftest(args) -> int:
         vec = dense.phase_state_vector(m, st.phi)
         dense_prob = float(np.linalg.norm(proj @ vec) ** 2)
         counted = build_empirical_model(st, [ctx]).row(0, outcome.values)
-        agree &= per_ket == cell == psi == (dense_prob > 1e-18)
+        agree &= enumerated == cell == psi == (dense_prob > 1e-18)
         probs_agree &= abs(counted.probability - dense_prob) <= 1e-12
     check("possibility routes agree (40 random cases)", agree)
     check("counted and dense probabilities agree (40 random cases)",

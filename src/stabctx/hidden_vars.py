@@ -86,6 +86,9 @@ def _lam_array(d: int, n: int) -> np.ndarray:
 
 def prescribed_outcome(hv: HiddenVariable, c: Context) -> JointOutcome:
     """Restrict the functional to the context, on its canonical basis."""
+    if not (isinstance(hv, HiddenVariable) and isinstance(c, Context)):
+        raise MalformedInput(f"expected a HiddenVariable and a Context, not "
+                             f"{hv!r} and {c!r}")
     if hv.modulus != c.modulus or hv.n != c.n:
         raise UnsupportedScale("hidden variable and context sizes differ")
     return JointOutcome(c, tuple(hv.outcome(b.coords) for b in c.canonical_basis))
@@ -536,6 +539,8 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     Theorem 1 refutes every lam in the proof stage (strong normal forms at
     d != 1 mod 3), one block holds all d^4 lam: three array steps.
     """
+    if not isinstance(state, PhaseFunctionState):
+        raise MalformedInput(f"expected a PhaseFunctionState, not {state!r}")
     if state.n != 2:
         raise UnsupportedScale("decision procedure supports n = 2")
     if strategy not in ("table1_first", "full_scan"):
@@ -655,6 +660,8 @@ def consistency_matrix(m: Modulus, n: int,
     `_prescribed_cells`, which reads the contexts' key array built here)."""
     n = _integers((n,), "qudit counts")[0]
     contexts = tuple(contexts)  # a one-shot iterable is read once
+    if not all(isinstance(c, Context) for c in contexts):
+        raise MalformedInput("contexts must be Context objects")
     if any(c.modulus != m or c.n != n for c in contexts):
         raise IncompatibleContext("contexts live on a different system")
     keys = np.array([c.canonical_key for c in contexts],

@@ -20,19 +20,19 @@ a subspace's element points, cached per `context_rows` row (`row_points`).
 For two qudits and deg Phi <= 3, E_w is a quadratic in J, and
 `_closed_form` builds C from six values of each difference Phi(J - Q) -
 Phi(J) and the classical count of a quadratic's values; for any other
-table `_point_counts` enumerates the exponents, and it is also the closed
-form's oracle.  The per-ket route stays as the oracle that
-`born.outcome_possibility`, `selftest` and the tests ask: one ket's d^n
-roots sum to zero iff each residue appears d^(n-1) times, and the outcome is
-impossible iff that holds at every ket (`residue_counts` counts,
-`impossible` decides).  This module is the only place the exponent is
-written out: by the per-ket route, by `_point_counts`, and in closed form
-by `_closed_form`.
+table `_point_counts` enumerates the exponents.  The same enumeration, run
+only at the distinct points of the asked subspaces and read by `uniform`,
+is `impossible`, the oracle that `born.outcome_possibility`, `selftest` and
+the tests ask; being enumerated for every table, it also checks the closed
+form.  This module is the only place the exponent is written out: by
+`_point_counts`, and in closed form by `_closed_form`.
 
 Every input must be integer and is reduced mod d on entry, so any integers
 that mean the same thing mod d give the same answer (`uniform` takes them
 reduced, from `impossible` and the scan).  Exponents and gathers come in
-chunks of at most CHUNK, so working memory stays bounded at any d.
+chunks of at most CHUNK, and the enumeration's (coordinate, ket) tables
+hold no more entries than CHUNK or the counts they build, so working memory
+stays bounded at any d.
 """
 
 from __future__ import annotations
@@ -114,81 +114,6 @@ def _grid(d, n):
     return grid, place
 
 
-def _ket_tables(d, phi, grid, place, kets):
-    """The (point, ket) tables of one ket chunk: J.P mod d and Phi(J - Q)."""
-    shift = np.zeros((len(grid), len(kets)), dtype=np.int32)
-    for i in range(grid.shape[1]):
-        shift += (kets[:, i] - grid[:, i, None]) % d * place[i]
-    return grid @ kets.T % d, phi[shift]
-
-
-def _fold(bins, d):
-    """Counts over exponents in [0, 3d), last axis, folded mod d.  Two slice
-    adds run 3-4x faster than a sum over a size-3 axis on these shapes."""
-    return bins[..., :d] + bins[..., d:2 * d] + bins[..., 2 * d:]
-
-
-def _chunks(d, phi, n, gens, values):
-    """Yield (query slice, ket slice, counts[query, ket, residue]).
-
-    The exponent is the sum of three terms, each reduced mod d: per element
-    -sum c_i a_i - inv2 * sum P_i Q_i, and the (point, ket) tables J.P and
-    Phi(J - Q) gathered at P and at Q.  The sum lies in [0, 3d), so each
-    (query, ket) row counts over 3d bins, folded mod d afterwards; the row
-    offsets ride on the element term and the J.P table.
-    """
-    grid, place = _grid(d, n)
-    size = len(grid)
-    k_step = min(size, max(1, CHUNK // size))
-    q_step = max(1, CHUNK // (size * size))  # 1 unless k_step == size
-    span, inv2 = 3 * d, (d + 1) // 2
-    for k0 in range(0, size, k_step):
-        kets = grid[k0:k0 + k_step]
-        nk = len(kets)
-        dot, phase = _ket_tables(d, phi, grid, place, kets)
-        dot += span * np.arange(nk, dtype=np.int32)
-        for q0 in range(0, len(gens), q_step):
-            qs = slice(q0, q0 + q_step)
-            points = grid @ gens[qs] % d  # (query, element, coordinate)
-            P, Q = points[..., 0::2], points[..., 1::2]
-            e = dot[P @ place]
-            e += phase[Q @ place]
-            base = (-inv2 * (P * Q).sum(axis=-1) - values[qs] @ grid.T) % d
-            del points, P, Q  # not held through the bincount peak
-            nq = len(base)
-            base += span * nk * np.arange(nq)[:, None]
-            e += base.astype(np.int32)[:, :, None]
-            counts = np.bincount(e.ravel(), minlength=nq * nk * span)
-            yield (qs, slice(k0, k0 + nk),
-                   _fold(counts.reshape(nq, nk, span), d))
-
-
-def residue_counts(d: int, phi_table, gens, values) -> np.ndarray:
-    """counts[q, ket, t]: how many of query q's roots at output ket `ket`
-    (row-major over Z_d^n) equal omega^t.
-
-    phi_table has shape (d,)*n with n in {1, 2}; gens has shape (Q, n, 2n)
-    and values shape (Q, n), all of integer dtype.
-    """
-    d, phi, n = _table(d, phi_table)
-    gens, values = _queries(d, n, gens, values)
-    out = np.empty((len(gens), d ** n, d), dtype=np.int64)
-    for qs, ks, counts in _chunks(d, phi, n, gens, values):
-        out[qs, ks] = counts
-    return out
-
-
-def impossible(d: int, phi_table, gens, values) -> np.ndarray:
-    """Boolean per query: whether its joint outcome is impossible, i.e. every
-    ket's root multiset is uniform.  Arguments as for `residue_counts`."""
-    d, phi, n = _table(d, phi_table)
-    gens, values = _queries(d, n, gens, values)
-    out = np.ones(len(gens), dtype=bool)
-    for qs, _ks, counts in _chunks(d, phi, n, gens, values):
-        out[qs] &= (counts == d ** (n - 1)).all(axis=(1, 2))
-    return out
-
-
 def _points(d, n, gens):
     """(Q, d^n) int32: the row-major index w of each element c.g of each
     subspace, gens reduced mod d.  The one place the formula is written."""
@@ -218,23 +143,47 @@ def row_points(d: int, sids: np.ndarray) -> np.ndarray:
     return np.array([cache[s] for s in sids], dtype=np.int32)
 
 
-def _point_counts(d, phi, grid, place):
-    """C[t, w], residue-major: how many kets J give E_w(J) = t, points w =
-    (P, Q) row-major with P major.  As in `_chunks`, the (point, ket) tables
-    J.P - Phi(J) at P and Phi(J - Q) at Q and -inv2 * sum P_i Q_i are
-    counted over 3d bins."""
-    size, span = len(grid), 3 * d
-    dot, phase = _ket_tables(d, phi, grid, place, grid)
-    dot = (dot - phi) % d
-    quad = -((d + 1) // 2) * (grid @ grid.T).ravel() % d
-    step = max(1, CHUNK // size)
-    out = np.empty((d, size * size), dtype=np.min_scalar_type(size))
-    for w0 in range(0, size * size, step):
-        ws = np.arange(w0, min(w0 + step, size * size), dtype=np.int32)
-        e = dot[ws // size]
-        e += phase[ws % size] + (quad[ws] + span * (ws - w0))[:, None]
-        bins = np.bincount(e.ravel(), minlength=len(ws) * span)
-        out[:, w0:w0 + len(ws)] = _fold(bins.reshape(-1, span), d).T
+def _point_counts(d, phi, grid, place, points):
+    """C[t, i], residue-major: how many kets J give E_w(J) = t at the i-th
+    of `points`, w = (P, Q) row-major with P major.  Per chunk of kets, the
+    (coordinate, ket) tables J.P - Phi(J) and Phi(J - Q) are gathered at
+    each point's P and Q and, with -inv2 * P.Q, counted over 3d bins, as
+    many points per bincount as the chunk's width allows, then folded mod d
+    (two slice adds run 3-4x faster than a sum over a size-3 axis on these
+    shapes)."""
+    size, span, inv2 = len(grid), 3 * d, (d + 1) // 2
+    P, Q = np.divmod(points, size)
+    quad = np.zeros(len(points), dtype=np.int32)  # P.Q from the digits
+    for b in place:
+        quad += P // b % d * (Q // b % d)
+    quad %= d
+    quad *= d - inv2  # -inv2 * P.Q mod d, no product leaving int32
+    quad %= d
+    out = np.empty((d, len(points)), dtype=np.min_scalar_type(size))
+    # the two tables take no more entries than CHUNK or the counts built
+    k_step = min(size, max(1, max(CHUNK, out.size) // size))
+    for k0 in range(0, size, k_step):
+        kets = grid[k0:k0 + k_step]
+        shift = np.zeros((size, len(kets)), dtype=np.int32)
+        for i in range(grid.shape[1]):
+            shift += (kets[:, i] - grid[:, i, None]) % d * place[i]
+        dot = (grid @ kets.T - phi[kets @ place]) % d
+        phase = phi[shift]
+        del shift
+        step = max(1, CHUNK // max(len(kets), span))
+        offsets = span * np.arange(step, dtype=np.int32)
+        for w0 in range(0, len(points), step):
+            ws = slice(w0, w0 + step)
+            e, more = dot[P[ws]], phase[Q[ws]]
+            more += (quad[ws] + offsets[:len(e)])[:, None]
+            e += more
+            bins = np.bincount(e.ravel(), minlength=len(e) * span)
+            bins = bins.reshape(-1, span)
+            counts = (bins[:, :d] + bins[:, d:2 * d] + bins[:, 2 * d:]).T
+            if k0:  # later ket chunks add to the first one's counts
+                out[:, ws] += counts.astype(out.dtype)
+            else:
+                out[:, ws] = counts
     return out
 
 
@@ -358,19 +307,30 @@ class PointCounts:
     builds them: K = 6d columns shared by every state of that d, and d^4
     keys (59 KB at d = 11).  Otherwise `_point_counts` enumerates C itself,
     K = d^(2n) and key = arange: d^(2n+1) counts of one or two bytes
-    (161 KB at d = 11)."""
+    (161 KB at d = 11); `_enumerated` holds it at given points alone."""
 
     def __init__(self, d: int, phi_table):
-        d, phi, self.n = _table(d, phi_table)
-        self.d, (self.grid, self.place) = d, _grid(d, self.n)
-        built = _closed_form(d, phi) if self.n == 2 else None
+        d, phi, n = _table(d, phi_table)
+        built = _closed_form(d, phi) if n == 2 else None
         if built is None:
-            self.table = _point_counts(d, phi, self.grid, self.place)
-            self.key = np.arange(self.table.shape[1], dtype=np.int32)
-        else:
-            self.table, self.key = built
+            points = np.arange(d ** (2 * n), dtype=np.int32)
+            built = _point_counts(d, phi, *_grid(d, n), points), points
+        self._hold(d, n, *built)
+
+    @classmethod
+    def _enumerated(cls, d, phi, n, points):
+        """Counts enumerated at `points` alone, points[i] under key i: what
+        the module's `impossible` reads, for a phi already reduced."""
+        self = cls.__new__(cls)
+        self._hold(d, n, _point_counts(d, phi, *_grid(d, n), points),
+                   np.arange(len(points), dtype=np.int32))
+        return self
+
+    def _hold(self, d, n, table, key):
+        self.d, self.n, self.table, self.key = d, n, table, key
+        self.grid, self.place = _grid(d, n)
         # [s, shift]: the offset in the table of row (s + shift) mod d
-        self.rot = np.add.outer(range(d), range(d)) % d * self.table.shape[1]
+        self.rot = np.add.outer(range(d), range(d)) % d * table.shape[1]
 
     def _gather(self, rows, w):
         """R[s, ...] = sum_c table[(s + shift) mod d, w[..., c]]: `rows`
@@ -381,7 +341,7 @@ class PointCounts:
         """Yield (subspace slice, R[q, o, s]) blocks, R counting the d^(2n)
         roots of d^(2n) <psi|Pi|psi> equal to omega^s, Pi the projector of
         subspace q's outcome o (row-major over Z_d^n).  Generators as for
-        `residue_counts`, checked lazily."""
+        `impossible`, checked lazily."""
         gens, _ = _queries(self.d, self.n, gens)
         d, size = self.d, len(self.grid)
         shifts = self.grid @ self.grid.T % d  # c.o: (outcome, element)
@@ -411,6 +371,29 @@ class PointCounts:
         return out
 
     def impossible(self, gens, values) -> np.ndarray:
-        """`uniform`, from the per-ket `impossible`'s arguments."""
+        """`uniform`, from the module `impossible`'s arguments."""
         gens, values = _queries(self.d, self.n, gens, values)
         return self.uniform(_points(self.d, self.n, gens), values)
+
+
+def impossible(d: int, phi_table, gens, values) -> np.ndarray:
+    """Boolean per query: whether its joint outcome is impossible, i.e. R is
+    uniform, read by `PointCounts.uniform` from counts enumerated only at
+    the asked subspaces' distinct points, whatever the degree of Phi: per
+    block of queries whose points number CHUNK or fewer.
+
+    phi_table has shape (d,)*n with n in {1, 2}; gens has shape (Q, n, 2n)
+    and values shape (Q, n), all of integer dtype.
+    """
+    d, phi, n = _table(d, phi_table)
+    gens, values = _queries(d, n, gens, values)
+    out = np.empty(len(gens), dtype=bool)
+    step = max(1, CHUNK // d ** n)  # queries per enumeration
+    for q0 in range(0, len(gens), step):
+        qs = slice(q0, q0 + step)
+        points = _points(d, n, gens[qs])
+        asked = np.sort(points, axis=None)  # then only its distinct points
+        asked = asked[np.r_[True, asked[1:] != asked[:-1]]]
+        out[qs] = PointCounts._enumerated(d, phi, n, asked).uniform(
+            np.searchsorted(asked, points), values[qs])
+    return out

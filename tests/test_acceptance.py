@@ -156,8 +156,10 @@ def test_criterion_05_negative_controls():
 
 def test_criterion_06_oracle_equivalence():
     """>= 1000 random (state, context, outcome) triples: four routes agree,
-    the per-ket counting oracle, the production engine (`PointCounts`), the
-    permutation polynomial and the dense projection."""
+    the counting oracle (`outcome_possibility`, exponents enumerated at the
+    subspace's points), the production engine (`PointCounts`, in closed
+    form for these cubic states), the permutation polynomial and the dense
+    projection."""
     start = time.perf_counter()
     rng = random.Random(6)
     disagreements = 0
@@ -171,7 +173,7 @@ def test_criterion_06_oracle_equivalence():
             st = PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
             ctx = contexts[rng.randrange(len(contexts))]
             outcome = JointOutcome(ctx, (rng.randrange(d), rng.randrange(d)))
-            per_ket = outcome_possibility(st, outcome)
+            enumerated = outcome_possibility(st, outcome)
             cell = not kernel.PointCounts(d, st.phi_table()).impossible(
                 [ctx.canonical_key], [outcome.values])[0]
             psi = not impossibility_by_psi(st, outcome)
@@ -179,7 +181,7 @@ def test_criterion_06_oracle_equivalence():
             vec = dense.phase_state_vector(m, st.phi)
             numeric = bool(np.linalg.norm(proj @ vec) > 1e-9)
             total += 1
-            if not (per_ket == cell == psi == numeric):
+            if not (enumerated == cell == psi == numeric):
                 disagreements += 1
     ok = total >= 1000 and disagreements == 0
     report(6, ok, time.perf_counter() - start,

@@ -41,31 +41,41 @@ def random_state(m, rng, max_degree=3):
     return PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs))
 
 
-def ket_counts(st, outcome):
-    """The per-ket oracle's counts[ket, t] for one outcome."""
-    return kernel.residue_counts(st.modulus.d, st.phi_table(),
-                                 [outcome.context.canonical_key],
-                                 [outcome.values])[0]
+def root_counts(st, outcome):
+    """The engine's R[s] for one outcome: how many of the d^(2n) roots of
+    d^(2n) <psi|Pi|psi> equal omega^s."""
+    (_, counts), = kernel.PointCounts(st.modulus.d, st.phi_table()) \
+        .weyl_counts([outcome.context.canonical_key])
+    return counts[0, np.ravel_multi_index(outcome.values,
+                                          (st.modulus.d,) * st.n)]
 
 
 class TestOutcomePossibility:
     def test_zero_sum_iff_numeric_vanishes_on_real_expansions(self):
-        # per-ket counts of actual projector expansions at d=3,5: uniform
-        # iff the root sum vanishes numerically
+        # the root counts of actual projector expectations at d=3,5:
+        # uniform iff the root sum vanishes numerically, and that sum is
+        # d^4 <psi|Pi|psi> from the dense matrices
         rng = random.Random(0)
-        checked = 0
-        for d in (3, 5):
+        verdicts = set()
+        for d, count in ((3, 60), (5, 60)):
             m = Modulus(d)
             contexts = enumerate_contexts(m, 2)
             omega = np.exp(2j * np.pi * np.arange(d) / d)
-            while checked < (500 if d == 3 else 1000):
+            for _ in range(count):
                 st = random_state(m, rng)
+                if rng.random() < 0.5:  # strong states have impossible cells
+                    st = state(d, f"{rng.randrange(1, d)}*j^2*k")
                 ctx = contexts[rng.randrange(len(contexts))]
                 outcome = JointOutcome(ctx, (rng.randrange(d), rng.randrange(d)))
-                for counts in ket_counts(st, outcome):
-                    uniform = bool((counts == counts[0]).all())
-                    assert uniform == (abs(counts @ omega) < 1e-9)
-                    checked += 1
+                counts = root_counts(st, outcome)
+                uniform = bool((counts == counts[0]).all())
+                assert uniform == (abs(counts @ omega) < 1e-9)
+                proj = dense.outcome_projector(ctx, outcome.values)
+                vec = dense.phase_state_vector(m, st.phi)
+                assert counts @ omega == pytest.approx(
+                    d ** 4 * np.linalg.norm(proj @ vec) ** 2, abs=1e-6)
+                verdicts.add(uniform)
+        assert verdicts == {True, False}
 
     @pytest.mark.parametrize("values", [(1.5, 0), ("1", 0)])
     def test_non_integer_outcome_rejected(self, values):
@@ -97,7 +107,7 @@ class TestOutcomePossibility:
                       label="III:alpha=0,beta=1")
         outcome = JointOutcome(ctx, (0, 0))
         assert outcome_possibility(st, outcome) is False
-        assert (ket_counts(st, outcome) == 3).all()  # every ket uniform
+        assert (root_counts(st, outcome) == 27).all()  # uniform
         # dense cross-check
         proj = dense.outcome_projector(ctx, (0, 0))
         vec = dense.phase_state_vector(m, st.phi)
@@ -105,18 +115,12 @@ class TestOutcomePossibility:
         # psi route agrees
         assert impossibility_by_psi(st, outcome)
 
-    def test_per_ket_totals(self):
-        m = Modulus(3)
-        st = state(3, "j*k^2 + j")
-        ctx = enumerate_contexts(m, 2)[7]
-        outcome = JointOutcome(ctx, (1, 2))
-        counts = ket_counts(st, outcome)
-        assert counts.shape == (9, 3)
-        assert (counts.sum(axis=1) == 9).all()
-
     def test_resolution_of_identity_counts(self):
-        # summing per-ket counts over all joint outcomes: every root appears
-        # (d^n - 1) * d^(n-1) times, plus d^n extra at the state's own phase
+        # summing the root counts over all joint outcomes (the projectors
+        # sum to the identity): each nonzero element's d^n roots spread
+        # evenly over the outcomes, so every root appears
+        # (d^n - 1) * d^(2n-1) times, plus d^(2n) extra at s = 0 from the
+        # zero element
         rng = random.Random(1)
         for d in (3, 5):
             m = Modulus(d)
@@ -124,15 +128,10 @@ class TestOutcomePossibility:
             for _ in range(3):
                 st = random_state(m, rng)
                 ctx = contexts[rng.randrange(len(contexts))]
-                merged = sum(ket_counts(st, JointOutcome(ctx, o))
+                merged = sum(root_counts(st, JointOutcome(ctx, o))
                              for o in itertools.product(range(d), repeat=2))
-                for ket_index, counts in enumerate(merged.tolist()):
-                    j, k = divmod(ket_index, d)
-                    phase = st.phi.evaluate((j, k))
-                    base = (d * d - 1) * d
-                    want = [base + (d * d if t == phase else 0)
-                            for t in range(d)]
-                    assert counts == want
+                base = (d * d - 1) * d ** 3
+                assert merged.tolist() == [base + d ** 4] + [base] * (d - 1)
 
     def test_incompatible_context(self):
         st = state(3, "j*k")
@@ -146,9 +145,9 @@ class TestOutcomePossibility:
         ctx = enumerate_contexts(m, 1)[0]
         outcome = JointOutcome(ctx, (0,))
         assert isinstance(outcome_possibility(st, outcome), bool)
-        counts = ket_counts(st, outcome)
-        assert counts.shape == (5, 5)
-        assert (counts.sum(axis=1) == 5).all()
+        counts = root_counts(st, outcome)
+        assert counts.shape == (5,)
+        assert counts.sum() == 25
 
 
 class TestMasterPolynomial:
@@ -441,17 +440,20 @@ class TestEmpiricalModel:
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_witness_is_the_engine_counts(self, d):
-        """Every impossible outcome's counts are the uniform table the JSON
-        writes: d^n kets, each with all d counts d^(n-1)."""
+        """Every impossible outcome's witness is the uniform table the JSON
+        writes: d^n kets, each with all d counts d^(n-1), so that every ket
+        amplitude of Pi|psi> vanishes, as the dense projector shows on a
+        sample of the impossible cells."""
         m = Modulus(d)
         st = state(d, "j^2*k + 2*j*k^2")
         contexts = enumerate_contexts(m, 2)
         model = build_empirical_model(st, contexts)
-        ci, col = np.argwhere(~model.possible)[::7].T
-        counts = kernel.residue_counts(
-            d, st.phi_table(), [contexts[c].canonical_key for c in ci],
-            np.stack([col // d, col % d], axis=1))
-        assert counts.size and (counts == d).all()
+        vec = dense.phase_state_vector(m, st.phi)
+        cells = np.argwhere(~model.possible)[::7]
+        assert len(cells)
+        for c, col in cells.tolist():
+            proj = dense.outcome_projector(contexts[c], divmod(col, d))
+            assert np.abs(proj @ vec).max() < 1e-9
         witnesses = [r["zero_sum_witness"] for r in model.to_json_obj()["rows"]
                      if not r["possible"]]
         assert witnesses and all(w == ((d,) * d,) * d * d for w in witnesses)

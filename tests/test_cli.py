@@ -25,6 +25,8 @@ D7_DIGESTS = json.loads((DATA / "d7_model_sha256.json").read_text())
 CSV_TABLE1_DIGESTS = json.loads(
     (DATA / "model_csv_table1_sha256.json").read_text())
 CERTIFY_DIGESTS = json.loads((DATA / "certify_sha256.json").read_text())
+ENUMERATED_DIGESTS = json.loads(
+    (DATA / "enumerated_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -285,6 +287,18 @@ class TestArtifactDigests:
         before Table-1 contexts carried their own labels and the JSON
         writers stopped copying tuples into lists."""
         ref = WRITER_DIGESTS[case]
+        path = tmp_path / case
+        code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
+
+    @pytest.mark.parametrize("case", sorted(ENUMERATED_DIGESTS))
+    def test_enumerated_artifacts(self, capsys, tmp_path, case):
+        """Models of quartic states, whose point counts the engine
+        enumerates rather than builds in closed form (`analyze` refuses
+        degree > 3), keep the bytes recorded while `kernel.impossible` still
+        counted roots per output ket."""
+        ref = ENUMERATED_DIGESTS[case]
         path = tmp_path / case
         code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
         assert code == 0

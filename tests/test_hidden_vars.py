@@ -187,8 +187,9 @@ class TestDecide:
     def test_witness_reverified_by_projector_route(self):
         """The decision derives a witness's table from lam alone, without
         asking the state again, so every row is re-checked here: each
-        subspace's outcome is lam's prescribed outcome, and the per-ket
-        oracle finds it possible on the certified (reduced) state.  Inputs:
+        subspace's outcome is lam's prescribed outcome, and
+        `outcome_possibility` (the enumeration at the subspace's points)
+        finds it possible on the certified (reduced) state.  Inputs:
         the flat d=5 state and the d=7 witness cubic of
         tests/data/analyze_sha256.json."""
         for d, text in ((5, "0"), (7, "j^3 + 2*j^2*k + 3*k^3 + j")):
@@ -215,7 +216,7 @@ class TestDecide:
     def test_proof_stage_refutes_at_first_impossible_context(self, d, sample):
         """Each lam's (stage, row, outcome) is the first of its three
         `proof_stage_positions` contexts whose cell is impossible, each
-        lam's cells asked on its own of the per-ket route: every strong
+        lam's cells asked on its own of `kernel.impossible`: every strong
         normal form at d = 3 and 5, and a seeded sample (forms and lam) at
         d = 11."""
         m = Modulus(d)

@@ -79,14 +79,11 @@ def test_inputs_reduced_mod_d():
             gens = np.array([contexts[rng.randrange(len(contexts))].canonical_key
                              for _ in range(d * d)])
             outcomes = np.array(all_outcomes(d))
-            want = kernel.residue_counts(d, tab, gens, outcomes)
             moved = (tab + d * shifts.integers(-3, 4, tab.shape),
                      gens + d * shifts.integers(-3, 4, gens.shape),
                      outcomes + d * shifts.integers(-3, 4, outcomes.shape))
-            assert np.array_equal(kernel.residue_counts(d, *moved), want)
-            assert np.array_equal(
-                kernel.impossible(d, *moved),
-                (want == d).all(axis=(1, 2)))
+            assert np.array_equal(kernel.impossible(d, *moved),
+                                  kernel.impossible(d, tab, gens, outcomes))
             assert np.array_equal(
                 weyl(d, moved[0], moved[1][:d]),
                 weyl(d, tab, gens[:d]))
@@ -112,8 +109,6 @@ def test_integers_beyond_int64_reduced_mod_d():
     for args in ((big(tab), gens, outcomes), (tab, big(gens), outcomes),
                  (tab, gens, big(outcomes))):
         assert np.array_equal(kernel.impossible(d, *args), want)
-        assert np.array_equal(kernel.residue_counts(d, *args),
-                              kernel.residue_counts(d, tab, gens, outcomes))
         assert np.array_equal(
             kernel.PointCounts(d, args[0]).impossible(*args[1:]), want)
     assert np.array_equal(weyl(d, big(tab), big(gens)), weyl(d, tab, gens))
@@ -189,8 +184,7 @@ def test_malformed_queries_rejected(phi_table, gens, values):
     """Every engine entry raises MalformedQuery, which is a MalformedInput
     and so also a ValueError.  Generators other than KEY's are at fault,
     and their rows, read as lams, are rejected by the proof stage too."""
-    for engine in (kernel.impossible, kernel.residue_counts,
-                   lambda d, tab, *query:
+    for engine in (kernel.impossible, lambda d, tab, *query:
                    kernel.PointCounts(d, tab).impossible(*query)):
         with pytest.raises(kernel.MalformedQuery) as info:
             engine(5, phi_table, gens, values)
@@ -215,16 +209,17 @@ def test_multi_chunk_batch_equals_single_queries(monkeypatch):
     gens = [g for g, _ in queries]
     outcomes = [o for _, o in queries]
     assert len(queries) * d ** 4 > 2 * kernel.CHUNK
-    batch = kernel.residue_counts(d, st.phi_table(), gens, outcomes)
     flags = kernel.impossible(d, st.phi_table(), gens, outcomes)
+    assert flags.any() and not flags.all()
     for i, (g, o) in enumerate(queries):
-        one = kernel.residue_counts(d, st.phi_table(), [g], [o])
-        assert np.array_equal(batch[i], one[0])
-        assert flags[i] == (one == d).all()
-    monkeypatch.setattr(kernel, "CHUNK", 100)  # split each query over kets
+        assert flags[i] == kernel.impossible(d, st.phi_table(), [g], [o])[0]
+    monkeypatch.setattr(kernel, "CHUNK", 5)  # one point per bincount
     assert np.array_equal(
-        kernel.residue_counts(d, st.phi_table(), gens[:50], outcomes[:50]),
-        batch[:50])
+        kernel.impossible(d, st.phi_table(), gens[:50], outcomes[:50]),
+        flags[:50])
+    for i in range(10):  # one query's d^2 points: its kets split too
+        assert flags[i] == kernel.impossible(d, st.phi_table(), [gens[i]],
+                                             [outcomes[i]])[0]
 
 
 def test_one_query_memory_bounded_at_d31():
@@ -241,6 +236,25 @@ def test_one_query_memory_bounded_at_d31():
     assert peak < 48 * kernel.CHUNK
 
 
+def test_many_queries_memory_bounded_at_d7():
+    """`impossible` enumerates the queries of CHUNK points at a time, so
+    every cell at d = 7 (19,600 queries over 2,401 points) peaks at a fixed
+    amount beyond copies of its inputs; enumerating all of them at once
+    took 35 MiB."""
+    d = 7
+    gens, outcomes = every_cell(d, 2, context_rows(Modulus(d), 2))
+    tab = np.arange(d * d).reshape(d, d) ** 3 % d
+    tracemalloc.start()
+    try:
+        kernel.impossible(d, tab, gens, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the reduced inputs, then per block `_points`' int64 products (about
+    # 64 bytes per point) and the block's counts: measured 6.0 MiB
+    assert peak < 2 * (gens.nbytes + outcomes.nbytes) + 96 * kernel.CHUNK
+
+
 def every_cell(d, n, gens):
     """Query generators and outcomes: each subspace repeated once per
     outcome, outcomes row-major."""
@@ -249,14 +263,26 @@ def every_cell(d, n, gens):
 
 
 def weyl_by_query(d, n, phi_table, gens):
-    """weyl_counts' oracle from residue_counts on every cell: the root
-    counted at ket J and residue t has expectation exponent t - Phi(J), so
-    shifting each ket's counts by Phi(J) and summing over kets gives R."""
-    counts = kernel.residue_counts(d, phi_table, *every_cell(d, n, gens))
-    counts = counts.reshape(len(gens), d ** n, d ** n, d)
-    shift = (np.arange(d) + np.ravel(phi_table)[:, None]) % d  # (ket, s)
-    return np.take_along_axis(
-        counts, np.broadcast_to(shift, counts.shape), axis=3).sum(axis=2)
+    """weyl_counts' oracle, the exponent written out here for every cell:
+    element c of subspace g, at (P, Q) = c.g, and output ket J give the
+    root of Pi|psi> at J with exponent -c.a - inv2 P.Q + J.P + Phi(J - Q),
+    and pairing with <psi| subtracts Phi(J); summed over kets, these
+    per-ket residue counts are R[q, a, s].  Elements, kets and outcomes a
+    run row-major over Z_d^n."""
+    grid = np.indices((d,) * n).reshape(n, -1).T
+    place = d ** np.arange(n - 1, -1, -1)
+    phi = np.ravel(phi_table)
+    inv2 = (d + 1) // 2
+    out = np.empty((len(gens), d ** n, d), dtype=np.int64)
+    for q, g in enumerate(np.asarray(gens) % d):
+        points = grid @ g % d  # (element, coordinate)
+        P, Q = points[:, 0::2], points[:, 1::2]
+        e = (-inv2 * (P * Q).sum(axis=1)[:, None] + P @ grid.T
+             + phi[(grid - Q[:, None]) % d @ place] - phi)  # (element, ket)
+        e = (e - (grid @ grid.T)[:, :, None]) % d  # (outcome, element, ket)
+        e += d * np.arange(d ** n)[:, None, None]
+        out[q] = np.bincount(e.ravel(), minlength=d ** (n + 1)).reshape(-1, d)
+    return out
 
 
 def impossible_by_query(d, n, phi_table, gens):
@@ -354,8 +380,10 @@ def test_one_subspace_memory_bounded_at_d13_enumerated():
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_point_counts_impossible_equals_per_ket_impossible(d):
-    """Every (subspace, outcome) cell up to d = 7; beyond, every outcome of
-    sampled random and Table-1 subspaces."""
+    """The state's whole table (closed form for the cubic states) against
+    `kernel.impossible`, which enumerates only the asked points (once the
+    per-ket route): every (subspace, outcome) cell up to d = 7; beyond,
+    every outcome of sampled random and Table-1 subspaces."""
     rng = random.Random(20 + d)
     m = Modulus(d)
     pools = (enumerate_contexts(m, 2), table1_contexts(m))
@@ -439,7 +467,8 @@ def full_cubic(rng, d):
 def enumerated(d, phi_table):
     """The point counts C[t, w] by enumeration, the closed form's oracle."""
     d, phi, n = kernel._table(d, phi_table)
-    return kernel._point_counts(d, phi, *kernel._grid(d, n))
+    return kernel._point_counts(d, phi, *kernel._grid(d, n),
+                                np.arange(d ** (2 * n)))
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
@@ -461,6 +490,37 @@ def test_closed_form_equals_enumeration(d):
         assert counts.table.shape == (d, 6 * d), st.phi
         assert np.array_equal(counts.table[:, counts.key],
                               enumerated(d, st.phi_table())), st.phi
+
+
+@pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
+                                  (7, 2)])
+def test_point_counts_at_asked_points_equal_full_columns(monkeypatch, d, n):
+    """`_point_counts` at a subset of points is the full enumeration's
+    columns there: at one subspace's points, at one point and at fewer than
+    d^(2n-1) random points, with CHUNK small enough that chunk edges split
+    the kets (fewer than d^(2n-1) points, or n = 2) and one subspace's
+    points.  And `impossible` on every outcome of one subspace, whose
+    queries repeat its points, is `PointCounts.impossible`: on a random
+    table and on a cubic one (the closed form for n = 2)."""
+    rng = np.random.default_rng(10 * d + n)
+    cubic = np.indices((d,) * n)
+    cubic = cubic[0] ** (4 - n) * cubic[-1] ** (n - 1) % d  # x^3, j^2 * k
+    rows = context_rows(Modulus(d), n)
+    gens, outcomes = every_cell(d, n, rows[rng.integers(len(rows), size=1)])
+    subspace = np.unique(kernel._points(d, n, gens[:1]))
+    few = np.sort(rng.choice(d ** (2 * n), d ** (2 * n - 1) - 1, replace=False))
+    for tab in (rng.integers(0, d, (d,) * n), cubic):
+        full = enumerated(d, tab)
+        _, phi, _ = kernel._table(d, tab)
+        want = kernel.PointCounts(d, tab).impossible(gens, outcomes)
+        for chunk in (2, 12 * d, kernel.CHUNK):
+            monkeypatch.setattr(kernel, "CHUNK", chunk)
+            for points in (subspace, few[:1], few):
+                got = kernel._point_counts(d, phi, *kernel._grid(d, n),
+                                           points)
+                assert np.array_equal(got, full[:, points]), (chunk, points)
+            assert np.array_equal(kernel.impossible(d, tab, gens, outcomes),
+                                  want)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7])

@@ -16,7 +16,8 @@ stage refutes none there).
 
 The engine builds its point counts in closed form when every difference
 G_Q(J) = Phi(J - Q) - Phi(J) is quadratic in J, and by enumeration
-otherwise; either way its verdicts are the per-ket route's."""
+otherwise; either way its verdicts are those of `kernel.impossible`, which
+enumerates the exponents at the asked subspaces' points alone."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -127,7 +128,7 @@ def test_point_count_builders_agree_with_per_ket_route(case):
     part of G_Q is -Q . grad of Phi's top part, which is nonzero for Q a
     unit vector since no exponent reaches d; so that is when Phi has
     degree <= 3.  Either way every outcome of the drawn subspace gets the
-    per-ket route's verdict."""
+    verdict of `kernel.impossible`, the enumeration at its points."""
     m, coeffs, row = case
     d = m.d
     tab = PhaseFunctionState(m, 2, ZdPoly(m, 2, coeffs)).phi_table()

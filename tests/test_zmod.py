@@ -437,6 +437,15 @@ MALFORMED = {
     "list_poly_coefficients": lambda: ZdPoly(M5, 2, [1, 2]),
     "string_state_phi": lambda: PhaseFunctionState(M5, 2, "j*k"),
     "int_weyl_point": lambda: WeylOperator(3),
+    "string_possibility_outcome": lambda: outcome_possibility(
+        PhaseFunctionState(M5, 2, JK5), "x"),
+    "int_model_context": lambda: build_empirical_model(
+        PhaseFunctionState(M5, 2, JK5), [1]),
+    "string_decided_state": lambda: decide_strong_contextuality("abc"),
+    "int_consistency_context": lambda: consistency_matrix(M5, 2, [1]),
+    "string_prescribed_context": lambda: prescribed_outcome(
+        HiddenVariable(M5, 2, (0, 0, 0, 0)), "x"),
+    "string_outcome_context": lambda: JointOutcome("x", (1, 2)),
 }
 # Arguments outside a function's scope: each case raises the StabctxError
 # subclass that the function documents.
