@@ -119,15 +119,9 @@ def cmd_verify_theorem1(args) -> int:
             for _ in range(args.include_quadratics * args.quadratics_per_state)]
         states += [PhaseFunctionState(m, 2, cubic + q)
                    for q in [ZdPoly.zero(m, 2), *quadratics]]
-    if args.jobs > 1:  # whole states are independent
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                max_workers=args.jobs,
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            runs = list(pool.map(_certify, states))
-    else:
-        runs = [_certify(state) for state in states]
+    from concurrent.futures import ThreadPoolExecutor  # loads logging
+    with ThreadPoolExecutor(args.jobs) as pool:  # states are independent
+        runs = list(pool.map(_certify, states))
     failures = [r for r in runs if not r["strongly_contextual"]]
     passed = len(runs) - len(failures)
     _emit(_json_text({
@@ -272,9 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--phi", required=True,
                            help="phase polynomial in j,k, e.g. 'j^2*k + 2*j*k^2'")
         p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for verify-theorem1, which pay "
-                            "off only at large d (see the README); the other "
-                            "subcommands run in one process")
+                       help="threads for verify-theorem1, which pay off only "
+                            "at large d; other subcommands run on one thread")
         p.add_argument("--output", help="write the artifact to this path")
         p.add_argument("--unsafe-scale", action="store_true",
                        help=f"allow d beyond the desk guard ({MAX_DESK_D})")

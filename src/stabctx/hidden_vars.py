@@ -13,12 +13,12 @@ lam); the scan falls back to the full family catalogue and then to complete
 context enumeration when the shortcut does not apply.
 
 The scan handles candidates as arrays rather than one at a time: shortcut
-contexts are computed for a whole block of lam at once, each stage walks
-its contexts in order over the lam not yet refuted, and every distinct
-(subspace, outcome) query is answered once, from the state's point-count
-table (`kernel.PointCounts`, built once per state), and kept in one int8
-table over (subspace, a, b) cells.  Each block of lam fills its own slice
-of the certificate's columns; where Theorem 1 holds, one block takes all.
+contexts are read for a block of lam at once from a table over (l1, l3),
+each stage walks its contexts in order over the lam not yet refuted, and
+every distinct (subspace, outcome) query is answered once, from the state's
+point-count table (`kernel.PointCounts`, built once per state), and kept in
+one int8 table over (subspace, a, b) cells.  Each block of lam fills its
+own slice of the certificate's columns; where Theorem 1 holds, one takes all.
 """
 
 from __future__ import annotations
@@ -437,7 +437,8 @@ class _Scanner:
     (proof, table1 and full, or a tail of them), until its prescribed
     outcome is impossible in one; lam are processed as arrays.  A subspace
     is named by its row in `context_rows`: the table1 stage is the Table-1
-    families' rows, `table1_rows`, and the full stage is every row.
+    families' rows, `table1_rows`, the proof stage's three depend on lam
+    only through (l1, l3), in `proof`, and the full stage is every row.
     `counts`, the state's `kernel.PointCounts`, is built here, and every
     distinct (subspace, a, b) cell goes to its `uniform` at most once per
     state: `known` holds one int8 per cell at (sid*d + a)*d + b, -1 until
@@ -450,7 +451,6 @@ class _Scanner:
         self.m = work_state.modulus
         self.d = self.m.d
         self.counts = kernel.PointCounts(self.d, work_state.phi_table())
-        self.rep = rep
         # int32 like lam: a proof step gathers a row per lam
         self.rows = context_rows(self.m, 2).astype(np.int32)  # (rows, 2, 4)
         self.known = np.full(len(self.rows) * self.d ** 2, -1, dtype=np.int8)
@@ -458,6 +458,10 @@ class _Scanner:
         self.table1 = table1.astype(np.int32)
         self.family = dict(zip(table1.tolist(), labels))
         self.stages = stages
+        if "proof" in stages:  # rows per (l1, l3) at l1*d + l3, l2 = l4 = 0
+            pairs = np.indices((self.d, 1, self.d, 1)).reshape(4, -1).T
+            self.proof = self.table1[proof_stage_positions(
+                self.m, rep.phi1, rep.phi2, pairs)]
 
     def context(self, stage: int, sid: int) -> tuple[str, tuple]:
         """A subspace's certificate label and basis (its canonical generator
@@ -493,8 +497,7 @@ class _Scanner:
         alive = np.arange(n, dtype=np.int32)
         for s, name in enumerate(self.stages):
             if name == "proof":
-                order = self.table1[proof_stage_positions(
-                    self.m, self.rep.phi1, self.rep.phi2, lams)]
+                order = self.proof[lams[:, 0] * d + lams[:, 2]]
             else:
                 ids = self.table1 if name == "table1" \
                     else np.arange(len(self.rows))

@@ -79,7 +79,7 @@ def _reduce(array, d):
         raise MalformedQuery("expected rectangular integer arrays") from None
     if array.size and not np.issubdtype(array.dtype, np.integer):
         raise MalformedQuery(f"expected integers, got {array.dtype} entries")
-    return (array % d).astype(np.int64)
+    return (array % d).astype(np.int64, copy=False)
 
 
 def _queries(d, n, gens, values=None):
@@ -116,13 +116,15 @@ def _grid(d, n):
 
 def _points(d, n, gens):
     """(Q, d^n) int32: the row-major index w of each element c.g of each
-    subspace, gens reduced mod d.  The one place the formula is written."""
+    subspace, gens reduced mod d.  The one place the formula is written.
+    Blocks are int32: coordinate sums stay below 2d^2, and w below d^(2n)."""
     grid, place = _grid(d, n)
     weights = np.ravel([place * len(grid), place], order="F")  # P major
     out = np.empty((len(gens), len(grid)), dtype=np.int32)
     step = max(1, CHUNK // len(grid))
     for q0 in range(0, len(gens), step):  # coordinates mod d, then w
-        out[q0:q0 + step] = grid @ gens[q0:q0 + step] % d @ weights
+        block = gens[q0:q0 + step].astype(np.int32)
+        out[q0:q0 + step] = grid @ block % d @ weights
     return out
 
 
@@ -135,7 +137,9 @@ def _row_cache(d):
 def row_points(d: int, sids: np.ndarray) -> np.ndarray:
     """`_points` of rows `sids` of `context_rows(Modulus(d), 2)`, each computed
     once per d, when first asked; kept one by one, as rows scattered over one
-    array would each pull in a whole huge page."""
+    array would each pull in a whole huge page.  Threads share them: with
+    the GIL, `set.difference` over the dict and `dict.update` each run in C
+    with no thread switch, and rows are only added, equal whoever adds them."""
     rows, cache = _row_cache(d)
     sids = sids.tolist()
     new = sorted(set(sids).difference(cache))

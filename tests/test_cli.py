@@ -304,14 +304,20 @@ class TestArtifactDigests:
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
 
-    @pytest.mark.parametrize("case", sorted(CERTIFY_DIGESTS["verify_theorem1"]))
-    def test_verify_theorem1_artifacts(self, capsys, tmp_path, case):
+    @pytest.mark.parametrize("case, jobs", [
+        pytest.param(case, jobs,
+                     id=case if jobs == 1 else f"{case}-jobs{jobs}")
+        for case in sorted(CERTIFY_DIGESTS["verify_theorem1"])
+        for jobs in (1, 2, 3)])
+    def test_verify_theorem1_artifacts(self, capsys, tmp_path, case, jobs):
         """`verify-theorem1` keeps the bytes recorded while its workers
         returned a bare (verdict, stages) pair and the command kept each
-        state's coefficients beside the state."""
+        state's coefficients beside the state, on one thread or on several
+        sharing the per-d caches (the recorded argv runs on one)."""
         ref = CERTIFY_DIGESTS["verify_theorem1"][case]
         path = tmp_path / case
-        code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
+        code, _, _ = run(capsys, *ref["argv"], "--jobs", str(jobs),
+                         "--output", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
 

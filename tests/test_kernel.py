@@ -6,6 +6,8 @@ sample, by the master-polynomial route."""
 
 import itertools
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -250,9 +252,10 @@ def test_many_queries_memory_bounded_at_d7():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the reduced inputs, then per block `_points`' int64 products (about
-    # 64 bytes per point) and the block's counts: measured 6.0 MiB
-    assert peak < 2 * (gens.nbytes + outcomes.nbytes) + 96 * kernel.CHUNK
+    # one reduced copy of the inputs, then per block `_points`' int32
+    # products (about 32 bytes per point) and the block's counts: measured
+    # 4.1 MiB; with int64 products and two copies of the inputs, 6.0 MiB
+    assert peak < gens.nbytes + outcomes.nbytes + 64 * kernel.CHUNK
 
 
 def every_cell(d, n, gens):
@@ -540,3 +543,45 @@ def test_row_points_cache_every_row_and_only_rows_asked(d):
     assert set(kernel._row_cache(d)[1]) == set(asked.tolist())
     every = np.arange(len(rows))
     assert np.array_equal(kernel.row_points(d, every), want)
+
+
+def test_row_points_shared_by_threads():
+    """Four threads asking overlapping rows of a fresh d at once, switching
+    every microsecond, each get the serial answer, and the cache they share
+    ends holding exactly the rows asked.  Its dict is made before they
+    start: a thread racing another to `_row_cache` may be handed a second
+    dict, and the rows it adds there are lost to the cache, though right."""
+    d, threads = 11, 4
+    count = len(context_rows(Modulus(d), 2))
+    step, rng = count // (threads + 1), random.Random(d)
+    asks = [[np.array(rng.choices(range(step * t, step * (t + 2)), k=16))
+             for _ in range(40)] for t in range(threads)]
+    kernel._row_cache.cache_clear()
+    want = kernel.row_points(d, np.arange(count))
+    kernel._row_cache.cache_clear()
+    kernel._row_cache(d)
+    got = [None] * threads
+    start = threading.Barrier(threads)
+
+    def work(t):
+        start.wait(timeout=60)
+        got[t] = [kernel.row_points(d, sids) for sids in asks[t]]
+
+    workers = [threading.Thread(target=work, args=(t,))
+               for t in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert None not in got
+    for sids_list, points_list in zip(asks, got):
+        for sids, points in zip(sids_list, points_list):
+            assert np.array_equal(points, want[sids])
+    asked = {s for ask in asks for sids in ask for s in sids.tolist()}
+    assert set(kernel._row_cache(d)[1]) == asked
