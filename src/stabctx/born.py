@@ -302,8 +302,7 @@ class EmpiricalModel:
         d, n = self.state.modulus.d, self.state.n
         marginals = (self.probability
                      @ _element_values(d, n).reshape(d ** n, d ** n * d))
-        coords = np.indices((d,) * n).reshape(n, -1).T @ self.keys % d
-        points = (coords @ d ** np.arange(2 * n)[::-1]).ravel()
+        points = kernel._points(d, n, self.keys).ravel()
         order = np.argsort(points, kind="stable")
         starts = np.flatnonzero(np.diff(points[order], prepend=-1))
         rows = marginals.reshape(-1, d)[order]

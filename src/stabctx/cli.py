@@ -28,7 +28,7 @@ from .born import EmpiricalModel, build_empirical_model
 from .hidden_vars import contextual_fraction, decide_strong_contextuality, \
     write_certificate
 from .phase_space import enumerate_contexts, table1_contexts
-from .states import PhaseFunctionState, strongness
+from .states import PhaseFunctionState
 from .zmod import Modulus, StabctxError, ZdPoly, dickson_classify, \
     is_permutation_polynomial, parse_poly
 
@@ -87,20 +87,6 @@ def cmd_analyze(args) -> int:
     return 0 if cert.strongly_contextual else 2
 
 
-def _certify(state: PhaseFunctionState) -> dict:
-    """One verify-theorem1 run record, from the state and its certificate."""
-    rep = strongness(state)
-    cert = decide_strong_contextuality(state)
-    return {
-        "phi": str(state.phi),
-        "phi1": rep.phi1,
-        "phi2": rep.phi2,
-        "quadratic": not rep.quadratic_part.is_zero(),
-        "strongly_contextual": cert.strongly_contextual,
-        "stages": sorted(cert.stages_used),
-    }
-
-
 def cmd_verify_theorem1(args) -> int:
     m = _modulus(args)
     d = m.d
@@ -109,19 +95,31 @@ def cmd_verify_theorem1(args) -> int:
                            "requires d != 1 mod 3")
     rng = random.Random(args.seed)
     start = time.perf_counter()
-    states = []
+    cubics, dressings = [], []
     for phi1, phi2 in itertools.product(range(d), repeat=2):
         cubic = ZdPoly(m, 2, {(2, 1): phi1, (1, 2): phi2})
         if cubic.is_zero():
             continue
-        quadratics = [ZdPoly(m, 2, {exps: rng.randrange(d) for exps in (
-            (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))})
-            for _ in range(args.include_quadratics * args.quadratics_per_state)]
-        states += [PhaseFunctionState(m, 2, cubic + q)
-                   for q in [ZdPoly.zero(m, 2), *quadratics]]
+        cubics.append(cubic)
+        dressings.append([ZdPoly.zero(m, 2)] + [
+            ZdPoly(m, 2, {exps: rng.randrange(d) for exps in (
+                (0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))})
+            for _ in range(args.include_quadratics * args.quadratics_per_state)])
+
+    def verdict(cubic):
+        # a quadratic dressing is a diagonal Clifford: one decide per cubic
+        # serves all its dressings; the certificate (d^4 columns) is dropped
+        cert = decide_strong_contextuality(PhaseFunctionState(m, 2, cubic))
+        return cert.strongly_contextual, sorted(cert.stages_used)
+
     from concurrent.futures import ThreadPoolExecutor  # loads logging
-    with ThreadPoolExecutor(args.jobs) as pool:  # states are independent
-        runs = list(pool.map(_certify, states))
+    with ThreadPoolExecutor(args.jobs) as pool:  # cubics are independent
+        verdicts = list(pool.map(verdict, cubics))
+    runs = [{"phi": str(cubic + q), "phi1": cubic.coeff((2, 1)),
+             "phi2": cubic.coeff((1, 2)), "quadratic": not q.is_zero(),
+             "strongly_contextual": contextual, "stages": stages}
+            for cubic, qs, (contextual, stages) in zip(cubics, dressings, verdicts)
+            for q in qs]
     failures = [r for r in runs if not r["strongly_contextual"]]
     passed = len(runs) - len(failures)
     _emit(_json_text({

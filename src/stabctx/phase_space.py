@@ -238,12 +238,15 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
     if n not in (1, 2):
         raise UnsupportedScale(f"context enumeration supports n in {{1,2}}, got {n}")
     d, ncols = m.d, 2 * n
+    # candidates in the least type holding any form sum (|sum| < 2d^2)
+    dtype = np.min_scalar_type(-2 * d * d)
     blocks = []
     for pivots in itertools.combinations(range(ncols), n):
         free = [(r, c) for r in range(n) for c in range(pivots[r] + 1, ncols)
                 if c not in pivots]
-        values = np.indices((d,) * len(free)).reshape(len(free), d ** len(free))
-        rows = np.zeros((d ** len(free), n, ncols), dtype=np.int64)
+        values = np.indices((d,) * len(free), dtype=dtype).reshape(
+            len(free), d ** len(free))
+        rows = np.zeros((d ** len(free), n, ncols), dtype=dtype)
         rows[:, range(n), pivots] = 1
         for (r, c), v in zip(free, values):
             rows[:, r, c] = v
@@ -251,8 +254,8 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
         # (for n = 1 they coincide, and [v, v] = 0)
         u, w = rows[:, 0], rows[:, -1]
         form = u[:, 0::2] * w[:, 1::2] - u[:, 1::2] * w[:, 0::2]
-        blocks.append(rows[form.sum(axis=1) % d == 0])
-    out = np.concatenate(blocks)
+        blocks.append(rows[form.sum(axis=1, dtype=dtype) % d == 0])
+    out = np.concatenate(blocks).astype(np.int64)
     out.flags.writeable = False
     return out
 

@@ -13,7 +13,7 @@ from stabctx import cli, hidden_vars
 from stabctx.cli import main
 from stabctx.hidden_vars import decide_strong_contextuality, \
     write_certificate
-from stabctx.states import PhaseFunctionState
+from stabctx.states import PhaseFunctionState, strongness
 from stabctx.zmod import Modulus, parse_poly
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -175,6 +175,35 @@ class TestVerifyTheorem1:
         doc = json.loads(out.read_text())
         assert doc["total"] == 24
         assert doc["strongly_contextual"] == 24
+
+    def test_one_decide_per_cubic(self, capsys, monkeypatch):
+        """A quadratic dressing cannot change the verdict, so each of the
+        d^2 - 1 cubics is decided once for itself and all its dressings;
+        every record still equals the per-state oracle's."""
+        calls = []
+
+        def counted(state, *args, **kwargs):
+            calls.append(state)
+            return decide_strong_contextuality(state, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "decide_strong_contextuality", counted)
+        code, out, _ = run(capsys, "verify-theorem1", "--d", "5",
+                           "--include-quadratics",
+                           "--quadratics-per-state", "2")
+        assert code == 0
+        assert len(calls) == 24
+        m = Modulus(5)
+        runs = json.loads(out)["runs"]
+        assert len(runs) == 72
+        for record in runs:
+            dressed = PhaseFunctionState(m, 2, parse_poly(record["phi"], m))
+            cert = decide_strong_contextuality(dressed)
+            rep = strongness(dressed)
+            assert record == {
+                "phi": str(dressed.phi), "phi1": rep.phi1, "phi2": rep.phi2,
+                "quadratic": not rep.quadratic_part.is_zero(),
+                "strongly_contextual": cert.strongly_contextual,
+                "stages": sorted(cert.stages_used)}
 
     def test_d7_refused(self, capsys):
         code, _, err = run(capsys, "verify-theorem1", "--d", "7")
