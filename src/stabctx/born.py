@@ -35,8 +35,8 @@ import numpy as np
 from . import kernel
 from .phase_space import Context, PhasePoint, symplectic_product
 from .states import PhaseFunctionState
-from .zmod import MalformedInput, Modulus, StabctxError, ZdPoly, _integers, \
-    inv, is_permutation_polynomial
+from .zmod import MalformedInput, Modulus, StabctxError, ZdPoly, _expect, \
+    _integers, inv, is_permutation_polynomial
 
 
 class IncompatibleContext(StabctxError):
@@ -62,10 +62,8 @@ class JointOutcome:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.context, Context):
-            raise MalformedInput(f"expected a Context, not {self.context!r}")
         values = _integers(self.values, "outcome values")
-        if len(values) != self.context.n:
+        if len(values) != _expect(self.context, Context).n:
             raise MalformedInput("one outcome value per basis vector")
         object.__setattr__(
             self, "values", tuple(v % self.context.modulus.d for v in values))
@@ -78,9 +76,8 @@ class JointOutcome:
 def _check_compatible(state: PhaseFunctionState, context: Context):
     """Raise unless `state` and `context` are a state and a context on the
     same system that the engine supports."""
-    for value, kind in ((state, PhaseFunctionState), (context, Context)):
-        if not isinstance(value, kind):
-            raise MalformedInput(f"expected a {kind.__name__}, not {value!r}")
+    _expect(state, PhaseFunctionState)
+    _expect(context, Context)
     if state.modulus != context.modulus or state.n != context.n:
         raise IncompatibleContext("state and context live on different systems")
     if state.n > 2:
@@ -93,9 +90,7 @@ def outcome_possibility(state: PhaseFunctionState,
     `kernel.impossible`: it is impossible iff the root counts R of
     d^(2n) <psi|Pi|psi>, enumerated at the subspace's points, are
     uniform."""
-    if not isinstance(outcome, JointOutcome):
-        raise MalformedInput(f"expected a JointOutcome, not {outcome!r}")
-    context = outcome.context
+    context = _expect(outcome, JointOutcome).context
     _check_compatible(state, context)
     return not kernel.impossible(state.modulus.d, state.phi_table(),
                                  [context.canonical_key], [outcome.values])[0]
@@ -368,7 +363,7 @@ def build_empirical_model(state: PhaseFunctionState,
     contexts = tuple(contexts)  # a one-shot iterable is read once
     for ctx in contexts:
         _check_compatible(state, ctx)
-    d, n = state.modulus.d, state.n
+    d, n = _expect(state, PhaseFunctionState).modulus.d, state.n
     keys = np.array([ctx.canonical_key for ctx in contexts],
                     dtype=np.int64).reshape(-1, n, 2 * n)
     cos = np.cos(2 * np.pi * np.arange(d) / d)

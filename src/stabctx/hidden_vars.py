@@ -38,7 +38,8 @@ from .phase_space import Context, DimensionMismatch, UnsupportedScale, \
     context_rows, span_labels, table1_rows
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
-from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
+from .zmod import MalformedInput, Modulus, StabctxError, _expect, _integers, \
+    inv
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_matrix
@@ -67,7 +68,8 @@ class HiddenVariable:
             raise DimensionMismatch(f"hidden variable on n={self.n} qudits")
         if len(lam) != 2 * self.n:
             raise UnsupportedScale(f"{len(lam)} components for n={self.n}")
-        object.__setattr__(self, "lam", tuple(c % self.modulus.d for c in lam))
+        d = _expect(self.modulus, Modulus).d
+        object.__setattr__(self, "lam", tuple(c % d for c in lam))
 
     def outcome(self, coords: Sequence[int]) -> int:
         return sum(a * b for a, b in zip(self.lam, coords)) % self.modulus.d
@@ -76,7 +78,8 @@ class HiddenVariable:
 def enumerate_linear_hv(m: Modulus, n: int) -> list[HiddenVariable]:
     """All d^(2n) linear hidden variables, lexicographic, zero first."""
     return [HiddenVariable(m, n, lam)
-            for lam in itertools.product(range(m.d), repeat=2 * n)]
+            for lam in itertools.product(range(_expect(m, Modulus).d),
+                                         repeat=2 * n)]
 
 
 def _lam_array(d: int, n: int) -> np.ndarray:
@@ -113,7 +116,7 @@ def proof_chain_identities(m: Modulus):
                    conclusions lam(1,k,0,0) = lam(1,0,0,0) + lam(0,k,0,0)
                    and lam(0,0,1,k) = lam(0,0,1,0) + lam(0,0,0,k)
     """
-    d = m.d
+    d = _expect(m, Modulus).d
     i2 = m.inv2
     zero = (0, 0, 0, 0)
     yield ("zero", [zero, zero], zero)
@@ -159,7 +162,7 @@ def check_linearity_forcing(m: Modulus,
 
 def violated_identity(m: Modulus, candidate: Mapping[tuple[int, ...], int]):
     """First violated identity as (name, parts, total), or None."""
-    d = m.d
+    d = _expect(m, Modulus).d
     for name, parts, total in proof_chain_identities(m):
         try:
             lhs = sum(candidate[p] for p in parts) % d
@@ -401,7 +404,7 @@ def proof_stage_positions(m: Modulus, phi1: int, phi2: int,
              else:         alpha = 2/(phi2+1) * (l1*phi1*(phi2+2)
                                      + l3*(phi2^2 - 1)),    beta = (phi2+1)/phi1
     """
-    d = m.d
+    d = _expect(m, Modulus).d
     lams = kernel._reduce(lams, d)
     if lams.ndim != 2 or lams.shape[1] != 4:
         raise MalformedInput("lams must be an integer (N, 4) array")
@@ -451,12 +454,10 @@ class _Scanner:
         self.m = work_state.modulus
         self.d = self.m.d
         self.counts = kernel.PointCounts(self.d, work_state.phi_table())
-        # int32 like lam: a proof step gathers a row per lam
-        self.rows = context_rows(self.m, 2).astype(np.int32)  # (rows, 2, 4)
+        self.rows = context_rows(self.m, 2)  # (rows, 2, 4), int32 like lam
         self.known = np.full(len(self.rows) * self.d ** 2, -1, dtype=np.int8)
-        table1, labels = table1_rows(self.m)
-        self.table1 = table1.astype(np.int32)
-        self.family = dict(zip(table1.tolist(), labels))
+        self.table1, labels = table1_rows(self.m)
+        self.family = dict(zip(self.table1.tolist(), labels))
         self.stages = stages
         if "proof" in stages:  # rows per (l1, l3) at l1*d + l3, l2 = l4 = 0
             pairs = np.indices((self.d, 1, self.d, 1)).reshape(4, -1).T
@@ -542,9 +543,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     Theorem 1 refutes every lam in the proof stage (strong normal forms at
     d != 1 mod 3), one block holds all d^4 lam: three array steps.
     """
-    if not isinstance(state, PhaseFunctionState):
-        raise MalformedInput(f"expected a PhaseFunctionState, not {state!r}")
-    if state.n != 2:
+    if _expect(state, PhaseFunctionState).n != 2:
         raise UnsupportedScale("decision procedure supports n = 2")
     if strategy not in ("table1_first", "full_scan"):
         raise MalformedInput(f"unknown strategy {strategy!r}")
@@ -661,7 +660,7 @@ def consistency_matrix(m: Modulus, n: int,
     """The LP's 0/1 matrix over every lam: entry (c * d^n + o, l) is 1 iff
     the l-th lam prescribes outcome o on contexts[c] (see
     `_prescribed_cells`, which reads the contexts' key array built here)."""
-    n = _integers((n,), "qudit counts")[0]
+    d, n = _expect(m, Modulus).d, _integers((n,), "qudit counts")[0]
     contexts = tuple(contexts)  # a one-shot iterable is read once
     if not all(isinstance(c, Context) for c in contexts):
         raise MalformedInput("contexts must be Context objects")
@@ -669,7 +668,7 @@ def consistency_matrix(m: Modulus, n: int,
         raise IncompatibleContext("contexts live on a different system")
     keys = np.array([c.canonical_key for c in contexts],
                     dtype=np.int64).reshape(-1, n, 2 * n)
-    return _incidence(_prescribed_cells(m.d, keys), len(keys) * m.d ** n)
+    return _incidence(_prescribed_cells(d, keys), len(keys) * d ** n)
 
 
 def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
@@ -692,7 +691,7 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     exact decision procedure.
     """
     _scipy()  # the first call pays the import, whichever branch it takes
-    m, n = model.state.modulus, model.state.n
+    m, n = _expect(model, EmpiricalModel).state.modulus, model.state.n
     if not model.contexts:
         raise MalformedInput("no contexts: the contextual fraction needs "
                              "at least one")

@@ -32,7 +32,8 @@ that mean the same thing mod d give the same answer (`uniform` takes them
 reduced, from `impossible` and the scan).  Exponents and gathers come in
 chunks of at most CHUNK, and the enumeration's (coordinate, ket) tables
 hold no more entries than CHUNK or the counts they build, so working memory
-stays bounded at any d.
+stays bounded at any d.  Every per-d cache here is a `functools.lru_cache`
+of read-only arrays, so threads share them as they are.
 """
 
 from __future__ import annotations
@@ -123,28 +124,25 @@ def _points(d, n, gens):
     out = np.empty((len(gens), len(grid)), dtype=np.int32)
     step = max(1, CHUNK // len(grid))
     for q0 in range(0, len(gens), step):  # coordinates mod d, then w
-        block = gens[q0:q0 + step].astype(np.int32)
+        block = gens[q0:q0 + step].astype(np.int32, copy=False)
         out[q0:q0 + step] = grid @ block % d @ weights
     return out
 
 
-@functools.lru_cache
-def _row_cache(d):
-    """The two-qudit `context_rows` at d, and `_points` per row so far."""
-    return context_rows(Modulus(d), 2), {}
+@functools.lru_cache(maxsize=None)
+def _row_points(d, sid):
+    """`_points` of one row of the two-qudit `context_rows`, read-only."""
+    points = _points(d, 2, context_rows(Modulus(d), 2)[sid:sid + 1])[0]
+    points.flags.writeable = False
+    return points
 
 
 def row_points(d: int, sids: np.ndarray) -> np.ndarray:
     """`_points` of rows `sids` of `context_rows(Modulus(d), 2)`, each computed
     once per d, when first asked; kept one by one, as rows scattered over one
-    array would each pull in a whole huge page.  Threads share them: with
-    the GIL, `set.difference` over the dict and `dict.update` each run in C
-    with no thread switch, and rows are only added, equal whoever adds them."""
-    rows, cache = _row_cache(d)
-    sids = sids.tolist()
-    new = sorted(set(sids).difference(cache))
-    cache.update(zip(new, _points(d, 2, rows[new])))
-    return np.array([cache[s] for s in sids], dtype=np.int32)
+    array would each pull in a whole huge page.  Each is a read-only value
+    of `_row_points`' cache, which threads share as is."""
+    return np.array([_row_points(d, s) for s in sids.tolist()], np.int32)
 
 
 def _point_counts(d, phi, grid, place, points):

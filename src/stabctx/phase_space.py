@@ -16,7 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .zmod import MalformedInput, Modulus, StabctxError, _integers, inv
+from .zmod import MalformedInput, Modulus, StabctxError, _expect, _integers, \
+    inv
 
 
 class DimensionMismatch(StabctxError):
@@ -41,7 +42,7 @@ class PhasePoint:
         if n < 1 or len(coords) != 2 * n:
             raise DimensionMismatch(f"{len(coords)} coordinates for n={n}")
         object.__setattr__(self, "n", n)
-        d = self.modulus.d
+        d = _expect(self.modulus, Modulus).d
         object.__setattr__(self, "coords", tuple(c % d for c in coords))
 
     def __add__(self, other: "PhasePoint") -> "PhasePoint":
@@ -224,7 +225,7 @@ def span_label(rows: Sequence[Sequence[int]]) -> str:
 @functools.lru_cache(maxsize=None, typed=True)
 def context_rows(m: Modulus, n: int) -> np.ndarray:
     """Canonical generator rows of every maximal isotropic subspace of
-    Z_d^(2n): an int64 array of shape (count, n, 2n), one reduced-echelon
+    Z_d^(2n): an int32 array of shape (count, n, 2n), one reduced-echelon
     matrix per subspace, each subspace exactly once.
 
     Candidates are built per pivot-column pattern (patterns in
@@ -237,7 +238,7 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
     n = _integers((n,), "qudit counts")[0]
     if n not in (1, 2):
         raise UnsupportedScale(f"context enumeration supports n in {{1,2}}, got {n}")
-    d, ncols = m.d, 2 * n
+    d, ncols = _expect(m, Modulus).d, 2 * n
     # candidates in the least type holding any form sum (|sum| < 2d^2)
     dtype = np.min_scalar_type(-2 * d * d)
     blocks = []
@@ -255,7 +256,7 @@ def context_rows(m: Modulus, n: int) -> np.ndarray:
         u, w = rows[:, 0], rows[:, -1]
         form = u[:, 0::2] * w[:, 1::2] - u[:, 1::2] * w[:, 0::2]
         blocks.append(rows[form.sum(axis=1, dtype=dtype) % d == 0])
-    out = np.concatenate(blocks).astype(np.int64)
+    out = np.concatenate(blocks).astype(np.int32)
     out.flags.writeable = False
     return out
 
@@ -289,7 +290,7 @@ def table1_contexts(m: Modulus) -> tuple[Context, ...]:
     Operator phases are taken to be zero throughout: relabelling outcomes by
     a phase does not change which outcomes are possible.  One tuple, cached
     per m."""
-    d = m.d
+    d = _expect(m, Modulus).d
     rows = ([(f"I:alpha={a}", (1, 0, 0, 0), (0, 0, a, 1)) for a in range(d)]
             + [(f"II:alpha={a}", (0, 0, 1, 0), (a, 1, 0, 0)) for a in range(d)]
             + [(f"III:alpha={a},beta={b}", (1, 0, b, 0), (0, 1, a, -inv(b, m)))
@@ -300,12 +301,13 @@ def table1_contexts(m: Modulus) -> tuple[Context, ...]:
 
 @functools.lru_cache(maxsize=None)
 def table1_rows(m: Modulus) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The row in `context_rows(m, 2)` of each `table1_contexts(m)` family,
-    in catalogue order, and the family labels in the same order: what the
-    hidden-variable scan names families by.  Cached per m, so read-only."""
+    """The int32 row in `context_rows(m, 2)` of each `table1_contexts(m)`
+    family, in catalogue order, and the family labels in the same order:
+    what the scan names families by.  Cached per m, so read-only."""
     keys = context_rows(m, 2).reshape(-1, 8).tolist()
     index = {tuple(key): sid for sid, key in enumerate(keys)}
     families = table1_contexts(m)
-    ids = np.array([index[sum(ctx.canonical_key, ())] for ctx in families])
+    ids = np.array([index[sum(ctx.canonical_key, ())] for ctx in families],
+                   dtype=np.int32)
     ids.flags.writeable = False
     return ids, tuple(ctx.label for ctx in families)

@@ -48,6 +48,13 @@ def _integers(items, what: str) -> tuple[int, ...]:
         raise MalformedInput(f"{what} must be integers") from None
 
 
+def _expect(value, kind: type):
+    """`value`, if it is a `kind`; anything else is malformed."""
+    if not isinstance(value, kind):
+        raise MalformedInput(f"expected a {kind.__name__}, not {value!r}")
+    return value
+
+
 def _is_odd_prime(d: int) -> bool:
     if d < 3 or d % 2 == 0:
         return False
@@ -88,10 +95,11 @@ def inv(a: int, m: Modulus) -> int:
         >>> inv(1, Modulus(7))
         1
     """
-    a = _integers((a,), "inverted values")[0] % m.d
+    d = _expect(m, Modulus).d
+    a = _integers((a,), "inverted values")[0] % d
     if a == 0:
-        raise ZeroInverse(f"0 has no inverse mod {m.d}")
-    return pow(a, m.d - 2, m.d)
+        raise ZeroInverse(f"0 has no inverse mod {d}")
+    return pow(a, d - 2, d)
 
 
 _DEFAULT_NAMES = {1: ("x",), 2: ("j", "k")}
@@ -119,7 +127,7 @@ class ZdPoly:
         object.__setattr__(self, "num_vars", num_vars)
         if not isinstance(self.coeffs, Mapping):
             raise MalformedInput(f"coefficients {self.coeffs!r} are not a mapping")
-        d = self.modulus.d
+        d = _expect(self.modulus, Modulus).d
         clean = {}
         for exps, c in self.coeffs.items():
             exps = _integers(exps, "exponents")
@@ -388,7 +396,7 @@ def is_permutation_polynomial(p: ZdPoly) -> bool:
     has exactly d^(num_vars-1) preimages.  Exact and fast at desk scale
     (d <= 13, num_vars <= 2 in the hot paths).
     """
-    d = p.modulus.d
+    d = _expect(p, ZdPoly).modulus.d
     counts = [0] * d
     for point in itertools.product(range(d), repeat=p.num_vars):
         counts[p.evaluate(point)] += 1
@@ -415,7 +423,7 @@ def dickson_classify(p: ZdPoly) -> DicksonClassification:
     form a*g(x+b)+c with g in {x, x^3} characterizes permutations only
     there).  Agrees with :func:`is_permutation_polynomial` on its domain.
     """
-    d = p.modulus.d
+    d = _expect(p, ZdPoly).modulus.d
     if d % 3 == 1:
         raise UnsupportedModulus(
             f"d={d} is 1 mod 3; use is_permutation_polynomial instead")

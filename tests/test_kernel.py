@@ -536,30 +536,31 @@ def test_row_points_cache_every_row_and_only_rows_asked(d):
         for e, (c1, c2) in enumerate(itertools.product(range(d), repeat=2)):
             p1, q1, p2, q2 = ((c1 * a + c2 * b) % d for a, b in zip(g1, g2))
             want[sid, e] = ((p1 * d + p2) * d + q1) * d + q2
-    kernel._row_cache.cache_clear()
+    kernel._row_points.cache_clear()
     asked = np.array(random.Random(d).choices(range(len(rows)), k=d))
     got = kernel.row_points(d, asked)
     assert got.dtype == np.int32 and np.array_equal(got, want[asked])
-    assert set(kernel._row_cache(d)[1]) == set(asked.tolist())
+    info = kernel._row_points.cache_info()
+    assert info.currsize == info.misses == len(set(asked.tolist()))
     every = np.arange(len(rows))
     assert np.array_equal(kernel.row_points(d, every), want)
+    assert kernel._row_points.cache_info().currsize == len(rows)
+    with pytest.raises(ValueError):  # the cached rows are read-only
+        kernel._row_points(d, 0)[0] = 0
 
 
 def test_row_points_shared_by_threads():
-    """Four threads asking overlapping rows of a fresh d at once, switching
-    every microsecond, each get the serial answer, and the cache they share
-    ends holding exactly the rows asked.  Its dict is made before they
-    start: a thread racing another to `_row_cache` may be handed a second
-    dict, and the rows it adds there are lost to the cache, though right."""
+    """Four threads asking overlapping rows of a fresh d at once, from a
+    cold cache, switching every microsecond, each get the serial answer,
+    and the cache they share ends holding exactly the rows asked."""
     d, threads = 11, 4
     count = len(context_rows(Modulus(d), 2))
     step, rng = count // (threads + 1), random.Random(d)
     asks = [[np.array(rng.choices(range(step * t, step * (t + 2)), k=16))
              for _ in range(40)] for t in range(threads)]
-    kernel._row_cache.cache_clear()
+    kernel._row_points.cache_clear()
     want = kernel.row_points(d, np.arange(count))
-    kernel._row_cache.cache_clear()
-    kernel._row_cache(d)
+    kernel._row_points.cache_clear()
     got = [None] * threads
     start = threading.Barrier(threads)
 
@@ -583,5 +584,8 @@ def test_row_points_shared_by_threads():
     for sids_list, points_list in zip(asks, got):
         for sids, points in zip(sids_list, points_list):
             assert np.array_equal(points, want[sids])
-    asked = {s for ask in asks for sids in ask for s in sids.tolist()}
-    assert set(kernel._row_cache(d)[1]) == asked
+    asked = sorted({s for ask in asks for sids in ask for s in sids.tolist()})
+    held = kernel._row_points.cache_info()
+    assert held.currsize == len(asked)
+    kernel.row_points(d, np.array(asked))  # every asked row is held
+    assert kernel._row_points.cache_info().misses == held.misses

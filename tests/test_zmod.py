@@ -11,11 +11,13 @@ from stabctx import kernel
 from stabctx.born import IncompatibleContext, JointOutcome, ScaleError, \
     build_empirical_model, impossibility_by_psi, \
     master_polynomial, outcome_possibility, psi_type_I
-from stabctx.hidden_vars import HiddenVariable, consistency_matrix, \
-    decide_strong_contextuality, prescribed_outcome, proof_stage_positions
+from stabctx.hidden_vars import HiddenVariable, check_linearity_forcing, \
+    consistency_matrix, contextual_fraction, decide_strong_contextuality, \
+    enumerate_linear_hv, prescribed_outcome, proof_chain_identities, \
+    proof_stage_positions
 from stabctx.phase_space import Context, DimensionMismatch, PhasePoint, \
     UnsupportedScale, WeylOperator, context_rows, enumerate_contexts, \
-    table1_contexts
+    span_labels, table1_contexts, table1_rows
 from stabctx.states import OracleScaleExceeded, PhaseFunctionState, \
     strip_quadratic, strongness, swap_qudits, verify_level_by_conjugation
 from stabctx.zmod import (
@@ -446,6 +448,28 @@ MALFORMED = {
     "string_prescribed_context": lambda: prescribed_outcome(
         HiddenVariable(M5, 2, (0, 0, 0, 0)), "x"),
     "string_outcome_context": lambda: JointOutcome("x", (1, 2)),
+    # an int where a Modulus belongs once raised a bare AttributeError
+    "int_context_rows_modulus": lambda: context_rows(5, 2),
+    "int_enumerate_contexts_modulus": lambda: enumerate_contexts(5, 2),
+    "int_table1_contexts_modulus": lambda: table1_contexts(5),
+    "int_table1_rows_modulus": lambda: table1_rows(5),
+    "int_span_labels_modulus": lambda: span_labels(5, 2),
+    "int_phase_point_modulus": lambda: PhasePoint(5, 2, (1, 0, 0, 0)),
+    "int_poly_modulus": lambda: ZdPoly(5, 2, {(1, 1): 1}),
+    "int_parse_poly_modulus": lambda: parse_poly("j*k", 5),
+    "int_inverse_modulus": lambda: inv(2, 5),
+    "int_hidden_variable_modulus": lambda: HiddenVariable(5, 2, (0, 0, 0, 0)),
+    "int_linear_hv_modulus": lambda: enumerate_linear_hv(5, 2),
+    "int_proof_stage_modulus": lambda: proof_stage_positions(
+        5, 1, 2, np.zeros((3, 4), dtype=int)),
+    "int_proof_chain_modulus": lambda: list(proof_chain_identities(5)),
+    "int_consistency_matrix_modulus": lambda: consistency_matrix(5, 2, []),
+    "int_linearity_forcing_modulus": lambda: check_linearity_forcing(5, {}),
+    # so did these foreign objects where a state, model or polynomial belongs
+    "string_model_state": lambda: build_empirical_model("x", []),
+    "string_contextual_fraction_model": lambda: contextual_fraction("x"),
+    "string_dickson_poly": lambda: dickson_classify("x"),
+    "int_permutation_poly": lambda: is_permutation_polynomial(3),
 }
 # Arguments outside a function's scope: each case raises the StabctxError
 # subclass that the function documents.
