@@ -4,11 +4,10 @@ states under stabilizer measurements, plus a contextual-fraction LP."""
 __version__ = "0.1.0"
 
 from .zmod import Modulus, ZdPoly, parse_poly
-from .phase_space import Context, PhasePoint, WeylOperator
+from .phase_space import Context, PhasePoint
 from .states import PhaseFunctionState
 from .born import EmpiricalModel, JointOutcome
 from .hidden_vars import (
-    HiddenVariable,
     StrongContextualityCertificate,
     contextual_fraction,
     decide_strong_contextuality,
@@ -20,11 +19,9 @@ __all__ = [
     "parse_poly",
     "Context",
     "PhasePoint",
-    "WeylOperator",
     "PhaseFunctionState",
     "EmpiricalModel",
     "JointOutcome",
-    "HiddenVariable",
     "StrongContextualityCertificate",
     "contextual_fraction",
     "decide_strong_contextuality",

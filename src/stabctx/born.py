@@ -68,10 +68,6 @@ class JointOutcome:
         object.__setattr__(
             self, "values", tuple(v % self.context.modulus.d for v in values))
 
-    def of_element(self, coeffs: Sequence[int]) -> int:
-        d = self.context.modulus.d
-        return sum(c * o for c, o in zip(coeffs, self.values)) % d
-
 
 def _check_compatible(state: PhaseFunctionState, context: Context):
     """Raise unless `state` and `context` are a state and a context on the
@@ -108,9 +104,10 @@ def master_polynomial(state: PhaseFunctionState, u: PhasePoint, v: PhasePoint,
     The outcome (A, B) is impossible on the state iff this is a permutation
     polynomial in (x, y) for every choice of (j, k).
     """
-    if state.n != 2:
+    if _expect(state, PhaseFunctionState).n != 2:
         raise ScaleError("master polynomial is two-qudit machinery")
-    if any(w.modulus != state.modulus or w.n != state.n for w in (u, v)):
+    if any(_expect(w, PhasePoint).modulus != state.modulus or w.n != state.n
+           for w in (u, v)):
         raise IncompatibleContext("generators live on a different system "
                                   "than the state")
     if symplectic_product(u, v) != 0:
@@ -134,7 +131,7 @@ def impossibility_by_psi(state: PhaseFunctionState, outcome: JointOutcome) -> bo
     True iff the master polynomial is a permutation polynomial for every
     (j, k).  Independent of `outcome_possibility`; the two must agree.
     """
-    context = outcome.context
+    context = _expect(outcome, JointOutcome).context
     _check_compatible(state, context)
     if state.n != 2:
         raise ScaleError("psi route is two-qudit machinery")

@@ -27,15 +27,14 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, \
-    TextIO
+from typing import TYPE_CHECKING, Mapping, Optional, TextIO
 
 import numpy as np
 
 from . import kernel
-from .born import EmpiricalModel, IncompatibleContext, JointOutcome
-from .phase_space import Context, DimensionMismatch, UnsupportedScale, \
-    context_rows, span_labels, table1_rows
+from .born import EmpiricalModel
+from .phase_space import UnsupportedScale, context_rows, span_labels, \
+    table1_rows
 from .states import PhaseFunctionState, StrongnessReport, strip_quadratic, \
     strongness, swap_qudits
 from .zmod import MalformedInput, Modulus, StabctxError, _expect, _integers, \
@@ -53,48 +52,9 @@ class InfeasibleModel(StabctxError):
     """The contextual-fraction LP rejected the model's probabilities."""
 
 
-@dataclass(frozen=True, slots=True)
-class HiddenVariable:
-    """A linear outcome assignment: W(p,q) is prescribed lam . (p,q)."""
-
-    modulus: Modulus
-    n: int
-    lam: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _integers((self.n,), "qudit counts")[0])
-        lam = _integers(self.lam, "hidden-variable components")
-        if self.n < 1:
-            raise DimensionMismatch(f"hidden variable on n={self.n} qudits")
-        if len(lam) != 2 * self.n:
-            raise UnsupportedScale(f"{len(lam)} components for n={self.n}")
-        d = _expect(self.modulus, Modulus).d
-        object.__setattr__(self, "lam", tuple(c % d for c in lam))
-
-    def outcome(self, coords: Sequence[int]) -> int:
-        return sum(a * b for a, b in zip(self.lam, coords)) % self.modulus.d
-
-
-def enumerate_linear_hv(m: Modulus, n: int) -> list[HiddenVariable]:
-    """All d^(2n) linear hidden variables, lexicographic, zero first."""
-    return [HiddenVariable(m, n, lam)
-            for lam in itertools.product(range(_expect(m, Modulus).d),
-                                         repeat=2 * n)]
-
-
 def _lam_array(d: int, n: int) -> np.ndarray:
     """All d^(2n) lam as rows of one int32 array, in lexicographic order."""
     return np.indices((d,) * (2 * n), dtype=np.int32).reshape(2 * n, -1).T
-
-
-def prescribed_outcome(hv: HiddenVariable, c: Context) -> JointOutcome:
-    """Restrict the functional to the context, on its canonical basis."""
-    if not (isinstance(hv, HiddenVariable) and isinstance(c, Context)):
-        raise MalformedInput(f"expected a HiddenVariable and a Context, not "
-                             f"{hv!r} and {c!r}")
-    if hv.modulus != c.modulus or hv.n != c.n:
-        raise UnsupportedScale("hidden variable and context sizes differ")
-    return JointOutcome(c, tuple(hv.outcome(b.coords) for b in c.canonical_basis))
 
 
 # -- linearity forcing (two-qudit identities) ---------------------------------
@@ -328,7 +288,7 @@ def write_certificate(cert: StrongContextualityCertificate,
     label and outcome.  `WRITE_BATCH` rows at a time are gathered from
     the columns and joined into one write.
     """
-    d, width = cert.modulus, 2 * cert.n
+    d, width = _expect(cert, StrongContextualityCertificate).modulus, 2 * cert.n
     doc, depth = cert._head(), 2 if cert.strongly_contextual else 3
     if cert.strongly_contextual:
         doc["refutations"] = _SLOT
@@ -616,7 +576,7 @@ def _cell_dtype(cells: int) -> type:
 def _prescribed_cells(d: int, keys: np.ndarray) -> np.ndarray:
     """cells[c, l] = c * d^n + o, where o (row-major over Z_d^n, the column
     order of `EmpiricalModel`'s arrays) is the outcome the l-th lam, in
-    `enumerate_linear_hv` order, prescribes on the basis keys[c] of a
+    `_lam_array` order, prescribes on the basis keys[c] of a
     (contexts, n, 2n) key array such as `EmpiricalModel.keys`.  With lam =
     (hi, lo), key . lam is key[:n] . hi + key[n:] . lo: one outer sum."""
     count, n = keys.shape[:2]
@@ -653,22 +613,6 @@ def _incidence(rows: np.ndarray, height: int) -> csr_matrix:
     csr_matrix = _scipy()[1]
     return csr_matrix((np.ones(rows.size), (rows.ravel(), cols.ravel())),
                       shape=(height, rows.shape[1]))
-
-
-def consistency_matrix(m: Modulus, n: int,
-                       contexts: Iterable[Context]) -> csr_matrix:
-    """The LP's 0/1 matrix over every lam: entry (c * d^n + o, l) is 1 iff
-    the l-th lam prescribes outcome o on contexts[c] (see
-    `_prescribed_cells`, which reads the contexts' key array built here)."""
-    d, n = _expect(m, Modulus).d, _integers((n,), "qudit counts")[0]
-    contexts = tuple(contexts)  # a one-shot iterable is read once
-    if not all(isinstance(c, Context) for c in contexts):
-        raise MalformedInput("contexts must be Context objects")
-    if any(c.modulus != m or c.n != n for c in contexts):
-        raise IncompatibleContext("contexts live on a different system")
-    keys = np.array([c.canonical_key for c in contexts],
-                    dtype=np.int64).reshape(-1, n, 2 * n)
-    return _incidence(_prescribed_cells(d, keys), len(keys) * d ** n)
 
 
 def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:

@@ -1,10 +1,9 @@
 """Symplectic phase space Z_d^(2n) and its measurement contexts.
 
-Points carry coordinates (p1,q1,...,pn,qn).  Weyl operators are indexed by
-points plus a phase exponent in Z_d (for odd d every operator phase is a
-d-th root of unity, so a single Z_d exponent suffices).  A context is a
-maximal isotropic subspace: the phase-space shadow of a maximal set of
-pairwise commuting measurements.
+Points carry coordinates (p1,q1,...,pn,qn); the Weyl operator W(v) of a
+point v is `dense.weyl_matrix`, and W(u), W(v) commute iff the symplectic
+product [u, v] is 0.  A context is a maximal isotropic subspace: the
+phase-space shadow of a maximal set of pairwise commuting measurements.
 """
 
 from __future__ import annotations
@@ -45,38 +44,6 @@ class PhasePoint:
         d = _expect(self.modulus, Modulus).d
         object.__setattr__(self, "coords", tuple(c % d for c in coords))
 
-    def __add__(self, other: "PhasePoint") -> "PhasePoint":
-        _check_same_space(self, other)
-        return PhasePoint(self.modulus, self.n,
-                          tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "PhasePoint":
-        return PhasePoint(self.modulus, self.n, tuple(-c for c in self.coords))
-
-    def scale(self, c: int) -> "PhasePoint":
-        return PhasePoint(self.modulus, self.n,
-                          tuple(c * a for a in self.coords))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-
-@dataclass(frozen=True, slots=True)
-class WeylOperator:
-    """A Weyl operator: phase point plus global phase exponent t (omega^t)."""
-
-    point: PhasePoint
-    phase_exp: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.point, PhasePoint):
-            raise MalformedInput(f"{self.point!r} is not a PhasePoint")
-        object.__setattr__(self, "phase_exp", _integers(
-            (self.phase_exp,), "phase exponents")[0] % self.point.modulus.d)
-
-    def is_identity(self) -> bool:
-        return self.point.is_zero() and self.phase_exp == 0
-
 
 def _check_same_space(v: PhasePoint, w: PhasePoint):
     if v.modulus != w.modulus or v.n != w.n:
@@ -85,7 +52,7 @@ def _check_same_space(v: PhasePoint, w: PhasePoint):
 
 def symplectic_product(v: PhasePoint, w: PhasePoint) -> int:
     """The form [v,w] = sum_i p_i q'_i - p'_i q_i, antisymmetric and bilinear."""
-    _check_same_space(v, w)
+    _check_same_space(_expect(v, PhasePoint), _expect(w, PhasePoint))
     d = v.modulus.d
     total = 0
     for i in range(v.n):
@@ -93,22 +60,6 @@ def symplectic_product(v: PhasePoint, w: PhasePoint) -> int:
         pp, qq = w.coords[2 * i], w.coords[2 * i + 1]
         total += p * qq - pp * q
     return total % d
-
-
-def compose(u: WeylOperator, v: WeylOperator) -> WeylOperator:
-    """Product of Weyl operators: points add, phases pick up the half
-    symplectic product of the factors."""
-    _check_same_space(u.point, v.point)
-    m = u.point.modulus
-    phase = (u.phase_exp + v.phase_exp
-             + m.inv2 * symplectic_product(u.point, v.point)) % m.d
-    return WeylOperator(u.point + v.point, phase)
-
-
-def commutes(u: WeylOperator, v: WeylOperator) -> bool:
-    """Two Weyl operators commute iff their points are symplectically
-    orthogonal."""
-    return symplectic_product(u.point, v.point) == 0
 
 
 def _rref(rows: Sequence[Sequence[int]], m: Modulus) -> tuple[tuple[int, ...], ...]:

@@ -19,7 +19,7 @@ import numpy as np
 from . import dense
 from .phase_space import PhasePoint
 from .zmod import ArityMismatch, MalformedInput, Modulus, StabctxError, \
-    ZdPoly, _integers
+    ZdPoly, _expect, _integers
 
 
 class OutsideCharacterization(StabctxError):
@@ -84,7 +84,7 @@ def diagonal_gate_level(phi: ZdPoly) -> int:
     The degree-3 rule holds for d > 3 only; degree 3 at d = 3 and any
     degree > 3 raise OutsideCharacterization.
     """
-    deg = phi.degree()
+    deg = _expect(phi, ZdPoly).degree()
     if deg > 3:
         raise OutsideCharacterization(f"degree {deg} gates are not classified")
     if deg == 3 and phi.modulus.d == 3:
@@ -164,7 +164,7 @@ def verify_level_by_conjugation(phi: ZdPoly, claimed_level: int) -> bool:
     `_in_level`.  Membership is non-strict: any gate confirmed at level k is
     confirmed at every higher level.  Scale-limited to d in {3,5}, n <= 2.
     """
-    m = phi.modulus
+    m = _expect(phi, ZdPoly).modulus
     n = phi.num_vars
     if m.d not in (3, 5) or n > 2:
         raise OracleScaleExceeded("oracle supports d in {3,5}, n <= 2")
@@ -176,7 +176,7 @@ def verify_level_by_conjugation(phi: ZdPoly, claimed_level: int) -> bool:
 
 def strongness(state: PhaseFunctionState) -> StrongnessReport:
     """Decompose a two-qudit Phi of degree <= 3 and test strongness."""
-    if state.n != 2:
+    if _expect(state, PhaseFunctionState).n != 2:
         raise ArityMismatch("strongness is defined for two-qudit states")
     phi = state.phi
     if phi.degree() > 3:
@@ -200,7 +200,7 @@ def strip_quadratic(state: PhaseFunctionState) -> PhaseFunctionState:
     The discarded part defines a diagonal Clifford gate, so the returned
     state has the same contextuality verdict as the input.  Idempotent.
     """
-    if state.n != 2:
+    if _expect(state, PhaseFunctionState).n != 2:
         raise ArityMismatch("strip_quadratic is defined for two-qudit states")
     cubic = {e: c for e, c in state.phi.coeffs.items() if sum(e) >= 3}
     return PhaseFunctionState(state.modulus, 2,
@@ -209,7 +209,7 @@ def strip_quadratic(state: PhaseFunctionState) -> PhaseFunctionState:
 
 def swap_qudits(state: PhaseFunctionState) -> PhaseFunctionState:
     """Exchange the two qudits: Phi(j,k) -> Phi(k,j).  An involution."""
-    if state.n != 2:
+    if _expect(state, PhaseFunctionState).n != 2:
         raise ArityMismatch("swap_qudits is defined for two-qudit states")
     swapped = {(e[1], e[0]): c for e, c in state.phi.coeffs.items()}
     return PhaseFunctionState(state.modulus, 2,

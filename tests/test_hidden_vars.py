@@ -12,15 +12,11 @@ from stabctx import hidden_vars, phase_space
 from stabctx.born import JointOutcome, build_empirical_model, \
     outcome_possibility
 from stabctx.hidden_vars import (
-    HiddenVariable,
     IncompleteProbe,
     InfeasibleModel,
     check_linearity_forcing,
-    consistency_matrix,
     contextual_fraction,
     decide_strong_contextuality,
-    enumerate_linear_hv,
-    prescribed_outcome,
     proof_chain_identities,
     proof_stage_positions,
     violated_identity,
@@ -36,33 +32,39 @@ def state(d, text):
     return PhaseFunctionState(m, 2, parse_poly(text, m))
 
 
+def prescribed(lam, ctx):
+    """The outcome lam prescribes on a context, read as the scan reads it:
+    the canonical basis rows @ lam % d."""
+    d = ctx.modulus.d
+    return JointOutcome(ctx, tuple(np.array(ctx.canonical_key) @ lam % d))
+
+
 def linear_table(m, lam):
     return {p: sum(a * b for a, b in zip(lam, p)) % m.d
             for p in itertools.product(range(m.d), repeat=4)}
 
 
 class TestEnumerate:
+    """Every lam is a row of `_lam_array`, the scan's and the LP's list."""
+
     def test_counts(self):
-        assert len(enumerate_linear_hv(Modulus(3), 2)) == 81
-        assert len(enumerate_linear_hv(Modulus(5), 2)) == 625
+        assert hidden_vars._lam_array(3, 2).shape == (81, 4)
+        assert hidden_vars._lam_array(5, 2).shape == (625, 4)
 
     def test_zero_first_and_deterministic(self):
-        hvs = enumerate_linear_hv(Modulus(3), 2)
-        assert hvs[0].lam == (0, 0, 0, 0)
-        assert hvs[1].lam == (0, 0, 0, 1)
-        assert hvs == enumerate_linear_hv(Modulus(3), 2)
-
-    @pytest.mark.parametrize("component", [1.5, "1"])
-    def test_rejects_non_integer_components(self, component):
-        with pytest.raises(MalformedInput):
-            HiddenVariable(Modulus(5), 2, (component, 0, 0, 0))
+        lams = hidden_vars._lam_array(3, 2)
+        assert lams[0].tolist() == [0, 0, 0, 0]
+        assert lams[1].tolist() == [0, 0, 0, 1]
+        assert lams.tolist() == [list(lam) for lam
+                                 in itertools.product(range(3), repeat=4)]
+        assert np.array_equal(lams, hidden_vars._lam_array(3, 2))
 
 
 class TestLinearityForcing:
     def test_all_linear_pass_d3(self):
         m = Modulus(3)
-        for hv in enumerate_linear_hv(m, 2):
-            assert check_linearity_forcing(m, linear_table(m, hv.lam))
+        for lam in hidden_vars._lam_array(3, 2).tolist():
+            assert check_linearity_forcing(m, linear_table(m, lam))
 
     def test_square_candidate_fails(self):
         # lam(v) = v1^2 on the first coordinate, linear elsewhere
@@ -141,31 +143,36 @@ class TestLinearityForcing:
 class TestPrescribedOutcome:
     def test_zero_functional(self):
         m = Modulus(5)
-        hv = HiddenVariable(m, 2, (0, 0, 0, 0))
         for ctx in table1_contexts(m):
-            assert prescribed_outcome(hv, ctx).values == (0, 0)
+            assert prescribed((0, 0, 0, 0), ctx).values == (0, 0)
 
     def test_dot_product_convention(self):
+        # III:alpha=0,beta=2 has canonical basis row (1, 0, 2, 0), on which
+        # lam = (1, 2, 3, 4) is 1 + 3*2
         m = Modulus(5)
-        hv = HiddenVariable(m, 2, (1, 2, 3, 4))
-        assert hv.outcome((1, 0, 2, 0)) == (1 + 3 * 2) % 5
+        ctx = table1_contexts(m)[2 * 5 + 1]
+        assert ctx.label == "III:alpha=0,beta=2"
+        assert ctx.canonical_key[0] == (1, 0, 2, 0)
+        assert prescribed((1, 2, 3, 4), ctx).values[0] == (1 + 3 * 2) % 5
 
     def test_family_I_example(self):
         m = Modulus(5)
-        hv = HiddenVariable(m, 2, (0, 1, 0, 0))
+        lam = (0, 1, 0, 0)
         ctx = table1_contexts(m)[2]
         assert ctx.label == "I:alpha=2"
-        out = prescribed_outcome(hv, ctx)
-        assert out.values == tuple(hv.outcome(b.coords)
-                                   for b in ctx.canonical_basis)
+        out = prescribed(lam, ctx)
+        assert out.values == tuple(
+            sum(a * b for a, b in zip(lam, row)) % 5
+            for row in ctx.canonical_key)
 
     def test_outcome_functional_additive(self):
+        # the outcome on sum(c_i b_i) is sum(c_i values[i]) = lam . point
         m = Modulus(3)
-        hv = HiddenVariable(m, 2, (2, 1, 0, 2))
+        lam = np.array((2, 1, 0, 2))
         for ctx in enumerate_contexts(m, 2)[:8]:
-            out = prescribed_outcome(hv, ctx)
+            out = prescribed(lam, ctx)
             for coords, coeffs in zip(ctx.elements, ctx.element_coeffs):
-                assert out.of_element(coeffs) == hv.outcome(coords)
+                assert np.dot(coeffs, out.values) % 3 == lam @ coords % 3
 
 
 class TestDecide:
@@ -196,11 +203,10 @@ class TestDecide:
             m = Modulus(d)
             cert = decide_strong_contextuality(state(d, text))
             st = state(d, cert.normalized_phi)
-            hv = HiddenVariable(m, 2, cert.witness.lam)
             contexts = enumerate_contexts(m, 2)
             assert len(cert.witness.rows) == len(contexts)
             for row, ctx in zip(cert.witness.rows, contexts):
-                outcome = prescribed_outcome(hv, ctx)
+                outcome = prescribed(cert.witness.lam, ctx)
                 assert (row.context_label, row.context_basis, row.outcome,
                         row.possible) == (ctx.display_label, ctx.canonical_key,
                                           outcome.values, True)
@@ -255,7 +261,7 @@ class TestDecide:
     def test_certificate_covers_all_hidden_variables(self):
         cert = decide_strong_contextuality(state(3, "j^2*k"))
         lams = [r.lam for r in cert.refutations]
-        assert lams == [hv.lam for hv in enumerate_linear_hv(Modulus(3), 2)]
+        assert lams == list(map(tuple, hidden_vars._lam_array(3, 2).tolist()))
 
     def test_refutations_built_on_request(self):
         cert = decide_strong_contextuality(state(3, "j^2*k + j*k^2"))
@@ -433,28 +439,25 @@ class TestContextualFraction:
 
     @pytest.mark.parametrize("family", ["table1", "full"])
     def test_consistency_matrix_matches_loop(self, family):
+        """The LP's 0/1 matrix, `_incidence` of `_prescribed_cells`, has a
+        1 at (c * d^2 + o, l) iff the l-th lam prescribes outcome o on
+        context c."""
         m = Modulus(3)
         contexts = table1_contexts(m) if family == "table1" \
             else enumerate_contexts(m, 2)
         outcomes = list(itertools.product(range(3), repeat=2))
-        lams = enumerate_linear_hv(m, 2)
+        lams = hidden_vars._lam_array(3, 2).tolist()
         expected = np.zeros((len(contexts) * 9, len(lams)))
         for ci, ctx in enumerate(contexts):
-            rows = [b.coords for b in ctx.canonical_basis]
-            for li, hv in enumerate(lams):
-                values = tuple(hv.outcome(r) for r in rows)
+            for li, lam in enumerate(lams):
+                values = tuple(sum(a * b for a, b in zip(lam, row)) % 3
+                               for row in ctx.canonical_key)
                 expected[ci * 9 + outcomes.index(values), li] = 1.0
-        A = consistency_matrix(m, 2, contexts)
+        keys = np.array([ctx.canonical_key for ctx in contexts])
+        A = hidden_vars._incidence(hidden_vars._prescribed_cells(3, keys),
+                                   len(contexts) * 9)
         assert A.shape == expected.shape
         assert np.array_equal(A.toarray(), expected)
-
-    def test_consistency_matrix_reads_one_shot_contexts(self):
-        # len() of a generator once raised a bare TypeError
-        m = Modulus(3)
-        contexts = table1_contexts(m)
-        A = consistency_matrix(m, 2, iter(contexts))
-        assert np.array_equal(A.toarray(),
-                              consistency_matrix(m, 2, contexts).toarray())
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     @pytest.mark.parametrize("n", [1, 2])
@@ -509,10 +512,12 @@ class TestContextualFraction:
         contexts = table1_contexts(m) if family == "table1" \
             else enumerate_contexts(m, 2)
         model = build_empirical_model(state(d, text), contexts)
+        keys = np.array([ctx.canonical_key for ctx in contexts])
+        A = hidden_vars._incidence(hidden_vars._prescribed_cells(d, keys),
+                                   len(contexts) * d ** 2)
         res = linprog(c=-np.ones(d ** 4),
                       b_ub=np.maximum(model.probability.ravel(), 0.0),
-                      A_ub=consistency_matrix(m, 2, contexts),
-                      bounds=(0, None), method="highs")
+                      A_ub=A, bounds=(0, None), method="highs")
         assert res.status == 0
         oracle = {lam: w for lam, w in zip(
             itertools.product(range(d), repeat=4), res.x) if w > 1e-9}

@@ -15,8 +15,7 @@ import pytest
 
 from stabctx import dense, kernel
 from stabctx.born import JointOutcome, impossibility_by_psi
-from stabctx.hidden_vars import HiddenVariable, prescribed_outcome, \
-    proof_stage_positions
+from stabctx.hidden_vars import proof_stage_positions
 from stabctx.phase_space import context_rows, enumerate_contexts, \
     table1_contexts, table1_rows
 from stabctx.states import PhaseFunctionState
@@ -145,10 +144,10 @@ def test_proof_stage_contexts_refute_every_lambda():
             if d != 5:
                 continue
             for i in rng.sample(range(len(lams)), 5):
-                hv = HiddenVariable(m, 2, tuple(lams[i]))
-                assert any(impossibility_by_psi(
-                    st, prescribed_outcome(hv, families[p]))
-                    for p in pos[i].tolist()), (phi1, phi2, hv.lam)
+                assert any(impossibility_by_psi(st, JointOutcome(
+                    families[p],
+                    tuple(np.array(families[p].canonical_key) @ lams[i] % d)))
+                    for p in pos[i].tolist()), (phi1, phi2, lams[i])
 
 
 KEY = ((1, 0, 0, 0), (0, 0, 1, 0))

@@ -1,4 +1,5 @@
 import doctest
+import io
 import itertools
 import random
 
@@ -11,15 +12,15 @@ from stabctx import kernel
 from stabctx.born import IncompatibleContext, JointOutcome, ScaleError, \
     build_empirical_model, impossibility_by_psi, \
     master_polynomial, outcome_possibility, psi_type_I
-from stabctx.hidden_vars import HiddenVariable, check_linearity_forcing, \
-    consistency_matrix, contextual_fraction, decide_strong_contextuality, \
-    enumerate_linear_hv, prescribed_outcome, proof_chain_identities, \
-    proof_stage_positions
+from stabctx.hidden_vars import check_linearity_forcing, \
+    contextual_fraction, decide_strong_contextuality, proof_chain_identities, \
+    proof_stage_positions, write_certificate
 from stabctx.phase_space import Context, DimensionMismatch, PhasePoint, \
-    UnsupportedScale, WeylOperator, context_rows, enumerate_contexts, \
-    span_labels, table1_contexts, table1_rows
+    UnsupportedScale, context_rows, enumerate_contexts, span_labels, \
+    symplectic_product, table1_contexts, table1_rows
 from stabctx.states import OracleScaleExceeded, PhaseFunctionState, \
-    strip_quadratic, strongness, swap_qudits, verify_level_by_conjugation
+    diagonal_gate_level, strip_quadratic, strongness, swap_qudits, \
+    verify_level_by_conjugation
 from stabctx.zmod import (
     ArityMismatch,
     DicksonClassification,
@@ -396,8 +397,6 @@ MALFORMED = {
     "float_variable_index": lambda: ZdPoly.variable(Modulus(5), 1.5, 2),
     "variable_index_out_of_range": lambda: ZdPoly.variable(Modulus(5), 2, 2),
     "float_qudit_count": lambda: PhasePoint(Modulus(5), 2.0, (1, 0, 0, 0)),
-    "float_phase_exponent": lambda: WeylOperator(
-        PhasePoint(Modulus(5), 2, (1, 0, 0, 0)), 1.5),
     "negative_exponent": lambda: ZdPoly(Modulus(5), 2, {(-1, 1): 2}),
     "float_summand": lambda: parse_poly("j", Modulus(5)) + 2.5,
     "float_factor": lambda: 2.7 * parse_poly("j", Modulus(5)),
@@ -406,8 +405,6 @@ MALFORMED = {
     "ragged_engine_query": lambda: kernel.impossible(
         5, np.zeros((5, 5), dtype=int), [((1, 0, 0, 0), (0, 0, 1))], [(0, 0)]),
     "float_state_qudit_count": lambda: PhaseFunctionState(M5, 2.0, JK5),
-    "float_hidden_variable_qudit_count": lambda: HiddenVariable(
-        M5, 2.0, (0, 0, 0, 0)),
     "float_context_index": lambda: model3().row(1.5, (0, 0)),
     "string_context_index": lambda: model3().row("1", (0, 0)),
     "float_marginal_context_index": lambda: model3().marginal(
@@ -423,8 +420,6 @@ MALFORMED = {
     "float_context_rows_qudit_count": lambda: context_rows(M5, 2.0),
     "float_enumerate_contexts_qudit_count": lambda: enumerate_contexts(
         M5, 2.0),
-    "float_consistency_matrix_qudit_count": lambda: consistency_matrix(
-        M3, 1.0, enumerate_contexts(M3, 1)),
     # coordinate tuples for PhasePoints once raised AttributeError
     "tuple_marginal_point": lambda: model3().marginal(0, (1, 0, 0, 0), 0),
     "tuple_context_basis": lambda: Context([(1, 0, 0, 0), (0, 0, 1, 0)]),
@@ -433,20 +428,15 @@ MALFORMED = {
                                                      (0, 0, 1, 0)])),
     # a scalar or a foreign type where a sequence, mapping or library
     # object belongs once raised a bare TypeError or AttributeError
-    "int_hidden_variable_components": lambda: HiddenVariable(M5, 2, 5),
     "int_phase_point_coords": lambda: PhasePoint(M5, 2, 7),
     "int_context_basis": lambda: Context(3),
     "list_poly_coefficients": lambda: ZdPoly(M5, 2, [1, 2]),
     "string_state_phi": lambda: PhaseFunctionState(M5, 2, "j*k"),
-    "int_weyl_point": lambda: WeylOperator(3),
     "string_possibility_outcome": lambda: outcome_possibility(
         PhaseFunctionState(M5, 2, JK5), "x"),
     "int_model_context": lambda: build_empirical_model(
         PhaseFunctionState(M5, 2, JK5), [1]),
     "string_decided_state": lambda: decide_strong_contextuality("abc"),
-    "int_consistency_context": lambda: consistency_matrix(M5, 2, [1]),
-    "string_prescribed_context": lambda: prescribed_outcome(
-        HiddenVariable(M5, 2, (0, 0, 0, 0)), "x"),
     "string_outcome_context": lambda: JointOutcome("x", (1, 2)),
     # an int where a Modulus belongs once raised a bare AttributeError
     "int_context_rows_modulus": lambda: context_rows(5, 2),
@@ -458,18 +448,32 @@ MALFORMED = {
     "int_poly_modulus": lambda: ZdPoly(5, 2, {(1, 1): 1}),
     "int_parse_poly_modulus": lambda: parse_poly("j*k", 5),
     "int_inverse_modulus": lambda: inv(2, 5),
-    "int_hidden_variable_modulus": lambda: HiddenVariable(5, 2, (0, 0, 0, 0)),
-    "int_linear_hv_modulus": lambda: enumerate_linear_hv(5, 2),
     "int_proof_stage_modulus": lambda: proof_stage_positions(
         5, 1, 2, np.zeros((3, 4), dtype=int)),
     "int_proof_chain_modulus": lambda: list(proof_chain_identities(5)),
-    "int_consistency_matrix_modulus": lambda: consistency_matrix(5, 2, []),
     "int_linearity_forcing_modulus": lambda: check_linearity_forcing(5, {}),
     # so did these foreign objects where a state, model or polynomial belongs
     "string_model_state": lambda: build_empirical_model("x", []),
     "string_contextual_fraction_model": lambda: contextual_fraction("x"),
     "string_dickson_poly": lambda: dickson_classify("x"),
     "int_permutation_poly": lambda: is_permutation_polynomial(3),
+    # and these, where a state, polynomial, point, certificate or outcome
+    # belongs
+    "string_strongness_state": lambda: strongness("x"),
+    "string_strip_quadratic_state": lambda: strip_quadratic("x"),
+    "string_swap_qudits_state": lambda: swap_qudits("x"),
+    "string_gate_level_poly": lambda: diagonal_gate_level("x"),
+    "string_conjugation_poly": lambda: verify_level_by_conjugation("x", 2),
+    "string_symplectic_points": lambda: symplectic_product("x", "y"),
+    "string_written_certificate": lambda: write_certificate("x", io.StringIO()),
+    "string_master_polynomial_state": lambda: master_polynomial(
+        "x", PhasePoint(M5, 2, KEY[0]), PhasePoint(M5, 2, KEY[1]),
+        0, 0, 0, 0),
+    "tuple_master_polynomial_generator": lambda: master_polynomial(
+        PhaseFunctionState(M5, 2, JK5), KEY[0], PhasePoint(M5, 2, KEY[1]),
+        0, 0, 0, 0),
+    "none_psi_outcome": lambda: impossibility_by_psi(
+        PhaseFunctionState(M5, 2, JK5), None),
 }
 # Arguments outside a function's scope: each case raises the StabctxError
 # subclass that the function documents.
@@ -496,21 +500,8 @@ OUT_OF_SCOPE = {
     "psi_route_one_qudit": (ScaleError, lambda: impossibility_by_psi(
         ONE_QUDIT, JointOutcome(unit_context(1), (0,)))),
     # hidden_vars
-    "hidden_variable_length": (UnsupportedScale, lambda: HiddenVariable(
-        M5, 2, (0, 0, 0))),
-    "hidden_variable_no_qudits": (DimensionMismatch, lambda: HiddenVariable(
-        Modulus(5), 0, ())),
-    "prescribed_outcome_size": (UnsupportedScale, lambda: prescribed_outcome(
-        HiddenVariable(M5, 1, (0, 0)), unit_context(2))),
     "decide_one_qudit": (UnsupportedScale, lambda:
                          decide_strong_contextuality(ONE_QUDIT)),
-    # d=5 contexts reduced mod 3 once gave a 1404 x 81 matrix
-    "consistency_matrix_modulus": (IncompatibleContext, lambda:
-                                   consistency_matrix(M3, 2, enumerate_contexts(
-                                       M5, 2))),
-    "consistency_matrix_qudits": (IncompatibleContext, lambda:
-                                  consistency_matrix(M3, 1, enumerate_contexts(
-                                      M3, 2))),
     # phase_space
     "phase_point_coordinates": (DimensionMismatch, lambda: PhasePoint(
         M5, 2, (1, 0, 0))),
@@ -550,6 +541,17 @@ def test_malformed_input_is_library_error(case):
         call()
     assert isinstance(info.value, StabctxError)
     assert isinstance(info.value, ValueError) == (error is MalformedInput)
+
+
+def test_public_api():
+    """Every name in `stabctx.__all__` resolves on the package, once, and
+    `from stabctx import *` binds exactly those names."""
+    names = stabctx.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(stabctx, name) for name in names)
+    bound = {}
+    exec("from stabctx import *", bound)
+    assert set(bound) - {"__builtins__"} == set(names)
 
 
 def test_numpy_bool_normalize_read_as_bool():
