@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .phase_space import Context, PhasePoint
-from .zmod import Modulus, ZdPoly
+from .zmod import Modulus, ZdPoly, _expect, _integers
 
 ATOL = 1e-9  # absolute tolerance after global-phase normalization
 
@@ -25,6 +25,7 @@ def omega(d: int) -> complex:
 
 def single_weyl(d: int, p: int, q: int) -> np.ndarray:
     """W(p,q) = omega^{-inv2*p*q} Z(p) X(q) on one qudit."""
+    d, p, q = _integers((d, p, q), "d, p and q")
     w = omega(d)
     m = Modulus(d)
     X = np.zeros((d, d), dtype=complex)
@@ -40,7 +41,7 @@ def weyl_matrix(point: PhasePoint) -> np.ndarray:
 
     Cached (and marked read-only) since projector sums revisit the same
     points constantly."""
-    d = point.modulus.d
+    d = _expect(point, PhasePoint).modulus.d
     out = np.array([[1.0 + 0j]])
     for i in range(point.n):
         p, q = point.coords[2 * i], point.coords[2 * i + 1]
@@ -52,7 +53,8 @@ def weyl_matrix(point: PhasePoint) -> np.ndarray:
 def _phases(m: Modulus, phi: ZdPoly) -> np.ndarray:
     """omega^{phi(j)} for every ket j, row-major: leftmost qudit most
     significant."""
-    w = omega(m.d)
+    w = omega(_expect(m, Modulus).d)
+    _expect(phi, ZdPoly)
     return np.array([w ** phi.evaluate(ket) for ket
                      in itertools.product(range(m.d), repeat=phi.num_vars)])
 
@@ -75,7 +77,8 @@ def outcome_projector(context: Context, values: tuple[int, ...]) -> np.ndarray:
     where s is the linear outcome functional taking values[i] on canonical
     basis vector i.
     """
-    m = context.modulus
+    m = _expect(context, Context).modulus
+    values = _integers(values, "outcome values")
     d = m.d
     n = context.n
     w = omega(d)

@@ -18,22 +18,30 @@ prime the outcome is impossible iff R is uniform.  Its readers serve
 empirical models (`weyl_counts`) and the hidden-variable scan (`uniform`) at
 a subspace's element points, cached per `context_rows` row (`row_points`).
 For two qudits and deg Phi <= 3, E_w is a quadratic in J, and
-`_closed_form` builds C from six values of each difference Phi(J - Q) -
-Phi(J) and the classical count of a quadratic's values; for any other
-table `_point_counts` enumerates the exponents.  The same enumeration, run
-only at the distinct points of the asked subspaces and read by `uniform`,
-is `impossible`, the oracle that `born.outcome_possibility`, `selftest` and
-the tests ask; being enumerated for every table, it also checks the closed
-form.  This module is the only place the exponent is written out: by
-`_point_counts`, and in closed form by `_closed_form`.
+`_closed_form` gives each point a class (one of six count patterns K) and a
+shift h from six values of each difference Phi(J - Q) - Phi(J) and the
+classical count of a quadratic's values: C_w[t] = K[class, (t - h) mod d].
+A cell's elements then fall into 6d bins (class, (c.a - h) mod d), and
+`_histogram` reads R as the bin counts N times one per-d (6d, d) matrix of
+the K rows turned by each bin's u: about d^2 work per two-qudit cell.  The
+product is taken in int64 and is exact, as every R[s] is at most d^4.  Any
+other table (deg Phi > 3, or one qudit) is enumerated by `_point_counts`
+and read by `_gather`, d values per element.  The same enumeration, run
+only at the distinct points of the asked subspaces and read through the
+gather, is `impossible`, the oracle that `born.outcome_possibility`,
+`selftest` and the tests ask; being enumerated for every table, it also
+checks the closed form and its reader.  This module is the only place the
+exponent is written out: by `_point_counts`, and in closed form by
+`_closed_form`.
 
 Every input must be integer and is reduced mod d on entry, so any integers
 that mean the same thing mod d give the same answer (`uniform` takes them
-reduced, from `impossible` and the scan).  Exponents and gathers come in
-chunks of at most CHUNK, and the enumeration's (coordinate, ket) tables
-hold no more entries than CHUNK or the counts they build, so working memory
-stays bounded at any d.  Every per-d cache here is a `functools.lru_cache`
-of read-only arrays, so threads share them as they are.
+reduced, from `impossible` and the scan).  Exponents, gathered entries and
+binned elements come in chunks of at most CHUNK, and the enumeration's
+(coordinate, ket) tables hold no more entries than CHUNK or the counts they
+build, so working memory stays bounded at any d.  Every per-d cache here is
+a `functools.lru_cache` of read-only arrays, so threads share them as they
+are.
 """
 
 from __future__ import annotations
@@ -203,8 +211,8 @@ def _quadratics(d):
     k; the monomials j^2, jk, k^2, j, k, 1 at each point (d^2, 6); the basis
     (6, d^2) of the quadratics through SIX; the weights (6, 6) that take
     values at SIX to coefficients in monomial order; the Legendre symbol
-    and the inverses (both 0 at 0); and the class table (d, 6d), column
-    k*d + h holding class k's counts at t, shifted by h.
+    and the inverses (both 0 at 0); and the classes' counts K (6, d), K[k, u]
+    counting the values u of class k's quadratics, up to their shift.
 
     The monomials and the basis are floats, for BLAS products that stay
     exact: every sum below is of six products of a monomial (< d^2) and a
@@ -228,19 +236,16 @@ def _quadratics(d):
     classes = np.array([d - 1 + d * zero, d + 1 - d * zero,
                         d * (1 + eta), d * (1 - eta),
                         np.full(d, d), d * d * zero])  # (class, u)
-    u = np.subtract.outer(range(d), range(d)) % d  # (t, h)
-    table = classes[:, u].transpose(1, 0, 2).reshape(d, 6 * d)
-    table = table.astype(np.min_scalar_type(d * d))
     constants = (j, k, mono.T.astype(exact), basis, weights, eta, inverse,
-                 table)
+                 classes)
     for array in constants:
         array.flags.writeable = False
     return constants
 
 
 def _closed_form(d, phi):
-    """(class table, key) for a two-qudit phi whose differences G_Q(J) =
-    Phi(J - Q) - Phi(J) are all quadratic in J, else None.
+    """The key of each phase point for a two-qudit phi whose differences
+    G_Q(J) = Phi(J - Q) - Phi(J) are all quadratic in J, else None.
 
     Each G_Q is interpolated from its values at SIX, and the interpolant
     checked against G_Q at every J.  E_w(J) = G_Q(J) + J.P - inv2 * P.Q is
@@ -252,8 +257,9 @@ def _closed_form(d, phi):
     counts d * (1 + eta(lam) * eta(u)), shift F - beta^2 / (4 lam), lam
     and beta being A and b1 if A != 0, else C and b2; M = 0 and b = 0 is
     constant, d^2 at u = 0, shift F; anything else is uniform.  key[w] =
-    class * d + shift, w = (P, Q) row-major with P major."""
-    j, k, mono, basis, weights, eta, inverse, table = _quadratics(d)
+    class * d + shift, w = (P, Q) row-major with P major, and C_w[t] =
+    K[class, (t - shift) mod d]."""
+    j, k, mono, basis, weights, eta, inverse, _ = _quadratics(d)
     phi = phi.reshape(d, d)
     # g[Q, J] = Phi(J - Q) - Phi(J), Phi(J - Q) read from the doubled table
     # as a view whose Q strides run backwards from (d, d)
@@ -297,47 +303,90 @@ def _closed_form(d, phi):
     # M = 0 is constant at the one P with b = 0, uniform elsewhere
     r0 = np.flatnonzero(~rank2 & (lam == 0))
     key[(-l1[r0] % d) * d + (-l2[r0] % d), r0] += (CONSTANT - UNIFORM) * d
-    return table, key.ravel()
+    return key.ravel()
+
+
+@functools.lru_cache
+def _bins(d):
+    """The histogram reader's per-d constants, read-only: the bin table,
+    bins[key * d + x] = class * d + (x - shift) mod d for key = class * d +
+    shift, and spread (6d, d), spread[class * d + u, s] = K[class, (s + u)
+    mod d], int64 for an exact integer product."""
+    cls, shift, x = np.indices((6, d, d))
+    bins = (cls * d + (x - shift) % d).ravel().astype(np.intp)
+    turn = np.add.outer(range(d), range(d)) % d  # (u, s)
+    spread = _quadratics(d)[-1][:, turn].reshape(6 * d, d).astype(np.int64)
+    bins.flags.writeable = spread.flags.writeable = False
+    return bins, spread
+
+
+def _histogram(d, index):
+    """R[..., s], int64, of closed-form cells whose elements' bin-table
+    indices key * d + c.a are `index` (elements last): with u = (c.a -
+    shift) mod d, R[s] = sum_c K[class, (s + u) mod d] = sum_(class, u)
+    N[class, u] * spread[class * d + u, s], N counting each cell's d^2
+    elements over its 6d bins, all cells in one bincount.  Every R[s] is at
+    most d^4, so the int64 product is exact."""
+    bins, spread = _bins(d)
+    found = bins[index]
+    *cells, size = found.shape
+    count = found.size // size
+    found += 6 * d * np.arange(count).reshape(*cells, 1)  # each cell's bins
+    n = np.bincount(found.ravel(), minlength=count * 6 * d)
+    return n.reshape(*cells, 6 * d) @ spread
 
 
 class PointCounts:
-    """One state's point counts, built once for two readers that gather a
-    cell's R[s] = sum_c C_(c.g)[(s + c.a) mod d], CHUNK counts at a time.
+    """One state's point counts, built once for two readers of a cell's
+    R[s] = sum_c C_(c.g)[(s + c.a) mod d], CHUNK entries at a time.
 
-    The counts live in `table` (d, K), and C_w[t] = table[t, key[w]], one
-    int32 key per phase point.  For n = 2 and deg Phi <= 3 `_closed_form`
-    builds them: K = 6d columns shared by every state of that d, and d^4
-    keys (59 KB at d = 11).  Otherwise `_point_counts` enumerates C itself,
-    K = d^(2n) and key = arange: d^(2n+1) counts of one or two bytes
-    (161 KB at d = 11); `_enumerated` holds it at given points alone."""
+    Each phase point w has one int32 key.  For n = 2 and deg Phi <= 3
+    `_closed_form` builds d^4 keys (59 KB at d = 11), class * d + shift, and
+    `_histogram` reads a cell from its d^2 elements' bins (class, (c.a -
+    shift) mod d): no table, and d^2 work per cell.  Otherwise
+    `_point_counts` enumerates C into `table` (d, d^(2n)), d^(2n+1) counts of
+    one or two bytes (161 KB at d = 11), key = arange, and `_gather` reads
+    the d values of each element, d^3 work per two-qudit cell;
+    `_enumerated` holds C at given points alone."""
 
     def __init__(self, d: int, phi_table):
         d, phi, n = _table(d, phi_table)
-        built = _closed_form(d, phi) if n == 2 else None
-        if built is None:
-            points = np.arange(d ** (2 * n), dtype=np.int32)
-            built = _point_counts(d, phi, *_grid(d, n), points), points
-        self._hold(d, n, *built)
+        key, table = (_closed_form(d, phi) if n == 2 else None), None
+        if key is None:
+            key = np.arange(d ** (2 * n), dtype=np.int32)
+            table = _point_counts(d, phi, *_grid(d, n), key)
+        self._hold(d, n, key, table)
 
     @classmethod
     def _enumerated(cls, d, phi, n, points):
         """Counts enumerated at `points` alone, points[i] under key i: what
         the module's `impossible` reads, for a phi already reduced."""
         self = cls.__new__(cls)
-        self._hold(d, n, _point_counts(d, phi, *_grid(d, n), points),
-                   np.arange(len(points), dtype=np.int32))
+        self._hold(d, n, np.arange(len(points), dtype=np.int32),
+                   _point_counts(d, phi, *_grid(d, n), points))
         return self
 
-    def _hold(self, d, n, table, key):
-        self.d, self.n, self.table, self.key = d, n, table, key
+    def _hold(self, d, n, key, table):
+        self.d, self.n, self.key, self.table = d, n, key, table
         self.grid, self.place = _grid(d, n)
-        # [s, shift]: the offset in the table of row (s + shift) mod d
-        self.rot = np.add.outer(range(d), range(d)) % d * table.shape[1]
+        self.reads = 1  # entries read per element of a cell
+        if table is not None:
+            self.reads = d
+            # [s, shift]: the offset in the table of row (s + shift) mod d
+            self.rot = np.add.outer(range(d), range(d)) % d * table.shape[1]
 
     def _gather(self, rows, w):
         """R[s, ...] = sum_c table[(s + shift) mod d, w[..., c]]: `rows`
         are rot.take(shifts, axis=1), broadcast against the keys w."""
         return self.table.ravel()[rows + w].sum(axis=-1)
+
+    def _counts(self, w, shifts):
+        """R[..., s] of the cells whose elements have keys w and c.a values
+        `shifts`: arrays of one rank, broadcast together, elements last."""
+        if self.table is not None:
+            rows = self.rot.take(shifts, axis=1)
+            return np.moveaxis(self._gather(rows, w), 0, -1)
+        return _histogram(self.d, w * self.d + shifts)
 
     def weyl_counts(self, gens) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (subspace slice, R[q, o, s]) blocks, R counting the d^(2n)
@@ -346,30 +395,29 @@ class PointCounts:
         `impossible`, checked lazily."""
         gens, _ = _queries(self.d, self.n, gens)
         d, size = self.d, len(self.grid)
-        shifts = self.grid @ self.grid.T % d  # c.o: (outcome, element)
-        o_step = min(size, max(1, CHUNK // (size * d)))
-        q_step = max(1, CHUNK // (size * size * d))  # 1 unless o_step == size
+        shifts = (self.grid @ self.grid.T % d)[None]  # c.o: (1, o, element)
+        o_step = min(size, max(1, CHUNK // (size * self.reads)))
+        q_step = max(1, CHUNK // (size * size * self.reads))
         block = max(1, CHUNK // (size * d))  # subspaces per yielded block
         for b0 in range(0, len(gens), block):
-            w = self.key[_points(d, self.n, gens[b0:b0 + block])]
+            w = self.key[_points(d, self.n, gens[b0:b0 + block])][:, None]
             out = np.empty((len(w), size, d), dtype=np.int64)
             for o0 in range(0, size, o_step):
-                rows = self.rot.take(shifts[o0:o0 + o_step, None], axis=1)
                 for q0 in range(0, len(w), q_step):
-                    out[q0:q0 + q_step, o0:o0 + o_step] = self._gather(
-                        rows, w[q0:q0 + q_step]).transpose(2, 1, 0)
+                    out[q0:q0 + q_step, o0:o0 + o_step] = self._counts(
+                        w[q0:q0 + q_step], shifts[:, o0:o0 + o_step])
             yield slice(b0, b0 + len(w)), out
 
     def uniform(self, points, values) -> np.ndarray:
         """Boolean per cell: whether R is uniform, i.e. <psi|Pi|psi> = 0, at
         the subspace with element points points[q] and outcome values[q]."""
-        step = max(1, CHUNK // (len(self.grid) * self.d))
+        step = max(1, CHUNK // (len(self.grid) * self.reads))
         out = np.empty(len(points), dtype=bool)
         for q0 in range(0, len(points), step):
             qs = slice(q0, q0 + step)
-            rows = self.rot.take(values[qs] @ self.grid.T % self.d, axis=1)
-            counts = self._gather(rows, self.key[points[qs]])
-            out[qs] = (counts == counts[:1]).all(axis=0)
+            counts = self._counts(self.key[points[qs]],
+                                  values[qs] @ self.grid.T % self.d)
+            out[qs] = (counts == counts[:, :1]).all(axis=1)
         return out
 
     def impossible(self, gens, values) -> np.ndarray:

@@ -19,7 +19,8 @@ from stabctx.hidden_vars import proof_stage_positions
 from stabctx.phase_space import context_rows, enumerate_contexts, \
     table1_contexts, table1_rows
 from stabctx.states import PhaseFunctionState
-from stabctx.zmod import MalformedInput, Modulus, ZdPoly
+from stabctx.zmod import MalformedInput, Modulus, ZdPoly, parse_poly
+from test_properties import CENSUS
 
 
 def random_state(rng, d):
@@ -333,19 +334,25 @@ def test_weyl_possibility_matches_impossible_on_sampled_cells(d, count):
 
 
 @pytest.mark.parametrize("chunk", [
-    2 * 5 ** 6,  # ten subspaces per gather, all points in one bincount
-    4 * 5 ** 4,  # twenty outcomes per gather, 100 points per bincount
-    100,  # one outcome per gather, four points per bincount
+    # per gather of the enumerated table; per histogram of the closed form
+    2 * 5 ** 6,  # ten subspaces; every subspace
+    4 * 5 ** 4,  # twenty outcomes; four subspaces
+    100,  # one outcome; four outcomes
 ])
 def test_weyl_counts_split_equals_unsplit(monkeypatch, chunk):
     d = 5
-    st = random_state(random.Random(5), d)
+    j, k = np.indices((d, d))
+    tables = (random_state(random.Random(5), d).phi_table(),  # closed form
+              (j ** 4 * k + k ** 3) % d)  # enumerated
+    assert [kernel.PointCounts(d, tab).table is None
+            for tab in tables] == [True, False]
     keys = [c.canonical_key for c in enumerate_contexts(Modulus(d), 2)[::15]]
-    monkeypatch.setattr(kernel, "CHUNK", len(keys) * d ** 6)
-    whole = weyl(d, st.phi_table(), keys)
-    monkeypatch.setattr(kernel, "CHUNK", chunk)
-    split = weyl(d, st.phi_table(), keys)
-    assert np.array_equal(split, whole)
+    for tab in tables:
+        monkeypatch.setattr(kernel, "CHUNK", len(keys) * d ** 6)
+        whole = weyl(d, tab, keys)
+        monkeypatch.setattr(kernel, "CHUNK", chunk)
+        split = weyl(d, tab, keys)
+        assert np.array_equal(split, whole)
 
 
 D13 = 13
@@ -355,10 +362,10 @@ CUBIC_D13 = np.arange(D13 * D13).reshape(D13, D13) ** 3 % D13
 QUARTIC_D13 = (np.outer(np.arange(D13) ** 4, np.arange(D13)) + CUBIC_D13) % D13
 
 
-def one_subspace_memory(tab, width):
+def one_subspace_memory(tab, has_table):
     """Peak traced memory of building a d = 13 state's PointCounts and
-    reading one subspace's weyl_counts, checked to build a table `width`
-    columns wide."""
+    reading one subspace's weyl_counts, checked to hold an enumerated
+    table or not (the closed form holds none)."""
     tracemalloc.start()
     try:
         counts = kernel.PointCounts(D13, tab)
@@ -366,18 +373,18 @@ def one_subspace_memory(tab, width):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.table.shape == (D13, width)
+    assert (counts.table is not None) == has_table
     # enumeration: d^6 = 4,826,809 point exponents in bincounts of CHUNK or
-    # fewer; both: gathers of CHUNK or fewer counts
+    # fewer; both: gathers of CHUNK or fewer entries
     assert peak < sum(b.nbytes for _, b in blocks) + 48 * kernel.CHUNK
 
 
 def test_one_subspace_memory_bounded_at_d13():
-    one_subspace_memory(CUBIC_D13, 6 * D13)
+    one_subspace_memory(CUBIC_D13, False)
 
 
 def test_one_subspace_memory_bounded_at_d13_enumerated():
-    one_subspace_memory(QUARTIC_D13, D13 ** 4)
+    one_subspace_memory(QUARTIC_D13, True)
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
@@ -402,10 +409,10 @@ def test_point_counts_impossible_equals_per_ket_impossible(d):
     assert verdicts == {True, False}
 
 
-def cell_gathers_memory(tab, width):
+def cell_gathers_memory(tab, has_table):
     """Peak traced memory of building a d = 13 state's PointCounts and
     reading every outcome of one subspace through `impossible`, checked to
-    build a table `width` columns wide."""
+    hold an enumerated table or not (the closed form holds none)."""
     d = D13
     gens, outcomes = every_cell(d, 2, [((1, 0, 0, 0), (0, 0, 0, 1))])
     tracemalloc.start()
@@ -415,20 +422,21 @@ def cell_gathers_memory(tab, width):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.table.shape == (d, width)
+    assert (counts.table is not None) == has_table
+    table = counts.table.nbytes if has_table else 0
     # the table (enumerated: 5.7 CHUNK), then d^3 = 2,197 counts per cell in
     # gathers of CHUNK or fewer, six for these 169 cells: measured 21 CHUNK
-    # more
+    # more; the closed form reads d^2 bins per cell instead
     assert len(gens) * d ** 3 > 5 * kernel.CHUNK
-    assert peak < counts.table.nbytes + 48 * kernel.CHUNK
+    assert peak < table + 48 * kernel.CHUNK
 
 
 def test_cell_gathers_memory_bounded_at_d13():
-    cell_gathers_memory(CUBIC_D13, 6 * D13)
+    cell_gathers_memory(CUBIC_D13, False)
 
 
 def test_cell_gathers_memory_bounded_at_d13_enumerated():
-    cell_gathers_memory(QUARTIC_D13, D13 ** 4)
+    cell_gathers_memory(QUARTIC_D13, True)
 
 
 def test_closed_form_build_memory_per_point_at_d31():
@@ -443,7 +451,7 @@ def test_closed_form_build_memory_per_point_at_d31():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.table.shape == (d, 6 * d)
+    assert counts.table is None
     # measured 20 bytes per point: the int32 differences and their fit,
     # then the key and its float product
     assert peak < 24 * d ** 4
@@ -475,8 +483,9 @@ def enumerated(d, phi_table):
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
 def test_closed_form_equals_enumeration(d):
-    """Expanded through its key, the closed form's table is the enumerated
-    C: on every strong normal form up to d = 11 and a seeded sample at
+    """Expanded through its key, the closed form's counts are the enumerated
+    C, C_w being the histogram reader's spread row at the bin of c.a = 0:
+    on every strong normal form up to d = 11 and a seeded sample at
     d = 13, and on seeded cubics and quadratics with every coefficient
     drawn (rank-1 and M = 0 points beyond Q = 0), plus j*k and 0."""
     rng = random.Random(40 + d)
@@ -489,9 +498,65 @@ def test_closed_form_equals_enumeration(d):
                for coeffs in ({(1, 1): 1}, {})]
     for st in states:
         counts = kernel.PointCounts(d, st.phi_table())
-        assert counts.table.shape == (d, 6 * d), st.phi
-        assert np.array_equal(counts.table[:, counts.key],
+        assert counts.table is None, st.phi
+        bins, spread = kernel._bins(d)
+        assert np.array_equal(spread[bins[counts.key * d]].T,
                               enumerated(d, st.phi_table())), st.phi
+
+
+def histogram_and_gather(d, st):
+    """A closed-form state's point counts, read by class histogram, and
+    their oracle: the same state's counts enumerated at every point, read
+    through the gather."""
+    counts = kernel.PointCounts(d, st.phi_table())
+    assert counts.table is None, st.phi
+    _, phi, _ = kernel._table(d, st.phi_table())
+    return counts, kernel.PointCounts._enumerated(d, phi, 2,
+                                                  np.arange(d ** 4))
+
+
+def route_states(d):
+    """Every strong normal form, and the census's one binary cubic form per
+    splitting type where it has them."""
+    m = Modulus(d)
+    forms = CENSUS[d][:-1] if d in CENSUS else ()
+    return list(strong_normal_forms(d)) + [
+        PhaseFunctionState(m, 2, parse_poly(text, m)) for text in forms]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_histogram_uniform_equals_gather_on_every_cell(d):
+    """`uniform` by class histogram against the gather of the enumerated
+    counts, on every (subspace, outcome) cell."""
+    rows = np.arange(len(context_rows(Modulus(d), 2)))
+    points = np.repeat(kernel.row_points(d, rows), d * d, axis=0)
+    values = np.tile(np.indices((d, d)).reshape(2, -1).T, (len(rows), 1))
+    verdicts = set()
+    for st in route_states(d):
+        counts, oracle = histogram_and_gather(d, st)
+        got = counts.uniform(points, values)
+        assert np.array_equal(got, oracle.uniform(points, values)), st.phi
+        verdicts.update(got.tolist())
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11, 13])
+def test_histogram_weyl_counts_equal_gather(d):
+    """`weyl_counts` by class histogram equals the gather of the enumerated
+    counts, every int64 count of every outcome: on every context up to
+    d = 7, and on sampled contexts beyond."""
+    rng = random.Random(60 + d)
+    rows = context_rows(Modulus(d), 2)
+    states = route_states(d)
+    if d > 7:
+        rows = rows[rng.sample(range(len(rows)), 6)]
+        states = rng.sample(states, 4)
+    for st in states:
+        counts, oracle = histogram_and_gather(d, st)
+        got = np.concatenate([b for _, b in counts.weyl_counts(rows)])
+        want = np.concatenate([b for _, b in oracle.weyl_counts(rows)])
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), st.phi
 
 
 @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),

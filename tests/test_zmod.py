@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import stabctx.zmod
-from stabctx import kernel
+from stabctx import dense, kernel
 from stabctx.born import IncompatibleContext, JointOutcome, ScaleError, \
     build_empirical_model, impossibility_by_psi, \
     master_polynomial, outcome_possibility, psi_type_I
@@ -474,6 +474,14 @@ MALFORMED = {
         0, 0, 0, 0),
     "none_psi_outcome": lambda: impossibility_by_psi(
         PhaseFunctionState(M5, 2, JK5), None),
+    # the dense oracle's entries once raised a bare AttributeError or
+    # TypeError
+    "string_weyl_matrix_point": lambda: dense.weyl_matrix("x"),
+    "string_projector_context": lambda: dense.outcome_projector(
+        "x", (0, 0)),
+    "string_state_vector_poly": lambda: dense.phase_state_vector(M5, "x"),
+    "string_diagonal_gate_modulus": lambda: dense.diagonal_gate("x", None),
+    "string_single_weyl_modulus": lambda: dense.single_weyl("x", 1, 1),
 }
 # Arguments outside a function's scope: each case raises the StabctxError
 # subclass that the function documents.
