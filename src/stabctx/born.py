@@ -210,7 +210,7 @@ def _element_values(d: int, n: int) -> np.ndarray:
     joint outcome o, i.e. o . e = v mod d; o and e are row-major over
     Z_d^n, and the table is the same for every context.  Cached per (d, n),
     so read-only."""
-    grid = np.indices((d,) * n).reshape(n, -1).T
+    grid = kernel._grid(d, n)[0]
     table = ((grid @ grid.T % d)[..., None] == np.arange(d)).astype(float)
     table.flags.writeable = False
     return table
@@ -250,16 +250,6 @@ class EmpiricalModel:
         cells = itertools.product(range(len(self.contexts)), self.outcomes())
         return dict(zip(cells, map(EmpiricalRow, self.possible.ravel().tolist(),
                                    self.probability.ravel().tolist())))
-
-    def row(self, ctx_index: int, values: Sequence[int]) -> EmpiricalRow:
-        d, n = self.state.modulus.d, self.state.n
-        (ctx_index,) = _integers((ctx_index,), "context indices")
-        values = _integers(values, "outcome values")
-        if not 0 <= ctx_index < len(self.contexts) or len(values) != n:
-            raise MalformedInput(f"no cell ({ctx_index}, {values}) in model")
-        col = np.ravel_multi_index(np.mod(values, d), (d,) * n)
-        return EmpiricalRow(bool(self.possible[ctx_index, col]),
-                            float(self.probability[ctx_index, col]))
 
     def outcomes(self) -> list[tuple[int, ...]]:
         d = self.state.modulus.d

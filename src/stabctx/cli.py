@@ -235,9 +235,10 @@ def cmd_selftest(args) -> int:
         proj = dense.outcome_projector(ctx, outcome.values)
         vec = dense.phase_state_vector(m, st.phi)
         dense_prob = float(np.linalg.norm(proj @ vec) ** 2)
-        counted = build_empirical_model(st, [ctx]).row(0, outcome.values)
+        a, b = outcome.values  # the model's column a * d + b
+        counted = build_empirical_model(st, [ctx]).probability[0, a * 3 + b]
         agree &= enumerated == cell == psi == (dense_prob > 1e-18)
-        probs_agree &= abs(counted.probability - dense_prob) <= 1e-12
+        probs_agree &= abs(counted - dense_prob) <= 1e-12
     check("possibility routes agree (40 random cases)", agree)
     check("counted and dense probabilities agree (40 random cases)",
           probs_agree)

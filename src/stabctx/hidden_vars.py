@@ -52,11 +52,6 @@ class InfeasibleModel(StabctxError):
     """The contextual-fraction LP rejected the model's probabilities."""
 
 
-def _lam_array(d: int, n: int) -> np.ndarray:
-    """All d^(2n) lam as rows of one int32 array, in lexicographic order."""
-    return np.indices((d,) * (2 * n), dtype=np.int32).reshape(2 * n, -1).T
-
-
 # -- linearity forcing (two-qudit identities) ---------------------------------
 
 def proof_chain_identities(m: Modulus):
@@ -521,7 +516,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
         else ("proof", "table1", "full") if normalize and rep.is_strong \
         else ("table1", "full")
     d = state.modulus.d
-    lams = _lam_array(d, 2)
+    lams = kernel._grid(d, 4)[0]  # every lam, in lexicographic order
     # the certificate's columns, filled block by block; allocated after
     # the scanner, they raised the peak RSS at d = 23 by 9 MiB
     stage = np.empty(len(lams), dtype=np.int8)
@@ -576,12 +571,12 @@ def _cell_dtype(cells: int) -> type:
 def _prescribed_cells(d: int, keys: np.ndarray) -> np.ndarray:
     """cells[c, l] = c * d^n + o, where o (row-major over Z_d^n, the column
     order of `EmpiricalModel`'s arrays) is the outcome the l-th lam, in
-    `_lam_array` order, prescribes on the basis keys[c] of a
+    `kernel._grid` order, prescribes on the basis keys[c] of a
     (contexts, n, 2n) key array such as `EmpiricalModel.keys`.  With lam =
     (hi, lo), key . lam is key[:n] . hi + key[n:] . lo: one outer sum."""
     count, n = keys.shape[:2]
     keys = keys.reshape(count, n, 2, n)
-    halves = (keys @ np.indices((d,) * n).reshape(n, -1) % d).astype(
+    halves = (keys @ kernel._grid(d, n)[0].T % d).astype(
         np.min_scalar_type(2 * d))  # (context, element, hi or lo, half index)
     cells = np.repeat(np.arange(count, dtype=_cell_dtype(count * d ** n)),
                       d ** (2 * n)).reshape(count, d ** n, d ** n)
@@ -657,6 +652,6 @@ def contextual_fraction(model: EmpiricalModel) -> ContextualFraction:
     if res.status != 0:
         raise InfeasibleModel(f"LP failed: {res.message}")
     cf = min(max(1.0 - float(res.x.sum()), 0.0), 1.0)
-    lams = map(tuple, _lam_array(m.d, n)[keep].tolist())
+    lams = map(tuple, kernel._grid(m.d, 2 * n)[0][keep].tolist())
     weights = {lam: w for lam, w in zip(lams, res.x.tolist()) if w > 1e-9}
     return ContextualFraction(cf, weights)

@@ -47,7 +47,6 @@ are.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections.abc import Iterator
 
@@ -114,10 +113,11 @@ def _table(d, phi_table):
 
 @functools.lru_cache
 def _grid(d, n):
-    """Z_d^n row-major (element coefficients, kets, points and outcomes) and
-    the place values that give a point's row-major index, read-only."""
-    grid = np.array(list(itertools.product(range(d), repeat=n)),
-                    dtype=np.int32)
+    """Z_d^n row-major, C-contiguous (element coefficients, kets, points,
+    outcomes, and the lam of the scan and the LP), and the place values
+    that give a point's row-major index, read-only: the one array
+    enumeration of Z_d^n that the engine, `born` and `hidden_vars` read."""
+    grid = np.indices((d,) * n, dtype=np.int32).reshape(n, -1).T.copy()
     place = d ** np.arange(n - 1, -1, -1, dtype=np.int32)
     grid.flags.writeable = place.flags.writeable = False
     return grid, place
@@ -145,12 +145,22 @@ def _row_points(d, sid):
     return points
 
 
-def row_points(d: int, sids: np.ndarray) -> np.ndarray:
+def row_points(d: int, sids) -> np.ndarray:
     """`_points` of rows `sids` of `context_rows(Modulus(d), 2)`, each computed
     once per d, when first asked; kept one by one, as rows scattered over one
     array would each pull in a whole huge page.  Each is a read-only value
-    of `_row_points`' cache, which threads share as is."""
-    return np.array([_row_points(d, s) for s in sids.tolist()], np.int32)
+    of `_row_points`' cache, which threads share as is.  `sids` must be a
+    flat sequence of integers in range(len(context_rows(Modulus(d), 2)))."""
+    count = len(context_rows(Modulus(d), 2))
+    try:
+        sids = np.asarray(sids)
+    except ValueError:  # ragged
+        raise MalformedQuery("expected a flat sequence of row ids") from None
+    ids = sids.tolist()
+    if sids.ndim != 1 or ids and (sids.dtype.kind not in "iu"
+                                  or not 0 <= min(ids) <= max(ids) < count):
+        raise MalformedQuery(f"row ids must be integers in range({count})")
+    return np.array([_row_points(d, s) for s in ids], np.int32)
 
 
 def _point_counts(d, phi, grid, place, points):
@@ -212,23 +222,21 @@ def _quadratics(d):
     (6, d^2) of the quadratics through SIX; the weights (6, 6) that take
     values at SIX to coefficients in monomial order; the Legendre symbol
     and the inverses (both 0 at 0); and the classes' counts K (6, d), K[k, u]
-    counting the values u of class k's quadratics, up to their shift.
-
-    The monomials and the basis are floats, for BLAS products that stay
-    exact: every sum below is of six products of a monomial (< d^2) and a
-    residue, and float32 holds every integer below 2^24."""
+    counting the values u of class k's quadratics, up to their shift.  The
+    monomials, basis and weights are int32, as are the products taken with
+    them: a fit sums six products of residues, below 6d^2, and a key six
+    products of a monomial (< d^2) and a residue, below 6d^3."""
     h = (d + 1) // 2
     j, k = _grid(d, 2)[0].T
-    exact = np.float32 if 6 * d ** 3 < 1 << 24 else np.float64
-    mono = np.array([j * j, j * k, k * k, j, k, np.ones_like(j)])
+    mono = np.stack([j * j, j * k, k * k, j, k, np.ones_like(j)], axis=1)
     # rows: the values at SIX; columns: A, B, C, l1, l2, g00
     weights = np.array([[h, 1, h, -1 - h, -1 - h, 1],
                         [-1, -1, 0, 2, 0, 0],
                         [0, -1, -1, 0, 2, 0],
                         [h, 0, 0, -h, 0, 0],
                         [0, 0, h, 0, -h, 0],
-                        [0, 1, 0, 0, 0, 0]]) % d
-    basis = (weights @ mono % d).astype(exact)
+                        [0, 1, 0, 0, 0, 0]], dtype=np.int32) % d
+    basis = weights @ mono.T % d
     eta = np.array([0] + [1 if pow(x, (d - 1) // 2, d) == 1 else -1
                           for x in range(1, d)])
     inverse = np.array([pow(x, d - 2, d) for x in range(d)])
@@ -236,11 +244,17 @@ def _quadratics(d):
     classes = np.array([d - 1 + d * zero, d + 1 - d * zero,
                         d * (1 + eta), d * (1 - eta),
                         np.full(d, d), d * d * zero])  # (class, u)
-    constants = (j, k, mono.T.astype(exact), basis, weights, eta, inverse,
-                 classes)
+    constants = (j, k, mono, basis, weights, eta, inverse, classes)
     for array in constants:
         array.flags.writeable = False
     return constants
+
+
+def _product(a, b):
+    """a @ b of int32 matrices whose inner dimension is six, in int32:
+    einsum's sum of products runs about 4x faster here than numpy's
+    integer matmul, which has no BLAS to call."""
+    return np.einsum("ij,jk->ik", a, b)
 
 
 def _closed_form(d, phi):
@@ -270,7 +284,7 @@ def _closed_form(d, phi):
     g = g.reshape(d * d, d * d)
     g %= d
     six = g[:, [a * d + b for a, b in SIX]]
-    fit = (six.astype(basis.dtype) @ basis).astype(np.int32)
+    fit = _product(six, basis)
     fit %= d
     if (fit != g).any():
         return None
@@ -287,7 +301,7 @@ def _closed_form(d, phi):
     lin1, lin2 = 2 * c11 * l1 + c12 * l2, c12 * l1 + 2 * c22 * l2
     coef = np.array([-c11, -c12, -c22, -lin1 - h * j, -lin2 - h * k,
                      g00 - h * (lin1 * l1 + lin2 * l2)]) % d
-    key = (mono @ coef.astype(mono.dtype)).astype(np.int32)
+    key = _product(mono, coef.astype(np.int32))
     key %= d
     cls = np.where(rank2, RANK2, np.where(lam != 0, RANK1, UNIFORM)) + (
         np.where(rank2, eta[-D % d], eta[lam]) < 0)

@@ -112,8 +112,7 @@ class ZdPoly:
     Coefficients are stored canonically: keys are exponent tuples of length
     num_vars, values are nonzero residues in 1..d-1.  Both are read as
     integers (numpy ones become ints), and exponents must be >= 0.
-    Exponents are kept as written (x^d is not folded to x eagerly); use
-    :meth:`fermat_reduce` when the reduced functional form is wanted.
+    Exponents are kept as written: x^d is not folded to x.
     """
 
     modulus: Modulus
@@ -233,15 +232,6 @@ class ZdPoly:
         tuple descending lexicographically."""
         return iter(sorted(self.coeffs.items(),
                            key=lambda t: (-sum(t[0]), tuple(-e for e in t[0]))))
-
-    def fermat_reduce(self) -> "ZdPoly":
-        """Fold exponents by x^d = x, giving the reduced functional form."""
-        d = self.modulus.d
-        acc: dict[tuple[int, ...], int] = {}
-        for exps, c in self.coeffs.items():
-            key = tuple(e if e < d else (e - 1) % (d - 1) + 1 for e in exps)
-            acc[key] = (acc.get(key, 0) + c) % d
-        return ZdPoly(self.modulus, self.num_vars, acc)
 
     # -- evaluation and substitution ----------------------------------------
 

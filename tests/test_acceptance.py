@@ -24,7 +24,6 @@ from stabctx.born import (
     psi_type_III,
 )
 from stabctx.hidden_vars import (
-    _lam_array,
     check_linearity_forcing,
     contextual_fraction,
     decide_strong_contextuality,
@@ -330,7 +329,7 @@ def test_criterion_11_linearity_suite():
     m = Modulus(5)
     points = list(itertools.product(range(5), repeat=4))
     ok = True
-    for lam in _lam_array(5, 2):  # lam . p over every point p
+    for lam in kernel._grid(5, 4)[0]:  # lam . p over every point p
         table = dict(zip(points, (np.array(points) @ lam % 5).tolist()))
         if not check_linearity_forcing(m, table):
             ok = False

@@ -316,28 +316,16 @@ class TestEmpiricalModel:
         assert rows is model.rows  # built once
         for (ci, o), row in rows.items():
             col = o[0] * 3 + o[1]
-            assert row == model.row(ci, o)
             assert row.possible == model.possible[ci, col]
             assert row.probability == model.probability[ci, col]
 
-    def test_row_rejects_cells_outside_the_model(self):
+    def test_marginal_rejects_contexts_outside_the_model(self):
         m = Modulus(3)
         model = build_empirical_model(state(3, "j^2*k"), table1_contexts(m))
-        assert model.row(0, (4, -1)) == model.row(0, (1, 2))
-        for ci, values in ((len(model.contexts), (0, 0)), (-1, (0, 0)),
-                           (0, (0,)), (0, (0, 0, 0))):
-            with pytest.raises(MalformedInput):
-                model.row(ci, values)
         point = PhasePoint(m, 2, model.contexts[-1].elements[1])
         for ci in (-1, len(model.contexts)):
             with pytest.raises(MalformedInput):
                 model.marginal(ci, point, 0)
-
-    def test_row_rejects_non_integer_outcome(self):
-        model = build_empirical_model(state(3, "j^2*k"),
-                                      table1_contexts(Modulus(3)))
-        with pytest.raises(MalformedInput):
-            model.row(0, (1.5, 0))
 
     def test_marginal_rejects_non_integer_value(self):
         m = Modulus(3)

@@ -25,6 +25,8 @@ D7_DIGESTS = json.loads((DATA / "d7_model_sha256.json").read_text())
 CSV_TABLE1_DIGESTS = json.loads(
     (DATA / "model_csv_table1_sha256.json").read_text())
 CERTIFY_DIGESTS = json.loads((DATA / "certify_sha256.json").read_text())
+CLOSED_FORM_DIGESTS = json.loads(
+    (DATA / "closed_form_sha256.json").read_text())
 ENUMERATED_DIGESTS = json.loads(
     (DATA / "enumerated_sha256.json").read_text())
 
@@ -308,6 +310,18 @@ class TestArtifactDigests:
             assert code == (2 if case.startswith("witness") else 0)
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             assert digest == ref[strategy], strategy
+
+    @pytest.mark.parametrize("case", sorted(CLOSED_FORM_DIGESTS))
+    def test_closed_form_certificates(self, capsys, tmp_path, case):
+        """A witness certificate above d = 13, from the closed form's
+        integer keys, keeps the bytes recorded while they were built by
+        float products."""
+        ref = CLOSED_FORM_DIGESTS[case]
+        path = tmp_path / case
+        code, _, _ = run(capsys, *ref["argv"], "--output", str(path))
+        assert code == ref["exit"]
+        assert path.stat().st_size == ref["bytes"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == ref["sha256"]
 
     @pytest.mark.parametrize("case", sorted(WRITER_DIGESTS))
     def test_writer_artifacts(self, capsys, tmp_path, case):

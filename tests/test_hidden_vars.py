@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from stabctx import hidden_vars, phase_space
+from stabctx import hidden_vars, kernel, phase_space
 from stabctx.born import JointOutcome, build_empirical_model, \
     outcome_possibility
 from stabctx.hidden_vars import (
@@ -45,25 +45,27 @@ def linear_table(m, lam):
 
 
 class TestEnumerate:
-    """Every lam is a row of `_lam_array`, the scan's and the LP's list."""
+    """Every lam is a row of `kernel._grid(d, 4)[0]`, the scan's and the
+    LP's list."""
 
     def test_counts(self):
-        assert hidden_vars._lam_array(3, 2).shape == (81, 4)
-        assert hidden_vars._lam_array(5, 2).shape == (625, 4)
+        assert kernel._grid(3, 4)[0].shape == (81, 4)
+        assert kernel._grid(5, 4)[0].shape == (625, 4)
 
     def test_zero_first_and_deterministic(self):
-        lams = hidden_vars._lam_array(3, 2)
+        lams = kernel._grid(3, 4)[0]
         assert lams[0].tolist() == [0, 0, 0, 0]
         assert lams[1].tolist() == [0, 0, 0, 1]
         assert lams.tolist() == [list(lam) for lam
                                  in itertools.product(range(3), repeat=4)]
-        assert np.array_equal(lams, hidden_vars._lam_array(3, 2))
+        assert lams.flags.c_contiguous and not lams.flags.writeable
+        assert lams.dtype == np.int32
 
 
 class TestLinearityForcing:
     def test_all_linear_pass_d3(self):
         m = Modulus(3)
-        for lam in hidden_vars._lam_array(3, 2).tolist():
+        for lam in kernel._grid(3, 4)[0].tolist():
             assert check_linearity_forcing(m, linear_table(m, lam))
 
     def test_square_candidate_fails(self):
@@ -261,7 +263,7 @@ class TestDecide:
     def test_certificate_covers_all_hidden_variables(self):
         cert = decide_strong_contextuality(state(3, "j^2*k"))
         lams = [r.lam for r in cert.refutations]
-        assert lams == list(map(tuple, hidden_vars._lam_array(3, 2).tolist()))
+        assert lams == list(map(tuple, kernel._grid(3, 4)[0].tolist()))
 
     def test_refutations_built_on_request(self):
         cert = decide_strong_contextuality(state(3, "j^2*k + j*k^2"))
@@ -446,7 +448,7 @@ class TestContextualFraction:
         contexts = table1_contexts(m) if family == "table1" \
             else enumerate_contexts(m, 2)
         outcomes = list(itertools.product(range(3), repeat=2))
-        lams = hidden_vars._lam_array(3, 2).tolist()
+        lams = kernel._grid(3, 4)[0].tolist()
         expected = np.zeros((len(contexts) * 9, len(lams)))
         for ci, ctx in enumerate(contexts):
             for li, lam in enumerate(lams):

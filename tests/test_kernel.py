@@ -452,8 +452,8 @@ def test_closed_form_build_memory_per_point_at_d31():
     finally:
         tracemalloc.stop()
     assert counts.table is None
-    # measured 20 bytes per point: the int32 differences and their fit,
-    # then the key and its float product
+    # measured 13 bytes per point, at the rank-1 test: the int32 key
+    # beside that test's int32 sums and their bool mask
     assert peak < 24 * d ** 4
 
 
@@ -502,6 +502,30 @@ def test_closed_form_equals_enumeration(d):
         bins, spread = kernel._bins(d)
         assert np.array_equal(spread[bins[counts.key * d]].T,
                               enumerated(d, st.phi_table())), st.phi
+
+
+@pytest.mark.parametrize("d", [17, 23])
+def test_closed_form_equals_enumeration_at_large_d(d):
+    """As above, at d = 17 and 23, where the closed form's integer sums are
+    largest: on a strong normal form and a cubic form with points of every
+    class, at a seeded sample of up to 50 points of each class."""
+    m = Modulus(d)
+    rng = np.random.default_rng(d)
+    bins, spread = kernel._bins(d)
+    classes = set()
+    for text in ("j^2*k + 3*j*k^2", "j^3 + j^2*k + j*k^2"):
+        table = PhaseFunctionState(m, 2, parse_poly(text, m)).phi_table()
+        counts = kernel.PointCounts(d, table)
+        assert counts.table is None, text
+        cls = counts.key // d
+        points = np.concatenate([rng.permutation(np.flatnonzero(cls == c))[:50]
+                                 for c in range(6)])
+        classes.update(cls[points].tolist())
+        _, phi, _ = kernel._table(d, table)
+        assert np.array_equal(
+            spread[bins[counts.key[points] * d]].T,
+            kernel._point_counts(d, phi, *kernel._grid(d, 2), points)), text
+    assert classes == set(range(6))
 
 
 def histogram_and_gather(d, st):
@@ -609,6 +633,7 @@ def test_row_points_cache_every_row_and_only_rows_asked(d):
     every = np.arange(len(rows))
     assert np.array_equal(kernel.row_points(d, every), want)
     assert kernel._row_points.cache_info().currsize == len(rows)
+    assert np.array_equal(kernel.row_points(d, asked.tolist()), got)
     with pytest.raises(ValueError):  # the cached rows are read-only
         kernel._row_points(d, 0)[0] = 0
 

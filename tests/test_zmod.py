@@ -130,12 +130,6 @@ class TestRingOps:
             for k in range(5):
                 assert sub.evaluate((j, k)) == phi.evaluate(((2 - k) % 5, (j + 1) % 5))
 
-    def test_fermat_reduce(self):
-        m = Modulus(3)
-        p = poly1(m, (3, 1), (1, 1))  # x^3 + x acts as 2x
-        r = p.fermat_reduce()
-        assert r.coeffs == {(1,): 2}
-
 
 class TestTextForm:
     def test_round_trip_canonical(self):
@@ -404,9 +398,16 @@ MALFORMED = {
     "float_point": lambda: parse_poly("j*k", Modulus(5)).evaluate((1.5, 2)),
     "ragged_engine_query": lambda: kernel.impossible(
         5, np.zeros((5, 5), dtype=int), [((1, 0, 0, 0), (0, 0, 1))], [(0, 0)]),
+    # row ids once raised AttributeError (a list), TypeError (floats) or
+    # IndexError (outside the 156 rows at d = 5)
+    "float_row_ids": lambda: kernel.row_points(5, np.array([1.0])),
+    "negative_row_id": lambda: kernel.row_points(5, np.array([-1])),
+    "row_id_past_rows": lambda: kernel.row_points(5, np.array([156])),
+    "huge_row_id": lambda: kernel.row_points(5, np.array([10 ** 6])),
+    "bool_row_ids": lambda: kernel.row_points(5, np.array([True])),
+    "nested_row_ids": lambda: kernel.row_points(5, [[0]]),
+    "ragged_row_ids": lambda: kernel.row_points(5, [[0], [1, 2]]),
     "float_state_qudit_count": lambda: PhaseFunctionState(M5, 2.0, JK5),
-    "float_context_index": lambda: model3().row(1.5, (0, 0)),
-    "string_context_index": lambda: model3().row("1", (0, 0)),
     "float_marginal_context_index": lambda: model3().marginal(
         1.5, PhasePoint(M3, 2, (1, 0, 0, 0)), 0),
     "float_kernel_modulus": lambda: kernel.PointCounts(
