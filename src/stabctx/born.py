@@ -210,8 +210,7 @@ def _element_values(d: int, n: int) -> np.ndarray:
     joint outcome o, i.e. o . e = v mod d; o and e are row-major over
     Z_d^n, and the table is the same for every context.  Cached per (d, n),
     so read-only."""
-    grid = kernel._grid(d, n)[0]
-    table = ((grid @ grid.T % d)[..., None] == np.arange(d)).astype(float)
+    table = (kernel._dots(d, n)[..., None] == np.arange(d)).astype(float)
     table.flags.writeable = False
     return table
 

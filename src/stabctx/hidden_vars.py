@@ -435,9 +435,10 @@ class _Scanner:
         qid = (sid.astype(np.int64) * d + ab[..., 0]) * d + ab[..., 1]
         new = self.known[qid] < 0
         if new.any():
-            todo, first = np.unique(qid[new], return_index=True)
-            self.known[todo] = self.counts.uniform(
-                kernel.row_points(d, sid[new][first]), ab[new][first])
+            todo = np.unique(qid[new])
+            rows, outcomes = np.divmod(todo, d * d)
+            self.known[todo] = self.counts.uniform(kernel.row_points(d, rows),
+                                                   outcomes)
         return self.known[qid] == 1
 
     def scan(self, lams: np.ndarray, stage: np.ndarray, where: np.ndarray,
@@ -571,12 +572,13 @@ def _cell_dtype(cells: int) -> type:
 def _prescribed_cells(d: int, keys: np.ndarray) -> np.ndarray:
     """cells[c, l] = c * d^n + o, where o (row-major over Z_d^n, the column
     order of `EmpiricalModel`'s arrays) is the outcome the l-th lam, in
-    `kernel._grid` order, prescribes on the basis keys[c] of a
+    `kernel._grid` order, prescribes on the basis keys[c] of a reduced
     (contexts, n, 2n) key array such as `EmpiricalModel.keys`.  With lam =
-    (hi, lo), key . lam is key[:n] . hi + key[n:] . lo: one outer sum."""
+    (hi, lo), key . lam is key[:n] . hi + key[n:] . lo: one outer sum of
+    two rows of `kernel._dots`, at the key halves' row-major ids."""
     count, n = keys.shape[:2]
-    keys = keys.reshape(count, n, 2, n)
-    halves = (keys @ kernel._grid(d, n)[0].T % d).astype(
+    ids = keys.reshape(count, n, 2, n) @ kernel._grid(d, n)[1]
+    halves = kernel._dots(d, n)[ids].astype(
         np.min_scalar_type(2 * d))  # (context, element, hi or lo, half index)
     cells = np.repeat(np.arange(count, dtype=_cell_dtype(count * d ** n)),
                       d ** (2 * n)).reshape(count, d ** n, d ** n)

@@ -12,36 +12,35 @@ coordinates (P, Q), one root of unity omega^e with
 The production engine is `PointCounts`.  Pairing with the state adds
 -Phi(J) to e, and with E_w(J) = e - Phi(J) + sum_i c_i a_i, sum_J
 omega^E_w(J) = d^n <psi|W(w)|psi> is the state's characteristic function
-at w = (P, Q).  Counted once per state as C_w, it gives the counts R[s] =
-sum_c C_(c.g)[s + c.a] of the roots of d^(2n) <psi|Pi|psi>, and since d is
-prime the outcome is impossible iff R is uniform.  Its readers serve
-empirical models (`weyl_counts`) and the hidden-variable scan (`uniform`) at
-a subspace's element points, cached per `context_rows` row (`row_points`).
+at w = (P, Q).  Counted once per state as C_w at every phase point, it
+gives the counts R[s] = sum_c C_(c.g)[s + c.a] of the roots of d^(2n)
+<psi|Pi|psi>; d being prime, the outcome is impossible iff R is uniform.
+Its readers, `weyl_counts` (empirical models) and `uniform` (the scan, at
+element points cached per `context_rows` row by `row_points`), take a cell
+as (element points, row-major outcome id o), c.a being row o of `_dots`.
 For two qudits and deg Phi <= 3, E_w is a quadratic in J, and
-`_closed_form` gives each point a class (one of six count patterns K) and a
-shift h from six values of each difference Phi(J - Q) - Phi(J) and the
+`_closed_form` gives each point a class (one of six count patterns K) and
+a shift h from six values of each difference Phi(J - Q) - Phi(J) and the
 classical count of a quadratic's values: C_w[t] = K[class, (t - h) mod d].
-A cell's elements then fall into 6d bins (class, (c.a - h) mod d), and
-`_histogram` reads R as the bin counts N times one per-d (6d, d) matrix of
-the K rows turned by each bin's u: about d^2 work per two-qudit cell.  The
-product is taken in int64 and is exact, as every R[s] is at most d^4.  Any
-other table (deg Phi > 3, or one qudit) is enumerated by `_point_counts`
-and read by `_gather`, d values per element.  The same enumeration, run
-only at the distinct points of the asked subspaces and read through the
-gather, is `impossible`, the oracle that `born.outcome_possibility`,
-`selftest` and the tests ask; being enumerated for every table, it also
-checks the closed form and its reader.  This module is the only place the
-exponent is written out: by `_point_counts`, and in closed form by
-`_closed_form`.
+`_histogram` reads R from a cell's 6d bins (class, (c.a - h) mod d) times
+one per-d (6d, d) matrix of turned K rows, in int64 and exact (every R[s]
+is at most d^4): about d^2 work per two-qudit cell.  Any other table (deg
+Phi > 3, or one qudit) is enumerated by `_point_counts` and gathered by
+`_read`, d values per element.  `impossible`, the oracle that
+`born.outcome_possibility`, `selftest` and the tests ask, runs the same
+enumeration at the asked subspaces' distinct points alone, read by the
+same chunked `_uniform`; enumerated for every table, it also checks the
+closed form.  This module is the only place the exponent is written out:
+by `_point_counts`, and in closed form by `_closed_form`.
 
 Every input must be integer and is reduced mod d on entry, so any integers
-that mean the same thing mod d give the same answer (`uniform` takes them
-reduced, from `impossible` and the scan).  Exponents, gathered entries and
-binned elements come in chunks of at most CHUNK, and the enumeration's
-(coordinate, ket) tables hold no more entries than CHUNK or the counts they
-build, so working memory stays bounded at any d.  Every per-d cache here is
-a `functools.lru_cache` of read-only arrays, so threads share them as they
-are.
+that mean the same thing mod d give the same answer (`uniform` takes
+reduced points and ids, from `impossible` and the scan).  Exponents,
+gathered entries, binned elements and `_dots`' products come in chunks of
+at most CHUNK, and the enumeration's (coordinate, ket) tables hold no more
+entries than CHUNK or the counts they build, so working memory stays
+bounded at any d.  Every per-d cache here is a `functools.lru_cache` of
+read-only arrays, so threads share them as they are.
 """
 
 from __future__ import annotations
@@ -121,6 +120,19 @@ def _grid(d, n):
     place = d ** np.arange(n - 1, -1, -1, dtype=np.int32)
     grid.flags.writeable = place.flags.writeable = False
     return grid, place
+
+
+@functools.lru_cache
+def _dots(d, n):
+    """c.o mod d over `_grid(d, n)` (element c, outcome o), read-only, in
+    np.min_scalar_type(d), from CHUNK int32 products at a time."""
+    grid = _grid(d, n)[0]
+    out = np.empty((len(grid), len(grid)), dtype=np.min_scalar_type(d))
+    step = max(1, CHUNK // len(grid))
+    for r0 in range(0, len(grid), step):
+        out[r0:r0 + step] = grid[r0:r0 + step] @ grid.T % d
+    out.flags.writeable = False
+    return out
 
 
 def _points(d, n, gens):
@@ -350,114 +362,101 @@ def _histogram(d, index):
     return n.reshape(*cells, 6 * d) @ spread
 
 
-class PointCounts:
-    """One state's point counts, built once for two readers of a cell's
-    R[s] = sum_c C_(c.g)[(s + c.a) mod d], CHUNK entries at a time.
+def _read(d, table, w, shifts):
+    """R[..., s] of the cells whose elements have keys w and c.o values
+    `shifts` (arrays of one rank, broadcast, elements last): by `_histogram`
+    without a table, else R[s] = sum_c table[(s + shift) mod d, w_c]."""
+    if table is None:
+        return _histogram(d, w * d + shifts)
+    rot = np.add.outer(range(d), range(d)) % d * table.shape[1]  # [s, shift]
+    return np.moveaxis(table.ravel()[rot.take(shifts, axis=1) + w].sum(-1),
+                       0, -1)
 
-    Each phase point w has one int32 key.  For n = 2 and deg Phi <= 3
-    `_closed_form` builds d^4 keys (59 KB at d = 11), class * d + shift, and
-    `_histogram` reads a cell from its d^2 elements' bins (class, (c.a -
-    shift) mod d): no table, and d^2 work per cell.  Otherwise
-    `_point_counts` enumerates C into `table` (d, d^(2n)), d^(2n+1) counts of
-    one or two bytes (161 KB at d = 11), key = arange, and `_gather` reads
-    the d values of each element, d^3 work per two-qudit cell;
-    `_enumerated` holds C at given points alone."""
+
+def _uniform(d, n, key, table, points, outcomes):
+    """Boolean per cell: whether R is uniform, i.e. <psi|Pi|psi> = 0, for
+    element keys key[points[q]] and outcome id outcomes[q] (its row of
+    `_dots`), read by `_read` per chunk of CHUNK or fewer entries."""
+    dots = _dots(d, n)
+    step = max(1, CHUNK // (len(dots) * (1 if table is None else d)))
+    out = np.empty(len(points), dtype=bool)
+    for q0 in range(0, len(points), step):
+        qs = slice(q0, q0 + step)
+        counts = _read(d, table, key[points[qs]], dots[outcomes[qs]])
+        out[qs] = (counts == counts[:, :1]).all(axis=1)
+    return out
+
+
+class PointCounts:
+    """One state's counts C_w at every phase point w, built once, held as
+    one int32 key per point.  For n = 2 and deg Phi <= 3 `_closed_form`
+    builds d^4 keys (59 KB at d = 11), class * d + shift, and no table: d^2
+    work per cell.  Otherwise `_point_counts` enumerates C into `table` (d,
+    d^(2n)), counts of one or two bytes (161 KB at d = 11), key = arange,
+    and `_read` gathers d values per element: d^3 work per two-qudit cell."""
 
     def __init__(self, d: int, phi_table):
         d, phi, n = _table(d, phi_table)
-        key, table = (_closed_form(d, phi) if n == 2 else None), None
-        if key is None:
-            key = np.arange(d ** (2 * n), dtype=np.int32)
-            table = _point_counts(d, phi, *_grid(d, n), key)
-        self._hold(d, n, key, table)
-
-    @classmethod
-    def _enumerated(cls, d, phi, n, points):
-        """Counts enumerated at `points` alone, points[i] under key i: what
-        the module's `impossible` reads, for a phi already reduced."""
-        self = cls.__new__(cls)
-        self._hold(d, n, np.arange(len(points), dtype=np.int32),
-                   _point_counts(d, phi, *_grid(d, n), points))
-        return self
-
-    def _hold(self, d, n, key, table):
-        self.d, self.n, self.key, self.table = d, n, key, table
-        self.grid, self.place = _grid(d, n)
-        self.reads = 1  # entries read per element of a cell
-        if table is not None:
-            self.reads = d
-            # [s, shift]: the offset in the table of row (s + shift) mod d
-            self.rot = np.add.outer(range(d), range(d)) % d * table.shape[1]
-
-    def _gather(self, rows, w):
-        """R[s, ...] = sum_c table[(s + shift) mod d, w[..., c]]: `rows`
-        are rot.take(shifts, axis=1), broadcast against the keys w."""
-        return self.table.ravel()[rows + w].sum(axis=-1)
-
-    def _counts(self, w, shifts):
-        """R[..., s] of the cells whose elements have keys w and c.a values
-        `shifts`: arrays of one rank, broadcast together, elements last."""
-        if self.table is not None:
-            rows = self.rot.take(shifts, axis=1)
-            return np.moveaxis(self._gather(rows, w), 0, -1)
-        return _histogram(self.d, w * self.d + shifts)
+        self.d, self.n, self.table = d, n, None
+        self.key = _closed_form(d, phi) if n == 2 else None
+        if self.key is None:
+            self.key = np.arange(d ** (2 * n), dtype=np.int32)
+            self.table = _point_counts(d, phi, *_grid(d, n), self.key)
 
     def weyl_counts(self, gens) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (subspace slice, R[q, o, s]) blocks, R counting the d^(2n)
         roots of d^(2n) <psi|Pi|psi> equal to omega^s, Pi the projector of
         subspace q's outcome o (row-major over Z_d^n).  Generators as for
-        `impossible`, checked lazily."""
+        `impossible`, checked lazily.  Keys (q, 1, element) broadcast
+        against `_dots` (1, o, element)."""
         gens, _ = _queries(self.d, self.n, gens)
-        d, size = self.d, len(self.grid)
-        shifts = (self.grid @ self.grid.T % d)[None]  # c.o: (1, o, element)
-        o_step = min(size, max(1, CHUNK // (size * self.reads)))
-        q_step = max(1, CHUNK // (size * size * self.reads))
+        d, dots = self.d, _dots(self.d, self.n)[None]
+        size = dots.shape[-1]
+        reads = 1 if self.table is None else d  # entries read per element
+        o_step = min(size, max(1, CHUNK // (size * reads)))
+        q_step = max(1, CHUNK // (size * size * reads))
         block = max(1, CHUNK // (size * d))  # subspaces per yielded block
         for b0 in range(0, len(gens), block):
             w = self.key[_points(d, self.n, gens[b0:b0 + block])][:, None]
             out = np.empty((len(w), size, d), dtype=np.int64)
             for o0 in range(0, size, o_step):
                 for q0 in range(0, len(w), q_step):
-                    out[q0:q0 + q_step, o0:o0 + o_step] = self._counts(
-                        w[q0:q0 + q_step], shifts[:, o0:o0 + o_step])
+                    out[q0:q0 + q_step, o0:o0 + o_step] = _read(
+                        d, self.table, w[q0:q0 + q_step],
+                        dots[:, o0:o0 + o_step])
             yield slice(b0, b0 + len(w)), out
 
-    def uniform(self, points, values) -> np.ndarray:
-        """Boolean per cell: whether R is uniform, i.e. <psi|Pi|psi> = 0, at
-        the subspace with element points points[q] and outcome values[q]."""
-        step = max(1, CHUNK // (len(self.grid) * self.reads))
-        out = np.empty(len(points), dtype=bool)
-        for q0 in range(0, len(points), step):
-            qs = slice(q0, q0 + step)
-            counts = self._counts(self.key[points[qs]],
-                                  values[qs] @ self.grid.T % self.d)
-            out[qs] = (counts == counts[:, :1]).all(axis=1)
-        return out
+    def uniform(self, points, outcomes) -> np.ndarray:
+        """Boolean per cell: whether <psi|Pi|psi> = 0 at element points
+        points[q] and row-major outcome id outcomes[q]."""
+        return _uniform(self.d, self.n, self.key, self.table, points, outcomes)
 
     def impossible(self, gens, values) -> np.ndarray:
         """`uniform`, from the module `impossible`'s arguments."""
         gens, values = _queries(self.d, self.n, gens, values)
-        return self.uniform(_points(self.d, self.n, gens), values)
+        return self.uniform(_points(self.d, self.n, gens),
+                            values @ _grid(self.d, self.n)[1])
 
 
 def impossible(d: int, phi_table, gens, values) -> np.ndarray:
-    """Boolean per query: whether its joint outcome is impossible, i.e. R is
-    uniform, read by `PointCounts.uniform` from counts enumerated only at
-    the asked subspaces' distinct points, whatever the degree of Phi: per
-    block of queries whose points number CHUNK or fewer.
+    """Boolean per query: whether its joint outcome is impossible, read by
+    `_uniform` from counts enumerated at the asked subspaces' distinct
+    points alone, whatever Phi, per block of at most CHUNK points.
 
     phi_table has shape (d,)*n with n in {1, 2}; gens has shape (Q, n, 2n)
     and values shape (Q, n), all of integer dtype.
     """
     d, phi, n = _table(d, phi_table)
     gens, values = _queries(d, n, gens, values)
+    outcomes = values @ _grid(d, n)[1]
     out = np.empty(len(gens), dtype=bool)
     step = max(1, CHUNK // d ** n)  # queries per enumeration
     for q0 in range(0, len(gens), step):
         qs = slice(q0, q0 + step)
         points = _points(d, n, gens[qs])
-        asked = np.sort(points, axis=None)  # then only its distinct points
-        asked = asked[np.r_[True, asked[1:] != asked[:-1]]]
-        out[qs] = PointCounts._enumerated(d, phi, n, asked).uniform(
-            np.searchsorted(asked, points), values[qs])
+        # the inverse is flat in numpy 1.x, shaped like points in 2.x
+        asked, where = np.unique(points, return_inverse=True)
+        out[qs] = _uniform(d, n, np.arange(len(asked)),
+                           _point_counts(d, phi, *_grid(d, n), asked),
+                           where.reshape(points.shape), outcomes[qs])
     return out

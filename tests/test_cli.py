@@ -300,7 +300,10 @@ class TestArtifactDigests:
         `proof_d11` was recorded before certificates kept the scan's columns
         and `analyze` streamed them.  `witness_d13` (the d=11 proof state,
         not strong at d = 1 mod 3) and `witness_flat_d11` were recorded
-        while the scan still asked the per-ket engine."""
+        while the scan still asked the per-ket engine.  `table1_d11`, a
+        strong certificate refuted wholly in the table1 stage (many rows
+        per scan step), was recorded before the engine's cells were read
+        by outcome id."""
         ref = CERT_DIGESTS[case]
         for strategy in ("table1_first", "full_scan"):
             path = tmp_path / strategy

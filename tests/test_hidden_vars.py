@@ -338,10 +338,10 @@ class TestDecide:
         engine = hidden_vars.kernel.PointCounts.uniform
         asked = []
 
-        def record(counts, points, values):
-            cells = np.concatenate([points, values], axis=1)
+        def record(counts, points, outcomes):
+            cells = np.column_stack([points, outcomes])
             asked.extend(map(tuple, cells.tolist()))
-            return engine(counts, points, values)
+            return engine(counts, points, outcomes)
 
         monkeypatch.setattr(hidden_vars.kernel.PointCounts, "uniform",
                             record)

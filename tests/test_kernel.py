@@ -84,8 +84,10 @@ def test_inputs_reduced_mod_d():
             moved = (tab + d * shifts.integers(-3, 4, tab.shape),
                      gens + d * shifts.integers(-3, 4, gens.shape),
                      outcomes + d * shifts.integers(-3, 4, outcomes.shape))
-            assert np.array_equal(kernel.impossible(d, *moved),
-                                  kernel.impossible(d, tab, gens, outcomes))
+            want = kernel.impossible(d, tab, gens, outcomes)
+            assert np.array_equal(kernel.impossible(d, *moved), want)
+            assert np.array_equal(
+                kernel.PointCounts(d, moved[0]).impossible(*moved[1:]), want)
             assert np.array_equal(
                 weyl(d, moved[0], moved[1][:d]),
                 weyl(d, tab, gens[:d]))
@@ -530,13 +532,13 @@ def test_closed_form_equals_enumeration_at_large_d(d):
 
 def histogram_and_gather(d, st):
     """A closed-form state's point counts, read by class histogram, and
-    their oracle: the same state's counts enumerated at every point, read
-    through the gather."""
+    their oracle: the same state's counts enumerated at every point, a
+    table for the module's readers."""
     counts = kernel.PointCounts(d, st.phi_table())
     assert counts.table is None, st.phi
     _, phi, _ = kernel._table(d, st.phi_table())
-    return counts, kernel.PointCounts._enumerated(d, phi, 2,
-                                                  np.arange(d ** 4))
+    return counts, kernel._point_counts(d, phi, *kernel._grid(d, 2),
+                                        np.arange(d ** 4))
 
 
 def route_states(d):
@@ -554,12 +556,14 @@ def test_histogram_uniform_equals_gather_on_every_cell(d):
     counts, on every (subspace, outcome) cell."""
     rows = np.arange(len(context_rows(Modulus(d), 2)))
     points = np.repeat(kernel.row_points(d, rows), d * d, axis=0)
-    values = np.tile(np.indices((d, d)).reshape(2, -1).T, (len(rows), 1))
+    outcomes = np.tile(np.arange(d * d), len(rows))
+    key = np.arange(d ** 4)
     verdicts = set()
     for st in route_states(d):
-        counts, oracle = histogram_and_gather(d, st)
-        got = counts.uniform(points, values)
-        assert np.array_equal(got, oracle.uniform(points, values)), st.phi
+        counts, table = histogram_and_gather(d, st)
+        got = counts.uniform(points, outcomes)
+        want = kernel._uniform(d, 2, key, table, points, outcomes)
+        assert np.array_equal(got, want), st.phi
         verdicts.update(got.tolist())
     assert verdicts == {True, False}
 
@@ -575,12 +579,15 @@ def test_histogram_weyl_counts_equal_gather(d):
     if d > 7:
         rows = rows[rng.sample(range(len(rows)), 6)]
         states = rng.sample(states, 4)
+    points = kernel._points(d, 2, rows)[:, None]
+    dots = kernel._dots(d, 2)[None]
     for st in states:
-        counts, oracle = histogram_and_gather(d, st)
+        counts, table = histogram_and_gather(d, st)
         got = np.concatenate([b for _, b in counts.weyl_counts(rows)])
-        want = np.concatenate([b for _, b in oracle.weyl_counts(rows)])
-        assert got.dtype == want.dtype == np.int64
-        assert np.array_equal(got, want), st.phi
+        assert got.dtype == np.int64
+        for q in range(len(rows)):  # the gather, one subspace at a time
+            want = kernel._read(d, table, points[q:q + 1], dots)
+            assert np.array_equal(got[q:q + 1], want), st.phi
 
 
 @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1),
