@@ -27,7 +27,7 @@ from . import kernel
 from .born import EmpiricalModel, build_empirical_model
 from .hidden_vars import contextual_fraction, decide_strong_contextuality, \
     write_certificate
-from .phase_space import enumerate_contexts, table1_contexts
+from .phase_space import context_rows, enumerate_contexts, table1_contexts
 from .states import PhaseFunctionState
 from .zmod import Modulus, StabctxError, ZdPoly, dickson_classify, \
     is_permutation_polynomial, parse_poly
@@ -152,13 +152,14 @@ def cmd_contexts(args) -> int:
     if args.table1 and args.n != 2:
         raise StabctxError("--table1 lists the two-qudit families; "
                            "it needs --n 2")
+    if args.count:  # no records; all subspaces counted from their rows
+        n = len(table1_contexts(m) if args.table1 else context_rows(m, args.n))
+        _emit(f"{n}\n", args.output)
+        return 0
     records = [ctx.record() for ctx in (
         table1_contexts(m) if args.table1 else enumerate_contexts(m, args.n))]
-    if args.count:
-        _emit(f"{len(records)}\n", args.output)
-    else:
-        _emit(_json_text({"schema": "1", "modulus": m.d, "n": args.n,
-                          "contexts": records}), args.output)
+    _emit(_json_text({"schema": "1", "modulus": m.d, "n": args.n,
+                      "contexts": records}), args.output)
     return 0
 
 

@@ -15,10 +15,10 @@ context enumeration when the shortcut does not apply.
 The scan handles candidates as arrays rather than one at a time: shortcut
 contexts are read for a block of lam at once from a table over (l1, l3),
 each stage walks its contexts in order over the lam not yet refuted, and
-every distinct (subspace, outcome) query is answered once, from the state's
+every distinct (subspace, outcome) cell is answered once, from the state's
 point-count table (`kernel.PointCounts`, built once per state), and kept in
-one int8 table over (subspace, a, b) cells.  Each block of lam fills its
-own slice of the certificate's columns; where Theorem 1 holds, one takes all.
+one int8 table over cell ids.  Each block of lam fills its own slice of
+the certificate's columns; where Theorem 1 holds, one takes all.
 """
 
 from __future__ import annotations
@@ -168,11 +168,9 @@ class Witness:
     @cached_property
     def rows(self) -> tuple[ConsistencyRow, ...]:
         m = self.modulus
-        keys = context_rows(m, 2)
-        return tuple(
-            ConsistencyRow(label, tuple(map(tuple, key)), tuple(o), True)
-            for label, key, o in zip(span_labels(m, 2), keys.tolist(),
-                                     (keys @ self.lam % m.d).tolist()))
+        outcomes = (context_rows(m, 2) @ self.lam % m.d).tolist()
+        return tuple(ConsistencyRow(*context, tuple(o), True)
+                     for context, o in zip(_contexts(m)[1], outcomes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +179,10 @@ class StrongContextualityCertificate:
 
     strongly_contextual: the scan's columns refute every linear hidden
     variable, one entry per lam in lexicographic order: the stage (index
-    into `stages`), the subspace's row in `context_rows` and the impossible
-    outcome (a, b) lam prescribes there.  `contexts` gives each distinct
-    (stage, row) pair's label and basis.  The columns are read-only;
-    `refutations` and `stages_used` derive from them.
+    into `stages`) and the cell id, row * d^2 + a * d + b: the subspace's
+    row in `context_rows` and the impossible outcome (a, b) lam prescribes
+    there.  The columns are read-only; `refutations` and `stages_used`
+    derive from them.
     not_strongly_contextual: `witness` holds only the lam whose outcome
     is possible in every context; its table derives from lam.
     `write_certificate` writes the JSON, using the columns as indices into
@@ -204,13 +202,11 @@ class StrongContextualityCertificate:
     verdict: str  # "strongly_contextual" | "not_strongly_contextual"
     stages: tuple[str, ...] = ()
     stage: Optional[np.ndarray] = None  # (d^4,) index into `stages`
-    row: Optional[np.ndarray] = None  # (d^4,) row of `context_rows`
-    outcome: Optional[np.ndarray] = None  # (d^4, 2)
-    contexts: Mapping[tuple[int, int], tuple] = field(default_factory=dict)
+    cell: Optional[np.ndarray] = None  # (d^4,) row * d^2 + a * d + b
     witness: Optional[Witness] = None
 
     def __post_init__(self):
-        for column in (self.stage, self.row, self.outcome):
+        for column in (self.stage, self.cell):
             if column is not None:
                 column.flags.writeable = False
 
@@ -220,15 +216,20 @@ class StrongContextualityCertificate:
 
     @property
     def stages_used(self) -> frozenset[str]:
-        return frozenset(self.stages[s] for s, _row in self.contexts)
+        return frozenset() if self.stage is None else frozenset(np.array(
+            self.stages)[np.flatnonzero(np.bincount(self.stage))].tolist())
 
     @cached_property
     def refutations(self) -> tuple[Refutation, ...]:
-        lams = itertools.product(range(self.modulus), repeat=2 * self.n)
-        return () if self.stage is None else tuple(
-            Refutation(lam, self.stages[s], *self.contexts[s, r], tuple(o))
-            for lam, s, r, o in zip(lams, self.stage.tolist(),
-                                    self.row.tolist(), self.outcome.tolist()))
+        if self.stage is None:
+            return ()
+        d, contexts = self.modulus, _contexts(Modulus(self.modulus))
+        lams = itertools.product(range(d), repeat=2 * self.n)
+        return tuple(
+            Refutation(lam, self.stages[s],
+                       *contexts[self.stages[s] == "full"][c // d // d],
+                       divmod(c % (d * d), d))
+            for lam, s, c in zip(lams, self.stage.tolist(), self.cell.tolist()))
 
     def _head(self) -> dict:
         """The document's fields other than the refutations or witness."""
@@ -270,6 +271,17 @@ def _field(key: str, value, depth: int) -> str:
             .replace("\n", "\n" + pad).replace(json.dumps(_SLOT), "%s"))
 
 
+@cache
+def _contexts(m: Modulus) -> tuple[dict, list]:
+    """Each subspace's certificate label and basis (its rows) by its row of
+    `context_rows(m, 2)`, at [stage == "full"]: with its family label in
+    the proof and table1 stages (Table-1 rows only), else its span label."""
+    bases = [tuple(map(tuple, key)) for key in context_rows(m, 2).tolist()]
+    rows, labels = table1_rows(m)
+    return ({r: (label, bases[r]) for r, label in zip(rows.tolist(), labels)},
+            list(zip(span_labels(m, 2), bases)))
+
+
 def write_certificate(cert: StrongContextualityCertificate,
                       out: TextIO) -> None:
     """Write `cert` to `out` as schema "1" JSON: exactly
@@ -305,22 +317,24 @@ def write_certificate(cert: StrongContextualityCertificate,
     outcomes = [first + x + y for x in a for y in b]
     if cert.strongly_contextual:
         ns, count = len(cert.stages), d ** width
-        codes, opening_of = np.unique(cert.row * ns + cert.stage,
+        codes, opening_of = np.unique(cert.cell // (d * d) * ns + cert.stage,
                                       return_inverse=True)
         opening = pad + "{\n" + _field(
             "basis", [[_SLOT] * width] * cert.n, inner) + ",\n" + context \
             + _field("kets_checked", d * d, inner) + ",\n"
         lam, digits = slots("lambda", [_SLOT] * width)
+        contexts = _contexts(Modulus(d))
         tables = [[opening % (*sum(rows, ()), json.dumps(label)) + lam
-                   for label, rows in (cert.contexts[c % ns, c // ns]
-                                       for c in codes.tolist())],
+                   for label, rows in (
+                       contexts[cert.stages[c % ns] == "full"][c // ns]
+                       for c in codes.tolist())],
                   *digits, outcomes,
                   [_field("stage", name, inner) + end for name in cert.stages]]
-        place, outcome = d ** np.arange(width - 1, -1, -1), cert.outcome
+        place = d ** np.arange(width - 1, -1, -1)
 
         def columns(i: np.ndarray) -> tuple:
             return opening_of[i], i[:, None] // place % d, \
-                outcome[i] @ (d, 1), cert.stage[i]
+                cert.cell[i] % (d * d), cert.stage[i]
     else:
         m = cert.witness.modulus
         keys = context_rows(m, cert.n)
@@ -398,56 +412,42 @@ class _Scanner:
     families' rows, `table1_rows`, the proof stage's three depend on lam
     only through (l1, l3), in `proof`, and the full stage is every row.
     `counts`, the state's `kernel.PointCounts`, is built here, and every
-    distinct (subspace, a, b) cell goes to its `uniform` at most once per
-    state: `known` holds one int8 per cell at (sid*d + a)*d + b, -1 until
-    asked, then 0 (possible) or 1 (impossible).  That is (d^2+1)(d+1)d^2
-    bytes: 19,600 at d = 7, 177,144 at d = 11.
+    distinct cell, row * d^2 + a * d + b, goes to its `cells` at most once
+    per state: `known` holds one int8 per cell id, -1 until asked, then 0
+    (possible) or 1 (impossible).  That is (d^2+1)(d+1)d^2 bytes: 19,600
+    at d = 7, 177,144 at d = 11.
     """
 
     def __init__(self, work_state: PhaseFunctionState, rep: StrongnessReport,
                  stages: tuple[str, ...]):
-        self.m = work_state.modulus
-        self.d = self.m.d
+        self.m, self.d = work_state.modulus, work_state.modulus.d
         self.counts = kernel.PointCounts(self.d, work_state.phi_table())
         self.rows = context_rows(self.m, 2)  # (rows, 2, 4), int32 like lam
         self.known = np.full(len(self.rows) * self.d ** 2, -1, dtype=np.int8)
-        self.table1, labels = table1_rows(self.m)
-        self.family = dict(zip(self.table1.tolist(), labels))
+        self.table1 = table1_rows(self.m)[0].astype(np.intp)  # as ids
         self.stages = stages
         if "proof" in stages:  # rows per (l1, l3) at l1*d + l3, l2 = l4 = 0
             pairs = np.indices((self.d, 1, self.d, 1)).reshape(4, -1).T
             self.proof = self.table1[proof_stage_positions(
                 self.m, rep.phi1, rep.phi2, pairs)]
 
-    def context(self, stage: int, sid: int) -> tuple[str, tuple]:
-        """A subspace's certificate label and basis (its canonical generator
-        rows): the family label in the proof and table1 stages, else the
-        span label."""
-        label = span_labels(self.m, 2)[sid] if self.stages[stage] == "full" \
-            else self.family[sid]
-        return label, tuple(map(tuple, self.rows[sid].tolist()))
-
-    def _impossible(self, sid: np.ndarray, ab: np.ndarray) -> np.ndarray:
-        """Answers, from `known`, for arrays of (subspace, (a, b)) queries;
-        cells not asked yet (a query's answer depends only on its cell) go
-        to `counts` in one call."""
-        d = self.d
-        qid = (sid.astype(np.int64) * d + ab[..., 0]) * d + ab[..., 1]
-        new = self.known[qid] < 0
+    def _impossible(self, ids: np.ndarray) -> np.ndarray:
+        """Answers, from `known`, for an array of cell ids; ids not asked
+        yet go to `counts` in one call."""
+        new = self.known[ids] < 0
         if new.any():
-            todo = np.unique(qid[new])
-            rows, outcomes = np.divmod(todo, d * d)
-            self.known[todo] = self.counts.uniform(kernel.row_points(d, rows),
-                                                   outcomes)
-        return self.known[qid] == 1
+            todo = np.unique(ids[new])
+            self.known[todo] = self.counts.cells(todo)
+        return self.known[ids] == 1
 
-    def scan(self, lams: np.ndarray, stage: np.ndarray, where: np.ndarray,
-             outcome: np.ndarray) -> None:
+    def scan(self, lams: np.ndarray, stage: np.ndarray,
+             cell: np.ndarray) -> None:
         """Refute each row of an (N, 4) array of hidden variables.
 
         Writes per lam the index into `stages` (-1 if lam survives every
-        context) to `stage`, the refuting subspace's row in `rows` to
-        `where` and lam's prescribed outcome (a, b) there to `outcome`.
+        context) to `stage`, and the id of the impossible cell, the
+        refuting subspace's row in `rows` and lam's prescribed outcome
+        there, to `cell`.
         """
         n, d = len(lams), self.d
         stage[:] = -1
@@ -456,22 +456,22 @@ class _Scanner:
             if name == "proof":
                 order = self.proof[lams[:, 0] * d + lams[:, 2]]
             else:
-                ids = self.table1 if name == "table1" \
-                    else np.arange(len(self.rows))
-                order = np.broadcast_to(ids, (n, len(ids)))
+                rows = self.table1 if name == "table1" \
+                    else np.arange(len(self.rows), dtype=np.intp)
+                order = np.broadcast_to(rows, (n, len(rows)))
             start = 0
             while alive.size and start < order.shape[1]:
                 stop = start + max(1, QUERY_BATCH // alive.size)
                 sid = order[alive, start:stop]  # subspaces to try, in order
                 ab = (self.rows[sid]
                       @ lams[alive][:, None, :, None])[..., 0] % d
-                imp = self._impossible(sid, ab)
+                ids = (sid * d + ab[..., 0]) * d + ab[..., 1]
+                imp = self._impossible(ids)
                 first = np.where(imp.any(axis=1), imp.argmax(axis=1), -1)
                 hit = np.flatnonzero(first >= 0)
                 who = alive[hit]
                 stage[who] = s
-                where[who] = sid[hit, first[hit]]
-                outcome[who] = ab[hit, first[hit]]
+                cell[who] = ids[hit, first[hit]]
                 alive = alive[first < 0]
                 start = stop
             if not alive.size:
@@ -521,8 +521,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     # the certificate's columns, filled block by block; allocated after
     # the scanner, they raised the peak RSS at d = 23 by 9 MiB
     stage = np.empty(len(lams), dtype=np.int8)
-    row = np.empty(len(lams), dtype=np.int32)
-    outcome = np.empty((len(lams), 2), dtype=np.int32)
+    cell = np.empty(len(lams), dtype=_cell_dtype((d * d + 1) * (d + 1) * d * d))
     scanner = _Scanner(work, rep, stages)
 
     base = dict(
@@ -534,7 +533,7 @@ def decide_strong_contextuality(state: PhaseFunctionState,
     start, size = 0, len(lams) if stages[0] == "proof" and d % 3 != 1 else 1
     while start < len(lams):
         block = slice(start, start + size)
-        scanner.scan(lams[block], stage[block], row[block], outcome[block])
+        scanner.scan(lams[block], stage[block], cell[block])
         if (stage[block] < 0).any():
             lam = lams[start + np.argmax(stage[block] < 0)]
             return StrongContextualityCertificate(
@@ -542,13 +541,9 @@ def decide_strong_contextuality(state: PhaseFunctionState,
                 witness=Witness(state.modulus, tuple(lam.tolist())))
         start, size = start + size, 2 * size
 
-    ns = len(stages)  # each distinct (stage, row) once, from its code
-    codes = np.flatnonzero(np.bincount(row * ns + stage)).tolist()
     return StrongContextualityCertificate(
         **base, verdict="strongly_contextual", stages=stages,
-        stage=stage, row=row, outcome=outcome,
-        contexts={(c % ns, c // ns): scanner.context(c % ns, c // ns)
-                  for c in codes})
+        stage=stage, cell=cell)
 
 
 # -- contextual fraction -------------------------------------------------------

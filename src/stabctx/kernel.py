@@ -15,9 +15,9 @@ omega^E_w(J) = d^n <psi|W(w)|psi> is the state's characteristic function
 at w = (P, Q).  Counted once per state as C_w at every phase point, it
 gives the counts R[s] = sum_c C_(c.g)[s + c.a] of the roots of d^(2n)
 <psi|Pi|psi>; d being prime, the outcome is impossible iff R is uniform.
-Its readers, `weyl_counts` (empirical models) and `uniform` (the scan, at
-element points cached per `context_rows` row by `row_points`), take a cell
-as (element points, row-major outcome id o), c.a being row o of `_dots`.
+Its readers are `weyl_counts` (empirical models) and `cells` (the scan),
+which names a two-qudit cell by one id, row * d^2 + a * d + b, row a row
+of `context_rows`; c.a is row a * d + b of `_dots`.
 For two qudits and deg Phi <= 3, E_w is a quadratic in J, and
 `_closed_form` gives each point a class (one of six count patterns K) and
 a shift h from six values of each difference Phi(J - Q) - Phi(J) and the
@@ -34,8 +34,8 @@ closed form.  This module is the only place the exponent is written out:
 by `_point_counts`, and in closed form by `_closed_form`.
 
 Every input must be integer and is reduced mod d on entry, so any integers
-that mean the same thing mod d give the same answer (`uniform` takes
-reduced points and ids, from `impossible` and the scan).  Exponents,
+that mean the same thing mod d give the same answer (a cell id, naming
+a row and a reduced outcome, must lie in range).  Exponents,
 gathered entries, binned elements and `_dots`' products come in chunks of
 at most CHUNK, and the enumeration's (coordinate, ket) tables hold no more
 entries than CHUNK or the counts they build, so working memory stays
@@ -151,28 +151,11 @@ def _points(d, n, gens):
 
 @functools.lru_cache(maxsize=None)
 def _row_points(d, sid):
-    """`_points` of one row of the two-qudit `context_rows`, read-only."""
+    """`_points` of one row of the two-qudit `context_rows`, read-only; kept
+    one by one: rows scattered over one array would each pull in a page."""
     points = _points(d, 2, context_rows(Modulus(d), 2)[sid:sid + 1])[0]
     points.flags.writeable = False
     return points
-
-
-def row_points(d: int, sids) -> np.ndarray:
-    """`_points` of rows `sids` of `context_rows(Modulus(d), 2)`, each computed
-    once per d, when first asked; kept one by one, as rows scattered over one
-    array would each pull in a whole huge page.  Each is a read-only value
-    of `_row_points`' cache, which threads share as is.  `sids` must be a
-    flat sequence of integers in range(len(context_rows(Modulus(d), 2)))."""
-    count = len(context_rows(Modulus(d), 2))
-    try:
-        sids = np.asarray(sids)
-    except ValueError:  # ragged
-        raise MalformedQuery("expected a flat sequence of row ids") from None
-    ids = sids.tolist()
-    if sids.ndim != 1 or ids and (sids.dtype.kind not in "iu"
-                                  or not 0 <= min(ids) <= max(ids) < count):
-        raise MalformedQuery(f"row ids must be integers in range({count})")
-    return np.array([_row_points(d, s) for s in ids], np.int32)
 
 
 def _point_counts(d, phi, grid, place, points):
@@ -373,12 +356,11 @@ def _read(d, table, w, shifts):
                        0, -1)
 
 
-def _uniform(d, n, key, table, points, outcomes):
+def _uniform(d, key, table, dots, points, outcomes):
     """Boolean per cell: whether R is uniform, i.e. <psi|Pi|psi> = 0, for
-    element keys key[points[q]] and outcome id outcomes[q] (its row of
-    `_dots`), read by `_read` per chunk of CHUNK or fewer entries."""
-    dots = _dots(d, n)
-    step = max(1, CHUNK // (len(dots) * (1 if table is None else d)))
+    element keys key[points[q]] and c.o mod d over the elements in row
+    outcomes[q] of `dots`, read by `_read` per chunk of CHUNK entries."""
+    step = max(1, CHUNK // (dots.shape[1] * (1 if table is None else d)))
     out = np.empty(len(points), dtype=bool)
     for q0 in range(0, len(points), step):
         qs = slice(q0, q0 + step)
@@ -426,16 +408,33 @@ class PointCounts:
                         dots[:, o0:o0 + o_step])
             yield slice(b0, b0 + len(w)), out
 
-    def uniform(self, points, outcomes) -> np.ndarray:
-        """Boolean per cell: whether <psi|Pi|psi> = 0 at element points
-        points[q] and row-major outcome id outcomes[q]."""
-        return _uniform(self.d, self.n, self.key, self.table, points, outcomes)
+    def cells(self, ids) -> np.ndarray:
+        """Boolean per cell id row * d^2 + a * d + b: whether <psi|Pi|psi>
+        = 0 for outcome (a, b) of row `row` of the two-qudit `context_rows`,
+        at the row's element points from `_row_points`.  `ids` must be a
+        flat sequence of integers in range(len(context_rows) * d^2)."""
+        d, size = self.d, self.d * self.d
+        count = len(context_rows(Modulus(d), 2)) * size
+        try:
+            ids = np.asarray(ids)
+        except ValueError:  # ragged: rejected below
+            ids = np.empty((0, 0))
+        flat = ids.tolist()  # Python min and max: no numpy reduction per call
+        if self.n != 2 or ids.ndim != 1 or flat and (
+                ids.dtype.kind not in "iu"
+                or not 0 <= min(flat) <= max(flat) < count):
+            raise MalformedQuery(f"cell ids must be integers in range({count})"
+                                 " on a two-qudit table")
+        points = np.array([_row_points(d, i // size) for i in flat], np.int32)
+        return _uniform(d, self.key, self.table, _dots(d, 2), points,
+                        ids % size)
 
     def impossible(self, gens, values) -> np.ndarray:
-        """`uniform`, from the module `impossible`'s arguments."""
-        gens, values = _queries(self.d, self.n, gens, values)
-        return self.uniform(_points(self.d, self.n, gens),
-                            values @ _grid(self.d, self.n)[1])
+        """Boolean per query, as the module `impossible` answers it."""
+        d, n = self.d, self.n
+        gens, values = _queries(d, n, gens, values)
+        return _uniform(d, self.key, self.table, _dots(d, n),
+                        _points(d, n, gens), values @ _grid(d, n)[1])
 
 
 def impossible(d: int, phi_table, gens, values) -> np.ndarray:
@@ -448,7 +447,7 @@ def impossible(d: int, phi_table, gens, values) -> np.ndarray:
     """
     d, phi, n = _table(d, phi_table)
     gens, values = _queries(d, n, gens, values)
-    outcomes = values @ _grid(d, n)[1]
+    grid = _grid(d, n)[0]
     out = np.empty(len(gens), dtype=bool)
     step = max(1, CHUNK // d ** n)  # queries per enumeration
     for q0 in range(0, len(gens), step):
@@ -456,7 +455,8 @@ def impossible(d: int, phi_table, gens, values) -> np.ndarray:
         points = _points(d, n, gens[qs])
         # the inverse is flat in numpy 1.x, shaped like points in 2.x
         asked, where = np.unique(points, return_inverse=True)
-        out[qs] = _uniform(d, n, np.arange(len(asked)),
+        out[qs] = _uniform(d, np.arange(len(asked)),
                            _point_counts(d, phi, *_grid(d, n), asked),
-                           where.reshape(points.shape), outcomes[qs])
+                           values[qs] @ grid.T % d,  # c.o per query alone
+                           where.reshape(points.shape), np.arange(len(points)))
     return out

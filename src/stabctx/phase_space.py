@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -170,7 +171,8 @@ class Context:
 def span_label(rows: Sequence[Sequence[int]]) -> str:
     """The label of a subspace without a family name: its canonical
     generator rows, e.g. "span:1,0,0,0|0,1,0,0"."""
-    return "span:" + "|".join(",".join(str(c) for c in row) for row in rows)
+    return "span:" + "|".join(",".join(map(str, _integers(
+        row, "span label entries"))) for row in _expect(rows, Iterable))
 
 
 @functools.lru_cache(maxsize=None, typed=True)

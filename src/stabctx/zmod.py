@@ -9,10 +9,12 @@ valid for d not congruent to 1 mod 3).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Optional
 
 
 class StabctxError(Exception):
@@ -148,6 +150,7 @@ class ZdPoly:
 
     @classmethod
     def constant(cls, m: Modulus, c: int, num_vars: int) -> "ZdPoly":
+        num_vars = _integers((num_vars,), "num_vars")[0]
         return cls(m, num_vars, {(0,) * num_vars: c})
 
     @classmethod
@@ -161,7 +164,8 @@ class ZdPoly:
 
     @classmethod
     def monomial(cls, m: Modulus, coeff: int, exps: Sequence[int]) -> "ZdPoly":
-        return cls(m, len(exps), {tuple(exps): coeff})
+        exps = _integers(exps, "exponents")
+        return cls(m, len(exps), {exps: coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -225,7 +229,10 @@ class ZdPoly:
         return max(sum(e) for e in self.coeffs)
 
     def coeff(self, exps: Sequence[int]) -> int:
-        return self.coeffs.get(tuple(exps), 0)
+        exps = _integers(exps, "exponents")
+        if len(exps) != self.num_vars:
+            raise ArityMismatch(f"{exps} are not {self.num_vars} exponents")
+        return self.coeffs.get(exps, 0)
 
     def terms(self) -> Iterator[tuple[tuple[int, ...], int]]:
         """Terms in canonical order: total degree descending, then exponent
@@ -236,19 +243,13 @@ class ZdPoly:
     # -- evaluation and substitution ----------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> int:
+        point = _integers(point, "evaluation points")
         if len(point) != self.num_vars:
             raise ArityMismatch(
                 f"point of length {len(point)} for {self.num_vars} variables")
-        d = self.modulus.d
-        pt = [p % d for p in _integers(point, "evaluation points")]
-        total = 0
-        for exps, c in self.coeffs.items():
-            t = c
-            for p, e in zip(pt, exps):
-                if e:
-                    t = t * pow(p, e, d) % d
-            total += t
-        return total % d
+        mods = (self.modulus.d,) * len(point)  # pow(p, e, d) per variable
+        return sum(c * math.prod(map(pow, point, exps, mods))
+                   for exps, c in self.coeffs.items()) % self.modulus.d
 
     def substitute(self, replacements: Sequence["ZdPoly"]) -> "ZdPoly":
         """Substitute a polynomial for each variable.
@@ -256,11 +257,11 @@ class ZdPoly:
         All replacement polynomials must share a modulus and variable count;
         the result lives in their variable space.
         """
-        if len(replacements) != self.num_vars:
+        if len(_expect(replacements, Sequence)) != self.num_vars:
             raise ArityMismatch("one replacement per variable required")
-        nv = replacements[0].num_vars
+        nv = _expect(replacements[0], ZdPoly).num_vars
         for r in replacements:
-            if r.modulus != self.modulus or r.num_vars != nv:
+            if _expect(r, ZdPoly).modulus != self.modulus or r.num_vars != nv:
                 raise ArityMismatch("replacement domains differ")
         out = ZdPoly.zero(self.modulus, nv)
         for exps, c in self.coeffs.items():

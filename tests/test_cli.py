@@ -83,6 +83,18 @@ class TestContexts:
         assert code == 0
         assert out.strip() == "30"
 
+    @pytest.mark.parametrize("d", ["3", "5"])
+    @pytest.mark.parametrize("scope", [["--n", "1"], ["--n", "2"],
+                                       ["--table1"]])
+    def test_count_equals_catalogue_length(self, capsys, d, scope):
+        """`--count`, read from the rows without building a context, is
+        the length of the catalogue that the records list."""
+        code, count, _ = run(capsys, "contexts", "--d", d, *scope, "--count")
+        assert code == 0
+        code, out, _ = run(capsys, "contexts", "--d", d, *scope)
+        assert code == 0
+        assert count == f"{len(json.loads(out)['contexts'])}\n"
+
     def test_records(self, capsys):
         code, out, _ = run(capsys, "contexts", "--d", "3", "--n", "1")
         assert code == 0

@@ -222,7 +222,7 @@ class TestDecide:
 
     @pytest.mark.parametrize("d, sample", [(3, None), (5, None), (11, 3)])
     def test_proof_stage_refutes_at_first_impossible_context(self, d, sample):
-        """Each lam's (stage, row, outcome) is the first of its three
+        """Each lam's (stage, cell) names the first of its three
         `proof_stage_positions` contexts whose cell is impossible, each
         lam's cells asked on its own of `kernel.impossible`: every strong
         normal form at d = 3 and 5, and a seeded sample (forms and lam) at
@@ -249,9 +249,9 @@ class TestDecide:
                                                     values)
                 first = int(np.argmax(imp))
                 assert imp[first], (phi1, phi2, i)
-                assert (cert.stages[cert.stage[i]], cert.row[i],
-                        tuple(cert.outcome[i])) == (
-                    "proof", sids[i, first], tuple(values[first]))
+                a, b = values[first]
+                assert (cert.stages[cert.stage[i]], cert.cell[i]) == (
+                    "proof", (sids[i, first] * d + a) * d + b)
 
     def test_witness_below_theorem1_keeps_its_lambda(self):
         """At d = 1 (mod 3) a normal form's lam stay on the block schedule:
@@ -266,22 +266,41 @@ class TestDecide:
         assert lams == list(map(tuple, kernel._grid(3, 4)[0].tolist()))
 
     def test_refutations_built_on_request(self):
-        cert = decide_strong_contextuality(state(3, "j^2*k + j*k^2"))
-        assert "refutations" not in vars(cert)  # the scan keeps columns
-        assert cert.stage.shape == cert.row.shape == (81,)
-        assert cert.outcome.shape == (81, 2)
-        refutations = cert.refutations
-        assert refutations is cert.refutations  # built once
-        for r, s, row, o in zip(refutations, cert.stage, cert.row,
-                                cert.outcome):
-            assert r.stage == cert.stages[s]
-            assert (r.context_label, r.context_basis) == cert.contexts[s, row]
-            assert r.outcome == tuple(o)
-        assert cert.stages_used == {r.stage for r in refutations}
+        """The certificate keeps two columns, stage and cell id; each
+        refutation decodes its cell to the row's label and basis and lam's
+        outcome there, and `cell % d^2` is the outcome id of
+        `context_rows[cell // d^2] @ lam % d`: proof, table1 and full-stage
+        certificates at d = 3 and 5."""
+        for d, text, strategy in itertools.product(
+                (3, 5), ("j^2*k + j*k^2", "j^3 + j^2*k + k^3"),
+                ("table1_first", "full_scan")):
+            m = Modulus(d)
+            cert = decide_strong_contextuality(state(d, text), strategy=strategy)
+            assert cert.strongly_contextual, (d, text, strategy)
+            assert "refutations" not in vars(cert)  # the scan keeps columns
+            assert cert.stage.shape == cert.cell.shape == (d ** 4,)
+            assert cert.cell.dtype == np.int32
+            rows = phase_space.context_rows(m, 2)
+            lams = kernel._grid(d, 4)[0]
+            row, outcome = np.divmod(cert.cell, d * d)
+            assert np.array_equal(
+                outcome, (rows[row] @ lams[..., None])[..., 0] % d @ (d, 1))
+            families = dict(zip(*map(list, phase_space.table1_rows(m))))
+            refutations = cert.refutations
+            assert refutations is cert.refutations  # built once
+            for r, s, i, o in zip(refutations, cert.stage.tolist(),
+                                  row.tolist(), outcome.tolist()):
+                assert r.stage == cert.stages[s]
+                label = phase_space.span_labels(m, 2)[i] \
+                    if r.stage == "full" else families[i]
+                assert (r.context_label, r.context_basis) == (
+                    label, tuple(map(tuple, rows[i].tolist())))
+                assert r.outcome == divmod(o, d)
+            assert cert.stages_used == {r.stage for r in refutations}
 
     def test_certificate_columns_read_only(self):
         cert = decide_strong_contextuality(state(3, "j^2*k"))
-        for column in (cert.stage, cert.row, cert.outcome):
+        for column in (cert.stage, cert.cell):
             with pytest.raises(ValueError):
                 column[0] = 999
 
@@ -335,16 +354,14 @@ class TestDecide:
     ])
     def test_engine_asked_each_cell_once(self, monkeypatch, d, text,
                                          strategy):
-        engine = hidden_vars.kernel.PointCounts.uniform
+        engine = hidden_vars.kernel.PointCounts.cells
         asked = []
 
-        def record(counts, points, outcomes):
-            cells = np.column_stack([points, outcomes])
-            asked.extend(map(tuple, cells.tolist()))
-            return engine(counts, points, outcomes)
+        def record(counts, ids):
+            asked.extend(ids.tolist())
+            return engine(counts, ids)
 
-        monkeypatch.setattr(hidden_vars.kernel.PointCounts, "uniform",
-                            record)
+        monkeypatch.setattr(hidden_vars.kernel.PointCounts, "cells", record)
         decide_strong_contextuality(state(d, text), strategy=strategy)
         assert asked
         assert len(set(asked)) == len(asked)

@@ -552,17 +552,17 @@ def route_states(d):
 
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_histogram_uniform_equals_gather_on_every_cell(d):
-    """`uniform` by class histogram against the gather of the enumerated
+    """`cells` by class histogram against the gather of the enumerated
     counts, on every (subspace, outcome) cell."""
-    rows = np.arange(len(context_rows(Modulus(d), 2)))
-    points = np.repeat(kernel.row_points(d, rows), d * d, axis=0)
+    rows = context_rows(Modulus(d), 2)
+    points = np.repeat(kernel._points(d, 2, rows), d * d, axis=0)
     outcomes = np.tile(np.arange(d * d), len(rows))
-    key = np.arange(d ** 4)
+    key, dots = np.arange(d ** 4), kernel._dots(d, 2)
     verdicts = set()
     for st in route_states(d):
         counts, table = histogram_and_gather(d, st)
-        got = counts.uniform(points, outcomes)
-        want = kernel._uniform(d, 2, key, table, points, outcomes)
+        got = counts.cells(np.arange(len(rows) * d * d))
+        want = kernel._uniform(d, key, table, dots, points, outcomes)
         assert np.array_equal(got, want), st.phi
         verdicts.update(got.tolist())
     assert verdicts == {True, False}
@@ -621,48 +621,66 @@ def test_point_counts_at_asked_points_equal_full_columns(monkeypatch, d, n):
                                   want)
 
 
+def row_cells(d, sids, rng):
+    """A random cell id on each of rows `sids` of `context_rows`, and each
+    cell's generators and outcome values, for `PointCounts.impossible`."""
+    outcomes = np.array([rng.randrange(d * d) for _ in sids], dtype=np.int64)
+    gens = context_rows(Modulus(d), 2)[sids]
+    return np.asarray(sids) * d * d + outcomes, gens, np.divmod(outcomes, d)
+
+
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_row_points_cache_every_row_and_only_rows_asked(d):
-    """`row_points` equals the point formula written out per element, on
-    every row of `context_rows`, and computes only the rows asked for."""
+    """`_row_points` equals the point formula written out per element, on
+    every row of `context_rows`; `cells` computes only the rows it is
+    asked for, and answers as `impossible` does from the rows' generators
+    and the ids' outcomes."""
     rows = context_rows(Modulus(d), 2)
     want = np.empty((len(rows), d * d), dtype=np.int64)
     for sid, (g1, g2) in enumerate(rows.tolist()):
         for e, (c1, c2) in enumerate(itertools.product(range(d), repeat=2)):
             p1, q1, p2, q2 = ((c1 * a + c2 * b) % d for a, b in zip(g1, g2))
             want[sid, e] = ((p1 * d + p2) * d + q1) * d + q2
+    rng = random.Random(d)
+    counts = kernel.PointCounts(d, random_state(rng, d).phi_table())
     kernel._row_points.cache_clear()
-    asked = np.array(random.Random(d).choices(range(len(rows)), k=d))
-    got = kernel.row_points(d, asked)
-    assert got.dtype == np.int32 and np.array_equal(got, want[asked])
+    asked = rng.choices(range(len(rows)), k=d)
+    ids, gens, (a, b) = row_cells(d, asked, rng)
+    got = counts.cells(ids)
+    assert got.dtype == bool
+    assert np.array_equal(got, counts.impossible(gens, np.stack([a, b], 1)))
     info = kernel._row_points.cache_info()
-    assert info.currsize == info.misses == len(set(asked.tolist()))
-    every = np.arange(len(rows))
-    assert np.array_equal(kernel.row_points(d, every), want)
+    assert info.currsize == info.misses == len(set(asked))
+    every = np.arange(len(rows) * d * d)
+    assert np.array_equal(counts.cells(every)[ids], got)
     assert kernel._row_points.cache_info().currsize == len(rows)
-    assert np.array_equal(kernel.row_points(d, asked.tolist()), got)
+    for sid in range(len(rows)):
+        points = kernel._row_points(d, sid)
+        assert points.dtype == np.int32 and np.array_equal(points, want[sid])
+    assert np.array_equal(counts.cells(ids.tolist()), got)
     with pytest.raises(ValueError):  # the cached rows are read-only
         kernel._row_points(d, 0)[0] = 0
 
 
 def test_row_points_shared_by_threads():
-    """Four threads asking overlapping rows of a fresh d at once, from a
-    cold cache, switching every microsecond, each get the serial answer,
-    and the cache they share ends holding exactly the rows asked."""
+    """Four threads asking `cells` of one state on overlapping rows of a
+    fresh d at once, from a cold cache, switching every microsecond, each
+    get the serial answer, and the `_row_points` cache they share ends
+    holding exactly the rows asked."""
     d, threads = 11, 4
     count = len(context_rows(Modulus(d), 2))
     step, rng = count // (threads + 1), random.Random(d)
-    asks = [[np.array(rng.choices(range(step * t, step * (t + 2)), k=16))
-             for _ in range(40)] for t in range(threads)]
-    kernel._row_points.cache_clear()
-    want = kernel.row_points(d, np.arange(count))
+    asks = [[row_cells(d, rng.choices(range(step * t, step * (t + 2)), k=16),
+                       rng)[0] for _ in range(40)] for t in range(threads)]
+    counts = kernel.PointCounts(d, random_state(rng, d).phi_table())
+    want = counts.cells(np.arange(count * d * d))
     kernel._row_points.cache_clear()
     got = [None] * threads
     start = threading.Barrier(threads)
 
     def work(t):
         start.wait(timeout=60)
-        got[t] = [kernel.row_points(d, sids) for sids in asks[t]]
+        got[t] = [counts.cells(ids) for ids in asks[t]]
 
     workers = [threading.Thread(target=work, args=(t,))
                for t in range(threads)]
@@ -677,11 +695,24 @@ def test_row_points_shared_by_threads():
         sys.setswitchinterval(interval)
     assert not any(worker.is_alive() for worker in workers)
     assert None not in got
-    for sids_list, points_list in zip(asks, got):
-        for sids, points in zip(sids_list, points_list):
-            assert np.array_equal(points, want[sids])
-    asked = sorted({s for ask in asks for sids in ask for s in sids.tolist()})
+    for ids_list, answers in zip(asks, got):
+        for ids, answer in zip(ids_list, answers):
+            assert np.array_equal(answer, want[ids])
+    asked = sorted({i // (d * d) for ask in asks for ids in ask
+                    for i in ids.tolist()})
     held = kernel._row_points.cache_info()
     assert held.currsize == len(asked)
-    kernel.row_points(d, np.array(asked))  # every asked row is held
+    counts.cells(np.array(asked) * d * d)  # every asked row is held
     assert kernel._row_points.cache_info().misses == held.misses
+
+
+def test_oracle_builds_no_dots_table():
+    """`impossible`, the oracle, reads c.o from a table over its asked
+    outcomes alone: one query at d = 31 leaves `_dots`' cache empty
+    (the whole table there is d^4 bytes, 0.9 MB)."""
+    d = 31
+    kernel._dots.cache_clear()
+    tab = np.indices((d, d)).prod(axis=0) % d  # j * k
+    gens = context_rows(Modulus(d), 2)[:1]
+    assert kernel.impossible(d, tab, gens, [(1, 2)]).shape == (1,)
+    assert kernel._dots.cache_info().currsize == 0

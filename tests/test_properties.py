@@ -112,9 +112,10 @@ def test_local_maps_carry_certificates(case):
             assert np.array_equal(np.bincount(cert.stage, minlength=3),
                                   np.bincount(other.stage, minlength=3))
         lams = np.indices((d,) * 4).reshape(4, -1).T
+        row, outcome = np.divmod(cert.cell, d * d)
         assert np.array_equal(
-            cert.outcome, (rows[cert.row] @ lams[..., None])[..., 0] % d)
-        keys = rows[subspace_map(m, S)[cert.row]]
+            outcome, (rows[row] @ lams[..., None])[..., 0] % d @ (d, 1))
+        keys = rows[subspace_map(m, S)[row]]
         outcomes = (keys @ (lams @ L.T)[..., None])[..., 0] % d
         assert counts.impossible(keys, outcomes).all()
     else:

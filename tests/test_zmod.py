@@ -16,8 +16,8 @@ from stabctx.hidden_vars import check_linearity_forcing, \
     contextual_fraction, decide_strong_contextuality, proof_chain_identities, \
     proof_stage_positions, write_certificate
 from stabctx.phase_space import Context, DimensionMismatch, PhasePoint, \
-    UnsupportedScale, context_rows, enumerate_contexts, span_labels, \
-    symplectic_product, table1_contexts, table1_rows
+    UnsupportedScale, context_rows, enumerate_contexts, span_label, \
+    span_labels, symplectic_product, table1_contexts, table1_rows
 from stabctx.states import OracleScaleExceeded, PhaseFunctionState, \
     diagonal_gate_level, strip_quadratic, strongness, swap_qudits, \
     verify_level_by_conjugation
@@ -335,6 +335,11 @@ def model3():
                                  table1_contexts(M3))
 
 
+def cells5(ids):
+    """`PointCounts.cells` of the flat d = 5 state."""
+    return kernel.PointCounts(5, np.zeros((5, 5), int)).cells(ids)
+
+
 def unit_context(n):
     """span{e_1, e_3, ..., e_(2n-1)} in Z_5^(2n): the p coordinates."""
     return Context([PhasePoint(M5, n, tuple(int(i == k) for k in range(2 * n)))
@@ -396,17 +401,33 @@ MALFORMED = {
     "float_factor": lambda: 2.7 * parse_poly("j", Modulus(5)),
     "float_inverse": lambda: inv(2.5, Modulus(5)),
     "float_point": lambda: parse_poly("j*k", Modulus(5)).evaluate((1.5, 2)),
+    # each of these once raised a bare TypeError or AttributeError, or
+    # (span_label) wrote the string entry into the label
+    "none_point": lambda: JK5.evaluate(None),
+    "none_coefficient_exponents": lambda: JK5.coeff(None),
+    "float_coefficient_exponents": lambda: JK5.coeff((2.5, 1)),
+    "none_replacements": lambda: JK5.substitute(None),
+    "string_replacements": lambda: JK5.substitute(["x", "y"]),
+    "string_constant_num_vars": lambda: ZdPoly.constant(M5, 1, "x"),
+    "none_monomial_exponents": lambda: ZdPoly.monomial(M5, 1, None),
+    "object_span_label_rows": lambda: span_label(object()),
+    "string_span_label_entry": lambda: span_label([[1, "a"]]),
     "ragged_engine_query": lambda: kernel.impossible(
         5, np.zeros((5, 5), dtype=int), [((1, 0, 0, 0), (0, 0, 1))], [(0, 0)]),
+    # cell ids, row * d^2 + a * d + b, name their row of the 156 at d = 5:
     # row ids once raised AttributeError (a list), TypeError (floats) or
-    # IndexError (outside the 156 rows at d = 5)
-    "float_row_ids": lambda: kernel.row_points(5, np.array([1.0])),
-    "negative_row_id": lambda: kernel.row_points(5, np.array([-1])),
-    "row_id_past_rows": lambda: kernel.row_points(5, np.array([156])),
-    "huge_row_id": lambda: kernel.row_points(5, np.array([10 ** 6])),
-    "bool_row_ids": lambda: kernel.row_points(5, np.array([True])),
-    "nested_row_ids": lambda: kernel.row_points(5, [[0]]),
-    "ragged_row_ids": lambda: kernel.row_points(5, [[0], [1, 2]]),
+    # IndexError (outside the rows), and cell id -1 was read as outcome
+    # d^2 - 1 of the last row
+    "float_row_ids": lambda: cells5(np.array([1.0])),
+    "negative_row_id": lambda: cells5(np.array([-1])),
+    "row_id_past_rows": lambda: cells5(np.array([156 * 25])),
+    "huge_row_id": lambda: cells5(np.array([10 ** 6])),
+    "bool_row_ids": lambda: cells5(np.array([True])),
+    "nested_row_ids": lambda: cells5([[0]]),
+    "ragged_row_ids": lambda: cells5([[0], [1, 2]]),
+    "string_cell_ids": lambda: cells5(["0"]),
+    "one_qudit_cell_ids": lambda: kernel.PointCounts(
+        5, np.zeros(5, int)).cells([0]),
     "float_state_qudit_count": lambda: PhaseFunctionState(M5, 2.0, JK5),
     "float_marginal_context_index": lambda: model3().marginal(
         1.5, PhasePoint(M3, 2, (1, 0, 0, 0)), 0),
@@ -531,6 +552,8 @@ OUT_OF_SCOPE = {
     "no_variables": (ArityMismatch, lambda: ZdPoly(M5, 0, {})),
     "exponent_arity": (ArityMismatch, lambda: ZdPoly(M5, 2, {(1,): 1})),
     "sum_of_domains": (ArityMismatch, lambda: JK5 + X5),
+    # once read as a missing term, 0
+    "coefficient_exponent_arity": (ArityMismatch, lambda: JK5.coeff((2,))),
     "substitute_count": (ArityMismatch, lambda: JK5.substitute([X5])),
     "substitute_domains": (ArityMismatch, lambda: JK5.substitute([X5, JK5])),
     "dickson_two_variables": (ArityMismatch, lambda: dickson_classify(JK5)),
